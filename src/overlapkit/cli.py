@@ -18,7 +18,7 @@ import tempfile
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvalidArgument, OverlapKitError
+from .errors import InputError, InvalidArgument, OverlapKitError, ResourceLimitError
 from .exactnum import DEFAULT_PRECISION_BITS, format_rational, parse_rational
 from .graphdir import Policy, build_graph, emit_dot, spectral_radius, verify_beta_eigen
 from .ifs import (
@@ -38,6 +38,9 @@ from .numlab import (
     emit_svg,
 )
 from .obstruction import dust_candidate_check, obstruction_verdict, sweep
+
+# dimension and moran each finish within about a second at this precision
+MAX_PRECISION_BITS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,17 +110,20 @@ def _render_text(payload: dict) -> str:
 
 
 def _resolve_precision(args: argparse.Namespace) -> int:
-    if args.precision_bits is not None:
-        return args.precision_bits
-    raw = os.environ.get("OVERLAPKIT_PRECISION_BITS")
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InvalidArgument(
-            f"OVERLAPKIT_PRECISION_BITS must be an integer, got {raw!r}"
-        ) from exc
+    bits = args.precision_bits
+    if bits is None:
+        raw = os.environ.get("OVERLAPKIT_PRECISION_BITS")
+        try:
+            bits = DEFAULT_PRECISION_BITS if raw is None else int(raw)
+        except ValueError as exc:
+            raise InvalidArgument(
+                f"OVERLAPKIT_PRECISION_BITS must be an integer, got {raw!r}"
+            ) from exc
+    if bits > MAX_PRECISION_BITS:
+        raise ResourceLimitError(
+            f"precision_bits must be <= {MAX_PRECISION_BITS}, got {bits}", ceiling=MAX_PRECISION_BITS
+        )
+    return bits
 
 
 # -- subcommand handlers: (args, precision_bits) -> (payload, exit code) --------
@@ -383,9 +389,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except OverlapKitError as err:
-        sys.stderr.write(json.dumps(err.to_json(), sort_keys=True) + "\n")
-        return err.exit_code
+    except OSError as exc:
+        # e.g. an --output, --dot, --svg or --csv path that cannot be written
+        err = InputError(str(exc))
+    except OverlapKitError as exc:
+        err = exc
+    sys.stderr.write(json.dumps(err.to_json(), sort_keys=True) + "\n")
+    return err.exit_code
 
 
 if __name__ == "__main__":

@@ -123,10 +123,6 @@ class VertexExplosion(ResourceLimitError):
     pass
 
 
-class NoConvergence(ConsistencyError):
-    pass
-
-
 class TooDeep(ResourceLimitError):
     pass
 

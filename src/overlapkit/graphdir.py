@@ -20,18 +20,13 @@ from typing import Optional
 
 import mpmath
 
-from .errors import (
-    InvalidArgument,
-    NoConvergence,
-    UnexpectedChildGap,
-    VertexExplosion,
-)
-from .exactnum import QuadSurd, RationalRoots, quad_roots
+from .errors import InvalidArgument, UnexpectedChildGap, VertexExplosion
+from .exactnum import RationalRoots, quad_roots
 from .ifs import GAP, OVERLAP, TOUCH, SelfSimilarSpec
+from .intpoly import exact_div, family_poly
+from .intpoly.roots import charpoly, largest_root
 
 _SPECTRAL_BITS = 128
-_RAYLEIGH_TOL_EXP = -13
-_ITERATION_CAP = 10**5
 
 
 class Policy(str, Enum):
@@ -205,142 +200,31 @@ class SpectralResult:
         }
 
 
-def _strongly_connected_components(matrix) -> list[list[int]]:
-    """Iterative Tarjan; component order is deterministic."""
-    n = len(matrix)
-    succ = [[j for j in range(n) if matrix[i][j]] for i in range(n)]
-    indexed = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for start in range(n):
-        if indexed[start] != -1:
-            continue
-        work = [(start, 0)]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                indexed[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for ahead in range(ptr, len(succ[v])):
-                w = succ[v][ahead]
-                if indexed[w] == -1:
-                    work[-1] = (v, ahead + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], indexed[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == indexed[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return components
-
-
 def spectral_radius(matrix) -> SpectralResult:
-    """Perron root of a nonnegative integer matrix by power iteration.
+    """Perron root of a nonnegative integer matrix, isolated exactly.
 
-    Runs per strongly connected component on B = A+I (primitive whenever the
-    component is irreducible, so the iteration cannot cycle) and takes the
-    largest limit. Convergence uses the Collatz-Wielandt sandwich: for any
-    positive v, min_i (Bv)_i/v_i <= rho(B) <= max_i (Bv)_i/v_i, so the
-    estimate is certified once the two bounds agree to 1e-13. A
-    successive-difference test would be unsound here; early Rayleigh
-    quotients of integer matrices can repeat exactly while far from the
-    limit.
+    By Perron-Frobenius rho(A) is an eigenvalue and bounds every eigenvalue's
+    modulus, so it is the largest real root of det(x*I - A), in [0, max row
+    sum]. `iterations` counts the bisection steps down to width 2^-128.
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise InvalidArgument("adjacency matrix must be square and nonempty")
     if any(c < 0 for row in matrix for c in row):
         raise InvalidArgument("adjacency matrix must be nonnegative")
-    best = mpmath.mpf(0)
-    total_iterations = 0
+    _, hi, steps = largest_root(charpoly(matrix), -1, max(map(sum, matrix)), _SPECTRAL_BITS)
     with mpmath.workprec(_SPECTRAL_BITS):
-        tol = mpmath.mpf(10) ** _RAYLEIGH_TOL_EXP
-        for comp in _strongly_connected_components(matrix):
-            sub = [[matrix[i][j] + (1 if i == j else 0) for j in comp] for i in comp]
-            k = len(sub)
-            vec = [mpmath.mpf(1)] * k
-            estimate = None
-            lo = hi = mpmath.mpf(0)
-            for step in range(1, _ITERATION_CAP + 1):
-                nxt = [sum(sub[i][j] * vec[j] for j in range(k)) for i in range(k)]
-                # entries stay positive: diagonal of A+I is >= 1
-                ratios = [nxt[i] / vec[i] for i in range(k)]
-                lo, hi = min(ratios), max(ratios)
-                norm = sum(nxt)
-                vec = [v / norm for v in nxt]
-                total_iterations += 1
-                if hi - lo < tol:
-                    estimate = (lo + hi) / 2
-                    break
-            if estimate is None:
-                raise NoConvergence(
-                    "power iteration did not settle within the cap",
-                    cap=_ITERATION_CAP,
-                    bounds=(str(lo), str(hi)),
-                )
-            rho = estimate - 1
-            if rho > best:
-                best = rho
-        result = +best
-    return SpectralResult(rho=result, iterations=total_iterations)
+        rho = mpmath.mpf(hi.numerator) / hi.denominator
+    return SpectralResult(rho=rho, iterations=steps)
 
 
 def verify_beta_eigen(matrix, n: int, m: int) -> bool:
-    """Whether det(A - beta*I) is exactly zero in the field holding beta."""
-    roots = quad_roots(n, m)
-    if isinstance(roots, RationalRoots):
-        raise InvalidArgument(
-            f"x^2-{n}x+{m} has a square discriminant; beta is not a surd"
-        )
-    beta = roots[0]
-    size = len(matrix)
-    if size == 0 or any(len(row) != size for row in matrix):
-        raise InvalidArgument("adjacency matrix must be square and nonempty")
-    zero = QuadSurd(0, 0, beta.D)
-    work = [
-        [QuadSurd(matrix[i][j], 0, beta.D) - (beta if i == j else zero) for j in range(size)]
-        for i in range(size)
-    ]
-    det = QuadSurd(1, 0, beta.D)
-    for col in range(size):
-        pivot = None
-        for row in range(col, size):
-            if work[row][col] != 0:
-                pivot = row
-                break
-        if pivot is None:
-            return True  # a zero column of A - beta*I means determinant zero
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = work[col][col].inverse()
-        for row in range(col + 1, size):
-            factor = work[row][col] * inv
-            if factor != 0:
-                for j in range(col, size):
-                    work[row][j] = work[row][j] - factor * work[col][j]
-    return det == 0
+    """Whether beta is an eigenvalue of A, decided exactly: x^2 - n*x + m is
+    irreducible when its discriminant is not a square, so beta is a root of
+    det(x*I - A) exactly when x^2 - n*x + m divides it."""
+    if isinstance(quad_roots(n, m), RationalRoots):
+        raise InvalidArgument(f"x^2-{n}x+{m} has a square discriminant; beta is not a surd")
+    return exact_div(charpoly(matrix), family_poly(n, m, 1)) is not None
 
 
 def emit_dot(gs: GraphSystem) -> str:

@@ -24,6 +24,7 @@ from overlapkit.intpoly import (
     family_poly,
     is_irreducible,
     nonneg_tail_search,
+    roots,
 )
 from overlapkit.numlab import box_count_dimension, cover, cylinder_growth
 from overlapkit.obstruction import Verdict, obstruction_verdict, sweep
@@ -200,6 +201,8 @@ def test_exact_paths_never_touch_floats(sweep_specs):
         inspect.getsource(graphdir.expand),
         inspect.getsource(graphdir.build_graph),
         inspect.getsource(numlab._cover_levels),
+        inspect.getsource(graphdir.verify_beta_eigen),
+        inspect.getsource(roots),
     ]
     for source in sources:
         for token in ("float(", "mpmath", "math.", "__float__", "1e-", "0.5"):
@@ -214,7 +217,8 @@ def test_exact_paths_never_touch_floats(sweep_specs):
     level = cover(generate(3, 1, F(1, 4), "OG"), 6)
     assert all(isinstance(off, Fraction) for off in level.offsets)
     print(
-        f"PASS exactness: validation, expansion, and cover sources are free of "
+        f"PASS exactness: validation, expansion, cover, characteristic polynomial "
+        f"and real-root sources are free of "
         f"floating-point operations and {expansions} re-expansions observed no "
         f"unexpected child offsets"
     )

@@ -7,8 +7,9 @@ import math
 
 import pytest
 
-from overlapkit.cli import main
+from overlapkit.cli import MAX_PRECISION_BITS, main
 from overlapkit.intpoly import IntPoly, PartitionStat, SearchReport, SearchStrategy
+from overlapkit.obstruction import MAX_KMAX
 
 
 def run(capsys, *argv):
@@ -73,6 +74,18 @@ class TestDimension:
         assert code == 1
         assert json.loads(err)["error"] == "InvalidArgument"
 
+    def test_precision_ceiling_exits_2(self, capsys, monkeypatch):
+        argv = ["dimension", "--lambda", "1/4", "--n", "3", "--m", "1"]
+        code, out, err = run(capsys, *argv, "--precision-bits", "100000000")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ResourceLimitError"
+        monkeypatch.setenv("OVERLAPKIT_PRECISION_BITS", str(MAX_PRECISION_BITS + 1))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(err)["details"]["ceiling"] == MAX_PRECISION_BITS
+        monkeypatch.setenv("OVERLAPKIT_PRECISION_BITS", str(MAX_PRECISION_BITS))
+        assert run_json(capsys, *argv)["precision_bits"] == MAX_PRECISION_BITS
+
     def test_infeasible_ratio_exits_1(self, capsys):
         code, out, err = run(capsys, "dimension", "--lambda", "2/5", "--n", "3", "--m", "1")
         assert code == 1
@@ -124,6 +137,12 @@ class TestGraph:
         assert data["adjacency"] == [[1, 1], [1, 2]]
         assert data["spectral"]["exact_beta_eigen"] is True
         assert abs(float(data["spectral"]["rho"]) - (3 + math.sqrt(5)) / 2) < 1e-10
+
+    def test_printed_rho_digits_are_correct(self, capsys):
+        # (3+sqrt(5))/2 = 2.6180339887498948..., so the 15-digit rendering
+        # must round up to ...989
+        data = run_json(capsys, "graph", "--lambda", "1/4", "--b", "0,3/16,3/4")
+        assert data["spectral"]["rho"] == "2.61803398874989"
 
     def test_keep_touch_policy(self, capsys):
         data = run_json(
@@ -183,6 +202,17 @@ class TestFactorAndObstruct:
         keyed = {(r["n"], r["m"]): r["verdict"] for r in data["reports"]}
         assert keyed[(3, 1)] == "NecessaryConditionMet"
         assert keyed[(6, 2)] == "Obstructed"
+
+    def test_kmax_ceiling_exits_2(self, capsys):
+        for argv in (
+            ["obstruct", "--n", "3", "--m", "1"],
+            ["obstruct-sweep", "--nmax", "5"],
+        ):
+            code, out, err = run(capsys, *argv, "--kmax", "100000")
+            assert code == 2 and out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "ResourceLimitError"
+            assert payload["details"]["ceiling"] == MAX_KMAX
 
     def test_out_of_class_exits_1(self, capsys):
         code, out, err = run(capsys, "obstruct", "--n", "3", "--m", "2")
@@ -341,6 +371,20 @@ class TestRenderGrowthBoxdim:
 
 
 class TestHarness:
+    def test_unwritable_paths_exit_1_without_traceback(self, capsys, tmp_path):
+        growth = ["growth", "--lambda", "1/4", "--b", "0,3/16,3/4", "--depth", "3"]
+        missing = str(tmp_path / "missing" / "x.csv")
+        for argv in (
+            [*growth, "--csv", missing],
+            [*growth, "--output", str(tmp_path)],
+            ["graph", "--lambda", "1/4", "--b", "0,3/16,3/4", "--dot", missing],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert "Traceback" not in err
+            assert json.loads(err)["error"] == "InputError"
+        assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+
     def test_output_file_replaces_stdout(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code, out, err = run(

@@ -133,6 +133,11 @@ class TestSpectral:
         result = spectral_radius(graph.adjacency)
         assert abs(result.rho - (2 + mpmath.sqrt(3))) < 1e-12
 
+    def test_golden_rho_is_exact_to_120_bits(self):
+        rho = spectral_radius([[1, 1], [1, 2]]).rho
+        with mpmath.workprec(128):
+            assert abs(rho - (3 + mpmath.sqrt(5)) / 2) < mpmath.mpf(2) ** -120
+
     def test_reducible_matrix_takes_component_max(self):
         matrix = [[2, 1], [0, 3]]
         result = spectral_radius(matrix)
