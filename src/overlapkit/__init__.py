@@ -15,7 +15,6 @@ from .errors import (
     ResourceLimitError,
 )
 from .exactnum import (
-    BigRational,
     DEFAULT_PRECISION_BITS,
     CommonBase,
     QuadSurd,
@@ -87,7 +86,6 @@ from .obstruction import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "BoxCountResult",
     "CommonBase",
     "Conclusion",

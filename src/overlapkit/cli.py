@@ -25,6 +25,7 @@ from .ifs import (
     DustIfsSpec,
     SelfSimilarSpec,
     dimension,
+    format_dimension,
     generate,
     moran_dimension,
     validate,
@@ -206,7 +207,7 @@ def _cmd_moran(args, bits: int) -> tuple[dict, int]:
     root = moran_dimension(dust, bits)
     return {
         "dust": dust.to_json(),
-        "s": str(root.s),
+        "s": format_dimension(root.s, bits),
         "residual": str(root.residual),
         "iterations": root.iterations,
     }, 0

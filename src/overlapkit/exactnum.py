@@ -17,10 +17,6 @@ import mpmath
 
 from .errors import FactorizationUnknown, InvalidArgument, NonPositiveDiscriminant
 
-# Arbitrary precision rationals: stdlib Fraction already keeps the canonical
-# reduced form with a positive denominator.
-BigRational = Fraction
-
 DEFAULT_PRECISION_BITS = 128
 
 Rationalish = Union[int, Fraction]

@@ -22,7 +22,7 @@ import mpmath
 
 from .errors import InvalidArgument, UnexpectedChildGap, VertexExplosion
 from .exactnum import RationalRoots, quad_roots
-from .ifs import GAP, OVERLAP, TOUCH, SelfSimilarSpec
+from .ifs import GAP, OVERLAP, TOUCH, SelfSimilarSpec, classify_steps
 from .intpoly import exact_div, family_poly
 from .intpoly.roots import charpoly, largest_root
 
@@ -102,7 +102,6 @@ def expand(
                 seen.add(c)
                 offsets.append(c)
     offsets.sort()
-    exact = lam - lam * lam
     cut_at = {GAP} if policy is Policy.KEEP_TOUCH else {GAP, TOUCH}
     children: dict[Configuration, int] = {}
     word: list[str] = []
@@ -111,19 +110,13 @@ def expand(
         child = Configuration("".join(word_letters))
         children[child] = children.get(child, 0) + 1
 
-    for left, right in zip(offsets, offsets[1:]):
-        d = right - left
-        if d == exact:
-            kind = OVERLAP
-        elif d == lam:
-            kind = TOUCH
-        elif d > lam:
-            kind = GAP
-        else:
+    diffs = [right - left for left, right in zip(offsets, offsets[1:])]
+    for i, kind in enumerate(classify_steps(diffs, lam)):
+        if kind is None:
             raise UnexpectedChildGap(
-                f"child offsets {left} and {right} differ by {d}, which is not an "
-                f"exact overlap ({exact}), a touch ({lam}), or a gap",
-                gap=d,
+                f"child offsets {offsets[i]} and {offsets[i + 1]} differ by {diffs[i]}, "
+                f"which is not an exact overlap ({lam - lam * lam}), a touch ({lam}), or a gap",
+                gap=diffs[i],
             )
         if kind in cut_at:
             emit(word)

@@ -24,6 +24,7 @@ from .errors import (
     InvalidStep,
     NotInClass,
     NotMonotone,
+    ResourceLimitError,
 )
 from .exactnum import (
     DEFAULT_PRECISION_BITS,
@@ -36,6 +37,27 @@ from .exactnum import (
 )
 
 OVERLAP, TOUCH, GAP = "O", "T", "G"
+
+# working bits above precision_bits for the Moran equation: 32 to start, up
+# to 4096 where the equation is flat at its root (ratios 1 - 10^-30 and 1/2
+# need 128)
+_GUARD_BITS = 32
+MAX_GUARD_BITS = 4096
+# Newton's method from s = 0 takes 8-20 steps on ordinary ratios. It creeps
+# (by 1/log 2 per step for 1/2) only when one ratio close to 1 ends up with
+# almost all the weight: 75 steps for 1 - 10^-30 beside 1/2, about 700 for
+# 1 - 10^-300 beside 1/2
+MAX_MORAN_STEPS = 200
+
+
+def classify_steps(steps: Sequence[Fraction], lam: Fraction) -> list[Optional[str]]:
+    """The exact kind of each offset step: OVERLAP at lambda - lambda^2, TOUCH
+    at lambda, GAP above lambda, and None for anything else."""
+    exact = lam - lam * lam
+    return [
+        OVERLAP if s == exact else TOUCH if s == lam else GAP if s > lam else None
+        for s in steps
+    ]
 
 
 @dataclass(frozen=True)
@@ -62,8 +84,8 @@ class SelfSimilarSpec:
                 f"last offset must be 1-lambda = {1 - self.lam}, got {self.offsets[-1]}"
             )
         exact = self.lam - self.lam * self.lam
-        for i, s in enumerate(steps, start=1):
-            if s < self.lam and s != exact:
+        for i, (s, kind) in enumerate(zip(steps, classify_steps(steps, self.lam)), start=1):
+            if kind is None:
                 raise InvalidStep(
                     f"step {i} = {s} is a positive overlap that is not exact "
                     f"(expected {exact} or at least {self.lam})",
@@ -79,16 +101,7 @@ class SelfSimilarSpec:
         return tuple(b - a for a, b in zip(self.offsets, self.offsets[1:]))
 
     def step_kinds(self) -> str:
-        exact = self.lam - self.lam * self.lam
-        word = []
-        for s in self.steps:
-            if s == exact:
-                word.append(OVERLAP)
-            elif s == self.lam:
-                word.append(TOUCH)
-            else:
-                word.append(GAP)
-        return "".join(word)
+        return "".join(classify_steps(self.steps, self.lam))
 
     def to_json(self) -> dict:
         return {
@@ -237,6 +250,11 @@ def _random_pattern(n: int, m: int, rng: random.Random) -> str:
     return "".join(OVERLAP if i in overlap_at else letters[i] for i in range(slots))
 
 
+def format_dimension(s: mpmath.mpf, precision_bits: int) -> str:
+    """s to the significant digits that precision_bits carries (3 per 10 bits, at least 17)."""
+    return mpmath.nstr(s, max(17, precision_bits * 3 // 10))
+
+
 @dataclass(frozen=True)
 class DimensionResult:
     s: mpmath.mpf
@@ -256,7 +274,7 @@ class DimensionResult:
                 "b": format_rational(self.beta.b),
                 "D": self.beta.D,
             },
-            "s": mpmath.nstr(self.s, max(17, self.precision_bits * 3 // 10)),
+            "s": format_dimension(self.s, self.precision_bits),
             "precision_bits": self.precision_bits,
         }
 
@@ -323,12 +341,12 @@ class DustIfsSpec:
     def size(self) -> int:
         return len(self.ratios if self.ratios is not None else self.exponents)
 
-    def ratio_floats(self, precision_bits: int) -> list[mpmath.mpf]:
-        with mpmath.workprec(precision_bits):
-            if self.ratios is not None:
-                return [mpmath.mpf(r.numerator) / mpmath.mpf(r.denominator) for r in self.ratios]
-            base = mpmath.mpf(self.base.numerator) / mpmath.mpf(self.base.denominator)
-            return [base ** (mpmath.mpf(e.numerator) / mpmath.mpf(e.denominator)) for e in self.exponents]
+    def log_ratios(self) -> list[mpmath.mpf]:
+        """log r_j at the working precision; exponent form takes e_j * log(base)."""
+        if self.ratios is not None:
+            return [_log_rational(r) for r in self.ratios]
+        log_base = _log_rational(self.base)
+        return [e.numerator * log_base / e.denominator for e in self.exponents]
 
     def to_json(self) -> dict:
         if self.ratios is not None:
@@ -339,6 +357,16 @@ class DustIfsSpec:
         }
 
 
+def _log_rational(x: Fraction) -> mpmath.mpf:
+    """log x for rational 0 < x < 1, correct to the working precision.
+
+    |log x| >= 1 - x >= 1/den, so the bits of the denominator cover the
+    cancellation when x is close to 1.
+    """
+    with mpmath.extraprec(x.denominator.bit_length()):
+        return mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+
+
 @dataclass(frozen=True)
 class MoranRoot:
     s: mpmath.mpf
@@ -347,29 +375,49 @@ class MoranRoot:
 
 
 def moran_dimension(dust: DustIfsSpec, precision_bits: int = DEFAULT_PRECISION_BITS) -> MoranRoot:
-    """The unique s > 0 with sum r_j^s = 1, by bisection to 1e-12.
+    """The unique s > 0 with sum r_j^s = 1, by Newton's method to 2^-precision_bits.
 
-    The map s -> sum r_j^s is strictly decreasing from t > 1 toward 0.
+    f(s) = sum exp(s * log r_j) - 1 is convex and strictly decreasing with
+    f(0) = t - 1 > 0, so the Newton iterates from s = 0 rise to the root.
+    They stop at a step below eps = 2^-bits * max(1, s) (relative once s > 1,
+    as printed digits are significant digits), and f(s - eps) > 0 > f(s + eps)
+    certifies the result. Where f is so flat at the root that rounding moves
+    the steps by more than eps, they stop at that noise instead, the guard
+    bits double and Newton resumes from s.
     """
-    work = max(precision_bits, 80)
-    with mpmath.workprec(work):
-        ratios = dust.ratio_floats(work)
+    bits = max(precision_bits, 80)
+    s, iterations, guard = mpmath.mpf(0), 0, _GUARD_BITS
+    while True:
+        with mpmath.workprec(bits + guard):
+            logs = dust.log_ratios()
 
-        def total(s: mpmath.mpf) -> mpmath.mpf:
-            return sum(r**s for r in ratios)
+            def f(s: mpmath.mpf) -> mpmath.mpf:
+                return mpmath.fsum(mpmath.exp(s * log) for log in logs) - 1
 
-        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        while total(hi) > 1:
-            lo, hi = hi, hi * 2
-        iterations = 0
-        tol = mpmath.mpf(10) ** -12
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            if total(mid) > 1:
-                lo = mid
-            else:
-                hi = mid
-            iterations += 1
-        s = (lo + hi) / 2
-        residual = abs(total(s) - 1)
-    return MoranRoot(s=s, residual=residual, iterations=iterations)
+            while True:
+                if iterations == MAX_MORAN_STEPS:
+                    raise ResourceLimitError(
+                        f"the Moran root needs more than {MAX_MORAN_STEPS} Newton steps",
+                        ceiling=MAX_MORAN_STEPS,
+                    )
+                terms = [mpmath.exp(s * log) for log in logs]
+                slope = -mpmath.fdot(terms, logs)
+                step = (mpmath.fsum(terms) - 1) / slope
+                s += step
+                iterations += 1
+                eps = mpmath.ldexp(max(1, s), -bits)
+                # f carries about len(logs) rounding errors of 2^-(bits + guard)
+                if abs(step) < max(eps, mpmath.ldexp(len(logs), 2 - bits - guard) / slope):
+                    break
+            if f(s - eps) > 0 > f(s + eps):
+                residual = abs(f(s))
+                break
+        guard *= 2
+        if guard > MAX_GUARD_BITS:
+            raise ResourceLimitError(
+                f"the Moran root cannot be certified to {bits} bits "
+                f"with {MAX_GUARD_BITS} guard bits",
+                ceiling=MAX_GUARD_BITS,
+            )
+    with mpmath.workprec(bits):
+        return MoranRoot(s=+s, residual=+residual, iterations=iterations)

@@ -17,11 +17,15 @@ from itertools import combinations
 from typing import Optional
 
 from ..errors import ConsistencyError, InvalidArgument, TooManyModularFactors
+from ..exactnum import is_prime
 from .poly import IntPoly, exact_div, gcd_poly
 
 MAX_MODULAR_FACTORS = 24
 
-# -- arithmetic in GF(p)[x]: plain ascending int lists, no trailing zeros ------
+# -- arithmetic in (Z/p)[x], and in (Z/p^j)[x] for Hensel lifting: plain ------
+# ascending int lists, no trailing zeros. Mod p^j only the coefficients prime
+# to p are invertible, so there _gf_divmod only divides by monic polynomials
+# and _gf_monic only scales a leading coefficient prime to p.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -53,8 +57,8 @@ def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
+                out[i + j] += x * y
+    return _trim([c % p for c in out])
 
 
 def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -188,81 +192,53 @@ def _factor_mod_p(f: list[int], p: int) -> list[list[int]]:
 # -- Hensel lifting ----------------------------------------------------------------
 
 
-def _zx_mod(a: IntPoly, q: int) -> IntPoly:
-    return IntPoly(tuple(c % q for c in a.coeffs))
-
-
-def _zx_sym(a: IntPoly, q: int) -> IntPoly:
-    half = q // 2
-    return IntPoly(tuple(c - q if c > half else c for c in (v % q for v in a.coeffs)))
-
-
-def _zx_divmod_monic(a: IntPoly, b: IntPoly, q: int) -> tuple[IntPoly, IntPoly]:
-    """Division by monic b with all arithmetic reduced mod q."""
-    rem = [c % q for c in a.coeffs]
-    dlen = b.degree + 1
-    if len(rem) < dlen:
-        return IntPoly(), IntPoly(rem)
-    quot = [0] * (len(rem) - dlen + 1)
-    for top in range(len(rem) - 1, dlen - 2, -1):
-        c = rem[top] % q
-        if c:
-            pos = top - (dlen - 1)
-            quot[pos] = c
-            for j, dc in enumerate(b.coeffs):
-                rem[pos + j] = (rem[pos + j] - c * dc) % q
-    return IntPoly(quot), IntPoly(rem[: dlen - 1])
-
-
 def _hensel_step(
-    q: int, f: IntPoly, g: IntPoly, h: IntPoly, s: IntPoly, t: IntPoly
-) -> tuple[IntPoly, IntPoly, IntPoly, IntPoly]:
+    q: int, f: list[int], g: list[int], h: list[int], s: list[int], t: list[int]
+) -> tuple[list[int], list[int], list[int], list[int]]:
     """One quadratic lift: from f = g*h and s*g + t*h = 1 (mod q) to mod q^2.
 
-    h must be monic; degree bookkeeping follows the classical algorithm.
+    h must be monic, so the divisions below invert only a unit mod q^2;
+    degree bookkeeping follows the classical algorithm.
     """
     q2 = q * q
-    e = _zx_mod(f - g * h, q2)
-    qq, r = _zx_divmod_monic(s * e, h, q2)
-    g1 = _zx_mod(g + t * e + qq * g, q2)
-    h1 = _zx_mod(h + r, q2)
-    b = _zx_mod(s * g1 + t * h1 - IntPoly.one(), q2)
-    cc, d = _zx_divmod_monic(s * b, h1, q2)
-    s1 = _zx_mod(s - d, q2)
-    t1 = _zx_mod(t - t * b - cc * g1, q2)
+    e = _gf_sub(f, _gf_mul(g, h, q2), q2)
+    qq, r = _gf_divmod(_gf_mul(s, e, q2), h, q2)
+    g1 = _gf_add(g, _gf_add(_gf_mul(t, e, q2), _gf_mul(qq, g, q2), q2), q2)
+    h1 = _gf_add(h, r, q2)
+    b = _gf_sub(_gf_add(_gf_mul(s, g1, q2), _gf_mul(t, h1, q2), q2), [1], q2)
+    cc, d = _gf_divmod(_gf_mul(s, b, q2), h1, q2)
+    s1 = _gf_sub(s, d, q2)
+    t1 = _gf_sub(t, _gf_add(_gf_mul(t, b, q2), _gf_mul(cc, g1, q2), q2), q2)
     return g1, h1, s1, t1
 
 
-def _hensel_lift_tree(p: int, f: IntPoly, modular: list[list[int]], target: int) -> list[IntPoly]:
+def _hensel_lift_tree(
+    p: int, f: list[int], modular: list[list[int]], target: int
+) -> list[list[int]]:
     """Lift monic modular factors of f (f = lc * prod, mod p) to mod p^target.
 
-    Returns monic lifts, in the order of the given modular factors.
+    Returns monic lifts, reduced mod p^target, in the order of the given
+    modular factors.
     """
+    qt = p**target
     if len(modular) == 1:
-        q = p**target
-        inv = pow(f.lc % q, -1, q)
-        return [_zx_mod(f * inv, q)]
+        return [_gf_monic(_trim([c % qt for c in f]), qt)]
     k = len(modular) // 2
     left, right = modular[:k], modular[k:]
-    g0 = [f.lc % p]
+    g = [f[-1] % p]
     for fac in left:
-        g0 = _gf_mul(g0, fac, p)
-    h0 = [1]
+        g = _gf_mul(g, fac, p)
+    h = [1]
     for fac in right:
-        h0 = _gf_mul(h0, fac, p)
-    one, s0, t0 = _gf_eea(g0, h0, p)
+        h = _gf_mul(h, fac, p)
+    one, s, t = _gf_eea(g, h, p)
     if one != [1]:
         raise ConsistencyError("modular cofactors are not coprime")
-    g, h = IntPoly(g0), IntPoly(h0)
-    s, t = IntPoly(s0), IntPoly(t0)
     q = p
-    level = 1
-    while level < target:
-        g, h, s, t = _hensel_step(q, _zx_mod(f, q * q), g, h, s, t)
+    while q < qt:
+        g, h, s, t = _hensel_step(q, _trim([c % (q * q) for c in f]), g, h, s, t)
         q *= q
-        level *= 2
-    qt = p**target
-    g, h = _zx_mod(g, qt), _zx_mod(h, qt)
+    g, h = _trim([c % qt for c in g]), _trim([c % qt for c in h])
     return _hensel_lift_tree(p, g, left, target) + _hensel_lift_tree(p, h, right, target)
 
 
@@ -308,17 +284,8 @@ def _pick_prime(f: IntPoly) -> int:
                 if len(_gf_gcd(fp, _gf_deriv(fp, p), p)) == 1:
                     return p
         p += 2
-        while not _is_small_prime(p):
+        while not is_prime(p):
             p += 2
-
-
-def _is_small_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 def _yun_squarefree(f: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -370,10 +337,10 @@ def _factor_squarefree(f: IntPoly, modular_factor_ceiling: int) -> list[IntPoly]
     while p**target < bound:
         target *= 2
     q = p**target
-    lifted = _hensel_lift_tree(p, f, modular, target)
+    lifted = _hensel_lift_tree(p, list(f.coeffs), modular, target)
 
     remaining = list(range(len(lifted)))
-    degrees = {i: lifted[i].degree for i in remaining}
+    degrees = {i: len(lifted[i]) - 1 for i in remaining}
     cur = f
     found: list[IntPoly] = []
     s = 1
@@ -390,10 +357,10 @@ def _factor_squarefree(f: IntPoly, modular_factor_ceiling: int) -> list[IntPoly]
             c0 = c0 - q if c0 > q // 2 else c0
             if c0 == 0 or (lead * cur[0]) % c0 != 0:
                 continue
-            cand = IntPoly((lead,))
+            cand = [lead]
             for i in combo:
-                cand = _zx_mod(cand * lifted[i], q)
-            cand = _zx_sym(cand, q).primitive_part()
+                cand = _gf_mul(cand, lifted[i], q)
+            cand = IntPoly([c - q if c > q // 2 else c for c in cand]).primitive_part()
             quot = exact_div(cur, cand)
             if quot is None:
                 continue

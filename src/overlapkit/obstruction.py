@@ -29,6 +29,9 @@ from .intpoly.roots import count_roots, largest_root
 # up to k = 15 every in-class pair with n <= 20 gets its verdict within about
 # a second; from k = 16 on, single factorizations (x^32-13x^16+1) take seconds
 MAX_KMAX = 15
+# a sweep costs about the sum of its pairs: up to n = 20 that is 2 s at the
+# default kmax 8 and 14 s at MAX_KMAX, growing by 0.2-3 s with each extra n
+MAX_NMAX = 20
 
 
 class Verdict(str, Enum):
@@ -130,8 +133,13 @@ def sweep(
     m_filter: Optional[Callable[[int, int], bool]] = None,
 ) -> list[ObstructionReport]:
     """Reports for every in-class (n, m) with n in n_values, (n, m) ascending."""
+    ns = set()
+    for n in n_values:
+        if n > MAX_NMAX:
+            raise ResourceLimitError(f"n must be <= {MAX_NMAX}, got {n}", ceiling=MAX_NMAX)
+        ns.add(n)
     reports = []
-    for n in sorted(set(n_values)):
+    for n in sorted(ns):
         for m in range(1, n - 1):
             if m_filter is not None and not m_filter(n, m):
                 continue

@@ -26,6 +26,8 @@ from overlapkit.intpoly import (
     nonneg_tail_search,
     roots,
 )
+from overlapkit.intpoly.factor import _factor_squarefree, _hensel_lift_tree, _hensel_step
+from overlapkit.intpoly.poly import exact_div
 from overlapkit.numlab import box_count_dimension, cover, cylinder_growth
 from overlapkit.obstruction import Verdict, obstruction_verdict, sweep
 
@@ -197,16 +199,24 @@ def test_exact_paths_never_touch_floats(sweep_specs):
     sources = [
         inspect.getsource(ifs.SelfSimilarSpec.__post_init__),
         inspect.getsource(ifs.SelfSimilarSpec.step_kinds),
+        inspect.getsource(ifs.classify_steps),
         inspect.getsource(ifs.validate),
         inspect.getsource(graphdir.expand),
         inspect.getsource(graphdir.build_graph),
         inspect.getsource(numlab._cover_levels),
         inspect.getsource(graphdir.verify_beta_eigen),
         inspect.getsource(roots),
+        inspect.getsource(exact_div),
+        inspect.getsource(_hensel_step),
+        inspect.getsource(_hensel_lift_tree),
+        inspect.getsource(_factor_squarefree),
     ]
     for source in sources:
         for token in ("float(", "mpmath", "math.", "__float__", "1e-", "0.5"):
             assert token not in source, token
+    # integer polynomial arithmetic stays in Z and Z/q, without rationals
+    for function in (exact_div, _hensel_step, _hensel_lift_tree, _factor_squarefree):
+        assert "Fraction" not in inspect.getsource(function), function.__name__
     expansions = 0
     for n, m, lam, spec in sweep_specs[:30]:
         for policy in Policy:
@@ -217,8 +227,9 @@ def test_exact_paths_never_touch_floats(sweep_specs):
     level = cover(generate(3, 1, F(1, 4), "OG"), 6)
     assert all(isinstance(off, Fraction) for off in level.offsets)
     print(
-        f"PASS exactness: validation, expansion, cover, characteristic polynomial "
-        f"and real-root sources are free of "
+        f"PASS exactness: validation, step classification, expansion, cover, "
+        f"characteristic polynomial, real-root, exact division, Hensel lifting "
+        f"and recombination sources are free of "
         f"floating-point operations and {expansions} re-expansions observed no "
         f"unexpected child offsets"
     )

@@ -9,7 +9,8 @@ import pytest
 
 from overlapkit.cli import MAX_PRECISION_BITS, main
 from overlapkit.intpoly import IntPoly, PartitionStat, SearchReport, SearchStrategy
-from overlapkit.obstruction import MAX_KMAX
+from overlapkit.intpoly.poly import MAX_DEGREE
+from overlapkit.obstruction import MAX_KMAX, MAX_NMAX
 
 
 def run(capsys, *argv):
@@ -214,6 +215,18 @@ class TestFactorAndObstruct:
             assert payload["error"] == "ResourceLimitError"
             assert payload["details"]["ceiling"] == MAX_KMAX
 
+    def test_parse_and_sweep_ceilings_exit_2(self, capsys):
+        for argv, ceiling in (
+            (["factor", "--poly", "x^99999999"], MAX_DEGREE),
+            (["factor", "--poly", "(x+1)^3000"], MAX_DEGREE),
+            (["obstruct-sweep", "--nmax", "100000"], MAX_NMAX),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            payload = json.loads(err)
+            assert payload["error"] == "ResourceLimitError"
+            assert payload["details"]["ceiling"] == ceiling
+
     def test_out_of_class_exits_1(self, capsys):
         code, out, err = run(capsys, "obstruct", "--n", "3", "--m", "2")
         assert code == 1
@@ -282,6 +295,18 @@ class TestDustCheckAndMoran:
         moran = run_json(capsys, "moran", "--exponents", "1,1/2", "--base", "1/4")
         dim = run_json(capsys, "dimension", "--lambda", "1/4", "--n", "3", "--m", "1")
         assert abs(float(moran["s"]) - float(dim["s"])) < 1e-9
+
+    def test_moran_prints_the_digits_of_its_precision(self, capsys):
+        moran = run_json(
+            capsys, "moran", "--exponents", "1,1/2", "--base", "1/4", "--precision-bits", "200"
+        )
+        dim = run_json(
+            capsys,
+            *("dimension", "--lambda", "1/4", "--n", "3", "--m", "1", "--precision-bits", "200"),
+        )
+        digits = moran["s"].replace("0.", "", 1)
+        assert len(digits) >= 55
+        assert digits[:55] == dim["s"].replace("0.", "", 1)[:55]
 
 
 class TestTailSearch:

@@ -6,11 +6,14 @@ import random
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from overlapkit.errors import InvalidArgument, TooManyModularFactors
 from overlapkit.intpoly import IntPoly, factor, family_poly, is_irreducible, parse_poly
 
 X = sympy.Symbol("x")
+PROPERTY = settings(max_examples=60, deadline=None)
 
 
 def to_sympy(p: IntPoly):
@@ -143,6 +146,30 @@ class TestAgainstSympy:
             assert result.product() == p
             _, _, bag = sympy_factorization(p)
             assert {(f.coeffs, m) for f, m in result.factors} == bag
+
+
+nonconstant = st.lists(st.integers(-9, 9), min_size=2, max_size=6).map(IntPoly).filter(
+    lambda p: p.degree >= 1
+)
+
+
+@PROPERTY
+@given(nonconstant, nonconstant, st.integers(-3, 3).filter(bool))
+# x^4+1 is irreducible but splits modulo every prime, so no single lift divides
+@example(parse_poly("x^4+1"), parse_poly("x^4+1"), 1)
+def test_factor_product_reconstructs_the_input(a, b, scale):
+    p = a * b * scale
+    result = factor(p)
+    assert result.product() == p
+    assert all(f.lc > 0 and f.content() == 1 for f, _ in result.factors)
+
+
+@PROPERTY
+@given(nonconstant)
+@example(parse_poly("x^4-10*x^2+1"))
+def test_irreducibility_agrees_with_sympy(p):
+    p = p.primitive_part()
+    assert is_irreducible(p) == to_sympy(p).is_irreducible
 
 
 class TestFactorCountCeiling:

@@ -15,11 +15,16 @@ from overlapkit.errors import (
     InvalidStep,
     NotInClass,
     NotMonotone,
+    ResourceLimitError,
 )
 from overlapkit.exactnum import QuadSurd, surd_to_float
 from overlapkit.ifs import (
+    GAP,
+    OVERLAP,
+    TOUCH,
     DustIfsSpec,
     SelfSimilarSpec,
+    classify_steps,
     dimension,
     feasibility_slack,
     generate,
@@ -37,6 +42,11 @@ class TestSpecValidation:
         assert pattern.word == "OG"
         assert (pattern.n, pattern.m) == (3, 1)
         assert pattern.sizes == (F(3, 16), F(9, 16))
+
+    def test_classify_steps_is_exact(self):
+        lam = F(1, 4)
+        steps = [lam - lam * lam, lam, lam + F(1, 10**9), lam - F(1, 10**9), F(0)]
+        assert classify_steps(steps, lam) == [OVERLAP, TOUCH, GAP, None, None]
 
     def test_touch_step_classification(self):
         lam = F(1, 5)
@@ -202,7 +212,49 @@ class TestMoran:
         expected = mpmath.log((1 + mpmath.sqrt(5)) / 2) / mpmath.log(2)
         assert abs(root.s - expected) < 1e-11
         assert root.residual < 1e-11
-        assert root.iterations > 20
+        # Newton steps from s = 0: a few to reach the quadratic phase, then
+        # log2(128) to the default precision
+        assert 0 < root.iterations <= 10
+
+    def test_root_is_correct_to_the_requested_bits(self):
+        # 4^-s + 2^-s = 1 and dimension(3, 1, 1/4) both give s = log2(golden ratio)
+        dust = DustIfsSpec.from_exponents(F(1, 4), [F(1), F(1, 2)])
+        for bits in (128, 200, 1024):
+            root = moran_dimension(dust, bits)
+            exact = dimension(3, 1, F(1, 4), bits).s
+            with mpmath.workprec(bits + 16):
+                assert abs(root.s - exact) < mpmath.ldexp(1, 10 - bits), bits
+
+    def test_ratio_near_one_keeps_its_digits(self):
+        # r^s + r^s = 1 gives s = log 2 / -log r; with r = 1 - 10^-30 the
+        # ratio must not be rounded before its logarithm is taken
+        r = 1 - F(1, 10**30)
+        root = moran_dimension(DustIfsSpec.from_ratios([r, r]), 128)
+        with mpmath.workprec(400):
+            exact = mpmath.log(2) / -mpmath.log(mpmath.mpf(r.numerator) / r.denominator)
+            assert abs(root.s / exact - 1) < mpmath.ldexp(1, -120)
+
+    def test_flat_root_gets_more_guard_bits(self):
+        # at these roots the ratio close to 1 carries all but a sliver of the
+        # weight, so 32 guard bits cannot certify them and more are taken;
+        # at (1 - 10^-14, 1/5) the steps at 332 bits circle in rounding noise
+        for near_one, other, bits, start in (
+            (1 - F(1, 10**30), F(1, 2), 128, 93),
+            (1 - F(1, 10**14), F(1, 5), 300, 18),
+        ):
+            root = moran_dimension(DustIfsSpec.from_ratios([near_one, other]), bits)
+            with mpmath.workprec(bits + 1000):
+                a, b = (
+                    mpmath.log(mpmath.mpf(x.numerator) / x.denominator) for x in (near_one, other)
+                )
+                exact = mpmath.findroot(lambda s: mpmath.exp(s * a) + mpmath.exp(s * b) - 1, start)
+                assert abs(root.s / exact - 1) < mpmath.ldexp(1, 8 - bits)
+
+    def test_creeping_newton_is_a_resource_error(self):
+        # Newton's steps from 0 grow s by 1/log 2 each, about 700 of them
+        dust = DustIfsSpec.from_ratios([1 - F(1, 10**300), F(1, 2)])
+        with pytest.raises(ResourceLimitError):
+            moran_dimension(dust, 128)
 
     def test_dust_spec_validation(self):
         with pytest.raises(InvalidArgument):

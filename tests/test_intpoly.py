@@ -6,11 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from overlapkit.errors import (
     DivisorZero,
     InvalidArgument,
+    OverlapKitError,
     PolySyntaxError,
+    ResourceLimitError,
     UnsupportedExponent,
 )
 from overlapkit.intpoly import (
@@ -21,7 +26,10 @@ from overlapkit.intpoly import (
     moran_poly,
     parse_poly,
 )
-from overlapkit.intpoly.poly import divmod_frac
+from overlapkit.intpoly.poly import MAX_COEFF_BITS, MAX_DEGREE
+
+X = sympy.Symbol("x")
+PROPERTY = settings(max_examples=80, deadline=None)
 
 
 def rand_poly(rng: random.Random, max_degree: int = 6, bound: int = 9) -> IntPoly:
@@ -125,24 +133,7 @@ class TestIntPolyBasics:
 
 
 class TestDivision:
-    def test_divmod_frac_identity(self):
-        rng = random.Random(8)
-        for _ in range(200):
-            a = rand_poly(rng, 8)
-            b = rand_poly(rng, 4)
-            if b.is_zero:
-                continue
-            quot, rem = divmod_frac(a, b)
-            xs = [Fraction(2), Fraction(-1, 3), Fraction(7, 5)]
-            for x in xs:
-                qv = sum(c * x**i for i, c in enumerate(quot))
-                rv = sum(c * x**i for i, c in enumerate(rem))
-                assert a.evaluate(x) == qv * b.evaluate(x) + rv
-            assert len(rem) - 1 < b.degree or not rem
-
     def test_division_by_zero(self):
-        with pytest.raises(DivisorZero):
-            divmod_frac(IntPoly([1]), IntPoly())
         with pytest.raises(DivisorZero):
             exact_div(IntPoly([1]), IntPoly())
 
@@ -166,6 +157,34 @@ class TestDivision:
         u = IntPoly([3, -2, 5])
         v = IntPoly([4, -1])  # leading coefficient -1
         assert exact_div(u * v, v) == u
+
+
+polys = st.lists(st.integers(-12, 12), max_size=7).map(IntPoly)
+non_monic = st.builds(
+    lambda low, lead: IntPoly(low + [lead]),
+    st.lists(st.integers(-12, 12), max_size=4),
+    st.integers(2, 6) | st.integers(-6, -2),
+)
+
+
+@PROPERTY
+@given(polys, non_monic, st.booleans())
+# integral up to the last step, where 1 is left over: 2x^2 + 1 by 2x
+@example(IntPoly([1, 0, 2]), IntPoly([0, 2]), False)
+@example(IntPoly([5]), IntPoly([0, 3]), False)
+@example(IntPoly(), IntPoly([1, 3]), False)
+@example(IntPoly([6, 4, 2]), IntPoly([3, -2]), True)
+def test_exact_div_matches_sympy_div(a, b, planted):
+    dividend = a * b if planted else a
+    quot, rem = sympy.Poly(list(reversed(dividend.coeffs)) or [0], X, domain="QQ").div(
+        sympy.Poly(list(reversed(b.coeffs)), X, domain="QQ")
+    )
+    coeffs = [sympy.Rational(c) for c in reversed(quot.all_coeffs())]
+    integral = rem.is_zero and all(c.q == 1 for c in coeffs)
+    expected = IntPoly([int(c) for c in coeffs]) if integral else None
+    assert exact_div(dividend, b) == expected
+    if planted:
+        assert expected == a
 
 
 class TestGcd:
@@ -300,9 +319,56 @@ class TestParsing:
             assert parse_poly(p.to_string()) == p
             assert parse_poly(p.to_string("t")) == p
 
+    def test_unicode_digits_that_are_not_decimal_are_syntax_errors(self):
+        # "²".isdigit() holds but int() rejects it
+        for bad in ["x²", "²", "3x^²"]:
+            with pytest.raises(PolySyntaxError):
+                parse_poly(bad)
+
+    def test_degree_ceiling(self):
+        assert parse_poly(f"(x+1)^{MAX_DEGREE}").degree == MAX_DEGREE
+        for bad in [
+            f"x^{MAX_DEGREE + 1}",
+            "x^99999999",
+            "(x+1)^3000",
+            f"2^{MAX_DEGREE + 1}",
+            f"x^{MAX_DEGREE // 2 + 1}*x^{MAX_DEGREE // 2}",
+            f"(x^{MAX_DEGREE // 2 + 1})^2",
+            f"(x^{MAX_DEGREE // 2 + 1})(x^{MAX_DEGREE // 2})",
+        ]:
+            with pytest.raises(ResourceLimitError) as info:
+                parse_poly(bad)
+            assert info.value.details["ceiling"] == MAX_DEGREE
+
+    def test_coefficient_ceiling(self):
+        digits = MAX_COEFF_BITS * 3 // 10
+        assert parse_poly("9" * digits + "x").lc == int("9" * digits)
+        for bad in ["9" * (digits + 10), "(255x+1)^256", f"(2^{MAX_DEGREE})^{MAX_DEGREE}"]:
+            with pytest.raises(ResourceLimitError) as info:
+                parse_poly(bad)
+            assert info.value.details["ceiling"] == MAX_COEFF_BITS
+
+    def test_deep_nesting_is_a_resource_error(self):
+        for bad in ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"]:
+            with pytest.raises(ResourceLimitError):
+                parse_poly(bad)
+
     def test_to_string_edge_cases(self):
         assert IntPoly().to_string() == "0"
         assert IntPoly([-1]).to_string() == "-1"
         assert IntPoly([0, -1]).to_string() == "-x"
         assert IntPoly([0, 0, 1]).to_string() == "x^2"
         assert IntPoly([-7, 1]).to_string("y") == "y-7"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="xy0123456789+-−*^() ²", max_size=30) | st.text(max_size=12))
+@example("x²")
+@example("9" * 5000)
+@example("((9^99)^99)^99")
+def test_parse_poly_returns_a_poly_or_a_package_error(text):
+    try:
+        result = parse_poly(text)
+    except OverlapKitError:
+        return
+    assert isinstance(result, IntPoly)
