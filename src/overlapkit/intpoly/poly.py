@@ -351,6 +351,11 @@ _ADD, _MUL, _POW = 1, 2, 3
 # allowed, in 0.11 s; each product or power is refused before it is built.
 MAX_DEGREE = 512
 MAX_COEFF_BITS = 2048
+# work budget of one whole parse, in coefficient operations: a product a*b
+# takes (nonzero terms of a) * (terms of b) coefficient products, each
+# weighted by 1 + (bits of a) * (bits of b) / 2^15, and a sum or negation one
+# operation per term. (7x+8)^512 spends 2.2e6 of it.
+MAX_PARSE_WORK = 4_000_000
 
 
 class _Parser:
@@ -363,6 +368,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.var: Optional[str] = None
+        self.work = 0
 
     def fail(self, message: str, pos: Optional[int] = None):
         raise PolySyntaxError(message, position=self.pos if pos is None else pos)
@@ -408,10 +414,9 @@ class _Parser:
             if ch:
                 self.pos += 1
             rhs = self.expr(prec if right_assoc else prec + 1)
-            if ch == "+":
-                left = left + rhs
-            elif ch == "-":
-                left = left - rhs
+            if ch in ("+", "-"):
+                self._charge(len(left.coeffs) + len(rhs.coeffs), op_pos)
+                left = left + rhs if ch == "+" else left - rhs
             elif ch == "^":
                 left = self._power(left, rhs, op_pos)
             else:
@@ -420,7 +425,7 @@ class _Parser:
                     left.norm1().bit_length() + rhs.norm1().bit_length(),
                     op_pos,
                 )
-                left = left * rhs
+                left = self._product(left, rhs, op_pos)
         return left
 
     def _power(self, base: IntPoly, exponent: IntPoly, op_pos: int) -> IntPoly:
@@ -430,13 +435,39 @@ class _Parser:
         if e < 0:
             raise UnsupportedExponent(f"exponent must be nonnegative, got {e}", position=op_pos)
         _check_size(max(e, base.degree * e), base.norm1().bit_length() * e, op_pos)
-        return base**e
+        # square and multiply as IntPoly.__pow__ does, charging every product
+        result = IntPoly.one()
+        while e:
+            if e & 1:
+                result = self._product(result, base, op_pos)
+            e >>= 1
+            if e:
+                base = self._product(base, base, op_pos)
+        return result
+
+    def _product(self, a: IntPoly, b: IntPoly, op_pos: int) -> IntPoly:
+        size = a.max_norm().bit_length() * b.max_norm().bit_length()
+        self._charge(sum(1 for c in a.coeffs if c) * len(b.coeffs) * (1 + (size >> 15)), op_pos)
+        return a * b
+
+    def _charge(self, work: int, position: int) -> None:
+        """Spend work from the parse budget, refusing the operation once it is gone."""
+        self.work += work
+        if self.work > MAX_PARSE_WORK:
+            raise ResourceLimitError(
+                f"the expression needs more than {MAX_PARSE_WORK} coefficient operations",
+                ceiling=MAX_PARSE_WORK,
+                position=position,
+            )
 
     def unary(self) -> IntPoly:
         ch = self.peek()
         if ch == "-":
+            op_pos = self.pos
             self.pos += 1
-            return -self.expr(_MUL)
+            operand = self.expr(_MUL)
+            self._charge(len(operand.coeffs), op_pos)
+            return -operand
         if ch == "+":
             self.pos += 1
             return self.expr(_MUL)

@@ -1,8 +1,9 @@
 """Numerical cross-validation: exact interval covers, cylinder-count growth,
 box-counting estimates, and SVG/CSV emission.
 
-Cover construction and deduplication are exact rational arithmetic; floats
-only appear in the fitted statistics and the emitted documents.
+Cover construction, deduplication and box counting are exact integer
+arithmetic on numerators over one denominator per depth; floats only appear
+in the fitted statistics and the emitted documents.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import DegenerateFit, InvalidArgument, NotInClass, TooDeep
 from .ifs import SelfSimilarSpec, validate
@@ -34,9 +35,16 @@ class CoverLevel:
         return len(self.offsets)
 
 
-def _cover_levels(
+def _numerator_levels(
     spec: SelfSimilarSpec, depth: int, ceiling: int
-) -> list[CoverLevel]:
+) -> Iterator[tuple[list[int], int]]:
+    """Sorted numerators and their shared denominator at each depth 0..depth.
+
+    With lambda = a/q and B_i = d*b_i, where d is the lcm of the offsets'
+    denominators, every depth-L offset (L >= 1) is N / (d*q^(L-1)) and the
+    next depth's numerators are q*N + a^L*B_i. One positive denominator per
+    depth makes integer dedup and order those of the offsets themselves.
+    """
     if depth < 0:
         raise InvalidArgument(f"depth must be >= 0, got {depth}")
     if spec.n**depth > ceiling:
@@ -46,16 +54,35 @@ def _cover_levels(
             depth=depth,
             ceiling=ceiling,
         )
-    levels = [CoverLevel(depth=0, offsets=(Fraction(0),), length=Fraction(1))]
-    scale = Fraction(1)
-    for level in range(1, depth + 1):
-        previous = levels[-1].offsets
-        merged = sorted({o + scale * b for o in previous for b in spec.offsets})
-        levels.append(
-            CoverLevel(depth=level, offsets=tuple(merged), length=scale * spec.lam)
+    a, q = spec.lam.numerator, spec.lam.denominator
+    d = 1
+    for b in spec.offsets:
+        d *= (b * d).denominator  # lcm(d, denominator of b)
+    scaled = [int(b * d) for b in spec.offsets]
+    numerators, denominator, a_power = [0], d, 1
+    yield numerators, denominator  # the depth-0 offset 0
+    for _ in range(depth):
+        shifts = [a_power * b for b in scaled]
+        base = [q * n for n in numerators]
+        numerators = sorted({n + s for s in shifts for n in base})
+        yield numerators, denominator
+        denominator *= q
+        a_power *= a
+
+
+def _cover_levels(
+    spec: SelfSimilarSpec, depth: int, ceiling: int
+) -> list[CoverLevel]:
+    return [
+        CoverLevel(
+            depth=level,
+            offsets=tuple(Fraction(n, denominator) for n in numerators),
+            length=spec.lam**level,
         )
-        scale *= spec.lam
-    return levels
+        for level, (numerators, denominator) in enumerate(
+            _numerator_levels(spec, depth, ceiling)
+        )
+    ]
 
 
 def cover(
@@ -99,8 +126,9 @@ def cylinder_growth(
     For in-class specs the recurrence N_(L+2) = n*N_(L+1) - m*N_L is reported
     as an observation; it is never enforced.
     """
-    levels = _cover_levels(spec, max_depth, ceiling)
-    counts = tuple(level.count for level in levels)
+    counts = tuple(
+        len(numerators) for numerators, _ in _numerator_levels(spec, max_depth, ceiling)
+    )
     if len(counts) >= 2:
         fit = statistics.linear_regression(range(len(counts)), [math.log(c) for c in counts])
         slope = fit.slope
@@ -124,6 +152,34 @@ class ScaleCount:
     level: int
     cell: Fraction
     occupied: int
+
+
+def _occupied_cells(
+    spec: SelfSimilarSpec, depth: int, grid_levels: int, ceiling: int
+) -> list[int]:
+    """Cells of side lambda^j, j = 1..grid_levels, that the depth-L cover meets.
+
+    With lambda = a/q, D = d*q^(L-1) the depth-L denominator and
+    reach = a^L*d, the cylinder [N/D, N/D + lambda^L] meets the cells
+    N*q^j // (D*a^j) through (q*N + reach)*q^j // (D*q*a^j). Numerators come
+    sorted, so both ends rise with N and one sweep counts the union of the
+    cell ranges.
+    """
+    for numerators, denominator in _numerator_levels(spec, depth, ceiling):
+        pass  # only the deepest level is needed
+    a, q = spec.lam.numerator, spec.lam.denominator
+    reach = a**depth * (denominator // q ** (depth - 1))
+    counts = []
+    for j in range(1, grid_levels + 1):
+        scale, low_div = q**j, denominator * a**j
+        high_div = low_div * q
+        occupied, top = 0, -1  # the first offset is 0, so cell 0 comes first
+        for n in numerators:
+            high = (q * n + reach) * scale // high_div
+            occupied += high - max(n * scale // low_div, top + 1) + 1
+            top = high
+        counts.append(occupied)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -163,16 +219,12 @@ def box_count_dimension(
             f"depth must exceed grid_levels so cylinders are below cell size, "
             f"got depth={depth}, grid_levels={grid_levels}"
         )
-    level = cover(spec, depth, ceiling=ceiling)
-    scales = []
-    for j in range(1, grid_levels + 1):
-        cell = spec.lam**j
-        occupied: set[int] = set()
-        for offset in level.offsets:
-            lo = offset // cell
-            hi = (offset + level.length) // cell
-            occupied.update(range(int(lo), int(hi) + 1))
-        scales.append(ScaleCount(level=j, cell=cell, occupied=len(occupied)))
+    scales = [
+        ScaleCount(level=j, cell=spec.lam**j, occupied=occupied)
+        for j, occupied in enumerate(
+            _occupied_cells(spec, depth, grid_levels, ceiling), start=1
+        )
+    ]
     xs = [-j * math.log(float(spec.lam)) for j in range(1, grid_levels + 1)]
     ys = [math.log(s.occupied) for s in scales]
     fit = statistics.linear_regression(xs, ys)

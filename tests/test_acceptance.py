@@ -204,6 +204,8 @@ def test_exact_paths_never_touch_floats(sweep_specs):
         inspect.getsource(graphdir.expand),
         inspect.getsource(graphdir.build_graph),
         inspect.getsource(numlab._cover_levels),
+        inspect.getsource(numlab._numerator_levels),
+        inspect.getsource(numlab._occupied_cells),
         inspect.getsource(graphdir.verify_beta_eigen),
         inspect.getsource(roots),
         inspect.getsource(exact_div),
@@ -214,8 +216,16 @@ def test_exact_paths_never_touch_floats(sweep_specs):
     for source in sources:
         for token in ("float(", "mpmath", "math.", "__float__", "1e-", "0.5"):
             assert token not in source, token
-    # integer polynomial arithmetic stays in Z and Z/q, without rationals
-    for function in (exact_div, _hensel_step, _hensel_lift_tree, _factor_squarefree):
+    # integer polynomial arithmetic stays in Z and Z/q, and the cover kernel
+    # and its box counting in Z, without rationals
+    for function in (
+        exact_div,
+        _hensel_step,
+        _hensel_lift_tree,
+        _factor_squarefree,
+        numlab._numerator_levels,
+        numlab._occupied_cells,
+    ):
         assert "Fraction" not in inspect.getsource(function), function.__name__
     expansions = 0
     for n, m, lam, spec in sweep_specs[:30]:
@@ -228,8 +238,8 @@ def test_exact_paths_never_touch_floats(sweep_specs):
     assert all(isinstance(off, Fraction) for off in level.offsets)
     print(
         f"PASS exactness: validation, step classification, expansion, cover, "
-        f"characteristic polynomial, real-root, exact division, Hensel lifting "
-        f"and recombination sources are free of "
+        f"integer cover kernel, box-counting cells, characteristic polynomial, "
+        f"real-root, exact division, Hensel lifting and recombination sources are free of "
         f"floating-point operations and {expansions} re-expansions observed no "
         f"unexpected child offsets"
     )

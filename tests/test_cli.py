@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from overlapkit.cli import MAX_PRECISION_BITS, main
 from overlapkit.intpoly import IntPoly, PartitionStat, SearchReport, SearchStrategy
@@ -448,3 +454,109 @@ class TestHarness:
         code, out, err = run(capsys, "dimension", "--lambda", "0.25", "--n", "3", "--m", "1")
         assert code == 1
         assert json.loads(err)["error"] == "InvalidArgument"
+
+
+# -- argv fuzz ------------------------------------------------------------------------
+
+_RATIONALS = st.sampled_from(
+    ["0", "1", "-1", "1/4", "2/9", "3/16", "1/3", "1/0", "0/0", "-1/2", "1/-4", "0.25",
+     "1e5", "abc", "", " 1/4", "1//4", "99999999999999999999/3"]
+) | st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 40), st.integers(-2, 40))
+_LISTS = st.lists(_RATIONALS, max_size=5).map(",".join)
+_SMALL = st.integers(-3, 12).map(str) | st.sampled_from(["", "x", "1.5", "99999999999999999999"])
+# (lambda, offsets) of valid specs, in the class and out of it
+_SPECS = st.sampled_from(
+    [("1/4", "0,3/16,3/4"), ("1/3", "0,2/3"), ("1/3", "0,1/3,2/3"), ("2/9", "0,14/81,7/9"),
+     ("1/5", "0,4/25,9/25,4/5"), ("1/7", "0,6/49,36/49,6/7"), ("1/6", "0,1/6,11/36,25/36,5/6")]
+)
+# each flag's values: usable ones first, then malformed and edge cases
+_FLAG_VALUES = {
+    "--lambda": _SPECS.map(lambda spec: spec[0]) | _RATIONALS,
+    "--b": _SPECS.map(lambda spec: spec[1]) | _LISTS,
+    "--base": st.sampled_from(["1/4", "1/3"]) | _RATIONALS,
+    "--ratios": st.sampled_from(["1/3,1/3", "1/4,1/2,1/8", "1/2,1/2"]) | _LISTS,
+    "--exponents": st.lists(st.integers(-2, 32).map(str) | _RATIONALS, max_size=4).map(",".join),
+    "--n": st.integers(2, 8).map(str) | _SMALL,
+    "--m": st.integers(0, 4).map(str) | _SMALL,
+    "--q": st.integers(-1, 3).map(str),
+    "--depth": st.integers(-2, 8).map(str),
+    "--grid-levels": st.integers(-2, 8).map(str),
+    "--kmax": st.integers(-2, 16).map(str),
+    "--nmax": st.integers(-2, 7).map(str),
+    "--max-degree": st.integers(-1, 7).map(str),
+    "--coeff-bound": st.integers(-1, 3).map(str),
+    "--precision-bits": st.integers(-8, 300).map(str) | st.sampled_from(["x", "99999999"]),
+    "--seed": _SMALL,
+    "--format": st.sampled_from(["json", "text", "xml"]),
+    "--policy": st.sampled_from(["cut-touch", "keep-touch", "bogus"]),
+    "--strategy": st.sampled_from(["quotient", "dividend", "bogus"]),
+    "--pattern": st.text(alphabet="OTGX", max_size=5),
+    "--poly": st.sampled_from(["x^4-3x^2+1", "(x+1)^3", "x^6-1"])
+    | st.text(alphabet="x0123456789+-*^() ", max_size=12),
+    "--output": st.sampled_from(["out.txt", "missing/out.txt"]),
+    "--dot": st.sampled_from(["g.dot", "missing/g.dot"]),
+    "--svg": st.sampled_from(["c.svg", "missing/c.svg"]),
+    "--csv": st.sampled_from(["c.csv", "missing/c.csv"]),
+}
+_PATH_FLAGS = ("--output", "--dot", "--svg", "--csv")
+_COMMON = ["--format", "--output", "--precision-bits", "--seed", "--help"]
+_SUBCOMMANDS = {
+    "dimension": ["--lambda", "--n", "--m"],
+    "validate": ["--lambda", "--b"],
+    "generate": ["--n", "--m", "--lambda", "--pattern"],
+    "graph": ["--lambda", "--b", "--policy", "--dot"],
+    "factor": ["--poly"],
+    "obstruct": ["--n", "--m", "--kmax"],
+    "obstruct-sweep": ["--nmax", "--kmax"],
+    "dust-check": ["--n", "--m", "--lambda", "--ratios", "--exponents", "--base"],
+    "moran": ["--ratios", "--exponents", "--base"],
+    "tail-search": ["--q", "--n", "--m", "--max-degree", "--coeff-bound", "--strategy"],
+    "render": ["--lambda", "--b", "--depth", "--svg", "--csv"],
+    "growth": ["--lambda", "--b", "--depth", "--csv"],
+    "boxdim": ["--lambda", "--b", "--depth", "--grid-levels"],
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand (now and then an unknown word) with a subset of its flags,
+    now and then a common or foreign flag, and each value drawn, or left out."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS) + ["", "bogus", "--help"]))
+    own = _SUBCOMMANDS.get(command, [])
+    flags = [flag for flag in own if draw(st.integers(0, 9))]
+    flags += draw(
+        st.lists(st.sampled_from(_COMMON) | st.sampled_from(sorted(_FLAG_VALUES)), max_size=1)
+    )
+    spec = draw(_SPECS) if draw(st.booleans()) else None  # keeps --lambda and --b matched
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if flag == "--help" or not draw(st.integers(0, 19)):
+            continue
+        if spec and flag in ("--lambda", "--b"):
+            argv.append(spec[flag == "--b"])
+        else:
+            argv.append(draw(_FLAG_VALUES[flag]))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+@example(["growth", "--lambda", "1/4", "--b", "0,3/16,3/4", "--depth", "8"])
+@example(["render", "--lambda", "1/3", "--b", "0,2/3", "--depth", "3", "--svg", "missing/c.svg"])
+def test_argv_fuzz_exits_with_a_documented_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [
+            os.path.join(tmp, arg) if flag in _PATH_FLAGS else arg
+            for flag, arg in zip([""] + argv, argv)
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help prints the usage and exits 0
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert json.loads(err.getvalue())["error"]

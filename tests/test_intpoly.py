@@ -26,7 +26,7 @@ from overlapkit.intpoly import (
     moran_poly,
     parse_poly,
 )
-from overlapkit.intpoly.poly import MAX_COEFF_BITS, MAX_DEGREE
+from overlapkit.intpoly.poly import MAX_COEFF_BITS, MAX_DEGREE, MAX_PARSE_WORK
 
 X = sympy.Symbol("x")
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -347,6 +347,18 @@ class TestParsing:
             with pytest.raises(ResourceLimitError) as info:
                 parse_poly(bad)
             assert info.value.details["ceiling"] == MAX_COEFF_BITS
+
+    def test_work_budget_spans_the_whole_parse(self):
+        assert parse_poly("(7x+8)^512").degree == MAX_DEGREE
+        printed = IntPoly([(-1) ** i * (2**64 + i) for i in range(MAX_DEGREE + 1)])
+        assert parse_poly(printed.to_string()) == printed
+        family = family_poly(20, 16, 15)
+        assert parse_poly(family.to_string()) == family
+        # each power or sum is within the per-operation ceilings, their number is not
+        for bad in ["+".join(["(7x+8)^512"] * 20), "x^512" + "+1" * 100_000]:
+            with pytest.raises(ResourceLimitError) as info:
+                parse_poly(bad)
+            assert info.value.details["ceiling"] == MAX_PARSE_WORK
 
     def test_deep_nesting_is_a_resource_error(self):
         for bad in ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"]:

@@ -7,6 +7,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from overlapkit.errors import DegenerateFit, InvalidArgument, TooDeep
 from overlapkit.ifs import SelfSimilarSpec, generate
@@ -38,6 +40,42 @@ def brute_cover(spec: SelfSimilarSpec, depth: int) -> list[Fraction]:
             scale *= spec.lam
         offsets.add(total)
     return sorted(offsets)
+
+
+@st.composite
+def specs(draw):
+    """Valid specs of 2-4 maps with overlap, touch and gap steps in any order,
+    in the class or not, lambda = a/q with a up to 3, and the slack split
+    over the gaps by weights with their own denominators."""
+    lam = draw(st.builds(Fraction, st.integers(1, 3), st.integers(4, 13)))
+    kinds = draw(st.lists(st.sampled_from("OTG"), min_size=1, max_size=3))
+    step = {"O": lam - lam * lam, "T": lam, "G": lam}
+    slack = 1 - lam - sum(step[kind] for kind in kinds)
+    weights = [
+        Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+        for kind in kinds
+        if kind == "G"
+    ]
+    assume(slack > 0 if weights else slack == 0)
+    total = sum(weights)
+    offsets = [Fraction(0)]
+    for kind in kinds:
+        extra = slack * weights.pop() / total if kind == "G" else 0
+        offsets.append(offsets[-1] + step[kind] + extra)
+    return SelfSimilarSpec(lam, tuple(offsets))
+
+
+def fraction_box_counts(spec: SelfSimilarSpec, depth: int, grid_levels: int) -> list[int]:
+    """Occupied lambda^j-cells of the brute-force cover, counted on Fractions."""
+    offsets, length = brute_cover(spec, depth), spec.lam**depth
+    counts = []
+    for j in range(1, grid_levels + 1):
+        cell = spec.lam**j
+        occupied: set[int] = set()
+        for offset in offsets:
+            occupied.update(range(offset // cell, (offset + length) // cell + 1))
+        counts.append(len(occupied))
+    return counts
 
 
 class TestCover:
@@ -93,6 +131,17 @@ class TestCover:
             cover(golden_spec(), 40)
         assert info.value.exit_code == 2
         cover(golden_spec(), 6, ceiling=3**6)  # boundary is inclusive
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs(), st.integers(0, 5))
+@example(SelfSimilarSpec(F(2, 9), (F(0), F(14, 81), F(7, 9))), 5)  # O then G
+@example(SelfSimilarSpec(F(1, 3), (F(0), F(1, 3), F(2, 3))), 4)  # touches only
+@example(SelfSimilarSpec(F(1, 4), (F(0), F(2, 5), F(3, 4))), 4)  # offsets over 5 and 4
+def test_cover_matches_brute_force_on_random_specs(spec, depth):
+    level = cover(spec, depth)
+    assert list(level.offsets) == brute_cover(spec, depth)
+    assert level.length == spec.lam**depth
 
 
 class TestCylinderGrowth:
@@ -151,6 +200,16 @@ class TestBoxCountDimension:
             box_count_dimension(golden_spec(), 8, 1)
         with pytest.raises(InvalidArgument):
             box_count_dimension(golden_spec(), 4, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs(), st.sampled_from([(3, 2), (4, 2), (4, 3), (5, 3), (5, 4)]))
+@example(SelfSimilarSpec(F(2, 9), (F(0), F(14, 81), F(7, 9))), (5, 4))
+def test_box_counts_match_the_fraction_formula(spec, sizes):
+    depth, grid_levels = sizes
+    result = box_count_dimension(spec, depth, grid_levels)
+    assert [s.occupied for s in result.scales] == fraction_box_counts(spec, depth, grid_levels)
+    assert [s.cell for s in result.scales] == [spec.lam**j for j in range(1, grid_levels + 1)]
 
 
 class TestEmitters:
