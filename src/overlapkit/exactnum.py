@@ -1,9 +1,10 @@
-"""Exact arithmetic foundation: big rationals, real quadratic surds, perfect
-power detection, and multiplicative dependence of rationals.
+"""Exact arithmetic foundation: big rationals, the exact normal form of a
+quadratic root, perfect power detection, and multiplicative dependence of
+rationals.
 
 Everything here is a pure function on immutable values. Parameters stay
-rational (or live in one real quadratic field) so that structural predicates
-elsewhere in the toolkit are decided by exact equality, never by epsilon.
+rational so that structural predicates elsewhere in the toolkit are decided
+by exact equality, never by epsilon.
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ def _squarefree_split(d: int) -> tuple[int, int]:
 
 
 class QuadSurd:
-    """Exact element a + b*sqrt(D) of a real quadratic field.
+    """Exact value a + b*sqrt(D), the printed normal form of a quadratic root.
 
     D is normalized to its squarefree part (and must end up > 1), so equal
     reals have equal components and equality is componentwise. Rational
-    values (b == 0) compare equal across fields.
+    values (b == 0) compare equal across fields. There is no arithmetic or
+    ordering: decisions about the root are made on rationals or integers.
     """
 
     __slots__ = ("a", "b", "D")
@@ -89,120 +91,6 @@ class QuadSurd:
         self.b = Fraction(b) * s
         self.D = f
 
-    # -- construction helpers -------------------------------------------------
-
-    def _wrap(self, a: Fraction, b: Fraction) -> "QuadSurd":
-        out = object.__new__(QuadSurd)
-        out.a = a
-        out.b = b
-        out.D = self.D
-        return out
-
-    def _coerce(self, other) -> Optional["QuadSurd"]:
-        if isinstance(other, QuadSurd):
-            if other.D == self.D or other.b == 0:
-                return self._wrap(other.a, other.b if other.D == self.D else Fraction(0))
-            if self.b == 0:
-                return other  # adopt the other field
-            return None
-        if isinstance(other, (int, Fraction)):
-            return self._wrap(Fraction(other), Fraction(0))
-        return None
-
-    # -- ring / field operations ----------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.D != self.D:  # self is rational, other's field wins
-            return o + self.a
-        return self._wrap(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadSurd":
-        return self._wrap(-self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o if o.D == self.D else -other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.D != self.D:
-            return o * self.a
-        return self._wrap(self.a * o.a + self.b * o.b * self.D, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadSurd":
-        return self._wrap(self.a, -self.b)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.D
-
-    def inverse(self) -> "QuadSurd":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero surd")
-        return self._wrap(self.a / n, -self.b / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.D != self.D:
-            return self.a * o.inverse()
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, exponent: int) -> "QuadSurd":
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = self._wrap(Fraction(1), Fraction(0))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    # -- order and equality ----------------------------------------------------
-
-    def sign(self) -> int:
-        """Exact sign of the real value."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        sa = 1 if self.a > 0 else -1
-        sb = 1 if self.b > 0 else -1
-        if sa == sb:
-            return sa
-        lhs = self.a * self.a
-        rhs = self.b * self.b * self.D
-        # lhs == rhs would make sqrt(D) rational; D is not a square.
-        return sa if lhs > rhs else sb
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
-
     def __eq__(self, other) -> bool:
         if isinstance(other, QuadSurd):
             if self.b == 0 and other.b == 0:
@@ -216,30 +104,6 @@ class QuadSurd:
         if self.b == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.D))
-
-    def _cmp(self, other) -> Optional[int]:
-        o = self._coerce(other)
-        if o is None:
-            return None
-        return (self - o).sign() if o.D == self.D else (-(o - self.a)).sign()
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
-
-    # -- output -----------------------------------------------------------------
 
     def __repr__(self) -> str:
         return f"QuadSurd({self.a} + {self.b}*sqrt({self.D}))"

@@ -27,6 +27,8 @@ from .intpoly import exact_div, family_poly
 from .intpoly.roots import charpoly, largest_root
 
 _SPECTRAL_BITS = 128
+# build_graph refuses a closure with more than this many configurations per map
+VERTICES_PER_MAP = 10
 
 
 class Policy(str, Enum):
@@ -127,14 +129,10 @@ def expand(
     return children
 
 
-def build_graph(
-    spec: SelfSimilarSpec,
-    policy: Policy = Policy.CUT_AT_TOUCH,
-    vertex_ceiling: Optional[int] = None,
-) -> GraphSystem:
-    """Breadth-first closure from the single-copy configuration."""
-    if vertex_ceiling is None:
-        vertex_ceiling = 10 * spec.n
+def build_graph(spec: SelfSimilarSpec, policy: Policy = Policy.CUT_AT_TOUCH) -> GraphSystem:
+    """Breadth-first closure from the single-copy configuration, refused past
+    VERTICES_PER_MAP configurations per map."""
+    vertex_ceiling = VERTICES_PER_MAP * spec.n
     root = Configuration("")
     vertices: list[Configuration] = [root]
     index = {root: 0}

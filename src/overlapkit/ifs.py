@@ -155,7 +155,12 @@ def validate(lam: Fraction, offsets: Sequence[Fraction]) -> tuple[SelfSimilarSpe
 
 
 def feasibility_slack(n: int, m: int, lam: Fraction) -> Fraction:
-    """delta = 1 - n*lam + m*lam^2; nonnegative exactly when lam*beta <= 1."""
+    """delta = 1 - n*lam + m*lam^2; nonnegative exactly when lam*beta <= 1.
+
+    For 1 <= m <= n-2, p(x) = x^2 - n*x + m has p(1) < 0, so its smaller
+    root lies below 1 < 1/lam and delta = lam^2 * p(1/lam) >= 0 exactly when
+    1/lam >= beta. beta is irrational, so delta != 0 at a rational lam.
+    """
     return 1 - n * lam + m * lam * lam
 
 
@@ -289,9 +294,9 @@ def dimension(
         raise InvalidArgument(f"ratio must lie in (0,1), got {lam}")
     if precision_bits < 80:
         raise InvalidArgument(f"precision_bits must be >= 80, got {precision_bits}")
-    beta = _beta(n, m)
-    if lam * beta > 1:
+    if feasibility_slack(n, m, lam) < 0:
         raise _infeasible(n, m, lam)
+    beta = _beta(n, m)
     with mpmath.workprec(precision_bits + 16):
         beta_f = surd_to_float(beta, precision_bits + 16)
         lam_f = mpmath.mpf(lam.numerator) / mpmath.mpf(lam.denominator)

@@ -317,7 +317,7 @@ def _must_div(a: IntPoly, b: IntPoly) -> IntPoly:
     return q
 
 
-def _factor_squarefree(f: IntPoly, modular_factor_ceiling: int) -> list[IntPoly]:
+def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree f, positive lc, f(0) != 0."""
     if f.degree == 1:
         return [f]
@@ -326,11 +326,11 @@ def _factor_squarefree(f: IntPoly, modular_factor_ceiling: int) -> list[IntPoly]
     modular = _factor_mod_p(fp, p)
     if len(modular) == 1:
         return [f]
-    if len(modular) > modular_factor_ceiling:
+    if len(modular) > MAX_MODULAR_FACTORS:
         raise TooManyModularFactors(
             f"{len(modular)} modular factors exceed the recombination ceiling",
             count=len(modular),
-            ceiling=modular_factor_ceiling,
+            ceiling=MAX_MODULAR_FACTORS,
         )
     bound = 2 * _mignotte_bound(f) + 1
     target = 1
@@ -379,7 +379,7 @@ def _factor_squarefree(f: IntPoly, modular_factor_ceiling: int) -> list[IntPoly]
     return found
 
 
-def factor(p: IntPoly, *, modular_factor_ceiling: int = MAX_MODULAR_FACTORS) -> Factorization:
+def factor(p: IntPoly) -> Factorization:
     """Factor a nonzero integer polynomial into primitive irreducibles.
 
     Factors carry positive leading coefficients and are sorted by degree then
@@ -398,7 +398,7 @@ def factor(p: IntPoly, *, modular_factor_ceiling: int = MAX_MODULAR_FACTORS) -> 
         work = IntPoly(work.coeffs[e:])
     if work.degree >= 1:
         for part, mult in _yun_squarefree(work):
-            for irr in _factor_squarefree(part, modular_factor_ceiling):
+            for irr in _factor_squarefree(part):
                 key = irr.coeffs
                 bag[key] = bag.get(key, 0) + mult
     factors = tuple(

@@ -14,7 +14,11 @@ from enum import Enum
 from ..errors import InvalidArgument, SearchSpaceTooLarge
 from .poly import IntPoly, exact_div, family_poly
 
-DEFAULT_SEARCH_CEILING = 10**9
+# walk nodes one search may visit over all its partitions. A dividend-walk
+# node costs 6-13 us for q <= 50 on a 2-core Xeon (its leaves build and
+# divide a candidate), so a refused search stops within about 2 s; a
+# quotient-walk node costs about 1.3 us
+DEFAULT_SEARCH_CEILING = 150_000
 
 
 class SearchStrategy(str, Enum):
@@ -48,14 +52,11 @@ class SearchReport:
     partitions: tuple[PartitionStat, ...]
 
 
-def _estimate(q: int, max_degree: int, coeff_bound: int, strategy: SearchStrategy) -> int:
-    total = 0
-    for p in range(2 * q, max_degree + 1):
-        if strategy is SearchStrategy.QUOTIENT:
-            total += (2 * coeff_bound + 1) ** (p - 2 * q)
-        else:
-            total += (coeff_bound + 1) ** p
-    return total
+def _search_too_large() -> SearchSpaceTooLarge:
+    return SearchSpaceTooLarge(
+        f"the search walk visited more than {DEFAULT_SEARCH_CEILING} nodes",
+        ceiling=DEFAULT_SEARCH_CEILING,
+    )
 
 
 def _is_nonneg_tail(poly: IntPoly) -> bool:
@@ -64,19 +65,20 @@ def _is_nonneg_tail(poly: IntPoly) -> bool:
 
 
 def _search_quotient_degree(
-    q: int, n: int, m: int, p: int, coeff_bound: int
-) -> tuple[list[IntPoly], int]:
+    q: int, n: int, m: int, p: int, coeff_bound: int, budget: int
+) -> tuple[list[IntPoly], int, int]:
     """All monic quotients U, deg U = p-2q, |coeffs| <= bound, with U*P nonneg-tail.
 
     Product coefficient j of U*(x^(2q)-n*x^q+m) is m*c_j - n*c_(j-q) + c_(j-2q),
     so the nonneg-tail condition caps each c_j as soon as it is chosen; the
     depth-first walk prunes on that cap and the remaining 2q conditions are
-    checked once the leading 1 is in place.
+    checked once the leading 1 is in place. Returns the hits, the quotients
+    tested and the walk nodes visited, at most budget of them.
     """
     d = p - 2 * q
     divisor = family_poly(n, m, q)
     hits: list[IntPoly] = []
-    visited = 0
+    visited = nodes = 0
 
     def coeff_at(c: list[int], j: int) -> int:
         if j < 0 or j > d:
@@ -93,7 +95,10 @@ def _search_quotient_degree(
         return True
 
     def walk(c: list[int], j: int):
-        nonlocal visited
+        nonlocal visited, nodes
+        nodes += 1
+        if nodes > budget:
+            raise _search_too_large()
         if j == d:
             visited += 1
             if tail_ok(c):
@@ -113,20 +118,27 @@ def _search_quotient_degree(
             c.pop()
 
     walk([], 0)
-    return hits, visited
+    return hits, visited, nodes
 
 
 def _search_dividend_degree(
-    q: int, n: int, m: int, p: int, coeff_bound: int
-) -> tuple[list[IntPoly], int]:
-    """All nonneg-tail Q of degree p with tail entries <= bound divisible by P."""
+    q: int, n: int, m: int, p: int, coeff_bound: int, budget: int
+) -> tuple[list[IntPoly], int, int]:
+    """All nonneg-tail Q of degree p with tail entries <= bound divisible by P.
+
+    Returns the hits, the candidates tested and the walk nodes visited, at
+    most budget of them.
+    """
     divisor = family_poly(n, m, q)
     hits: list[IntPoly] = []
-    tested = 0
+    tested = nodes = 0
     tail = [0] * p
 
     def walk(i: int):
-        nonlocal tested
+        nonlocal tested, nodes
+        nodes += 1
+        if nodes > budget:
+            raise _search_too_large()
         if i == p:
             tested += 1
             candidate = IntPoly([-b for b in tail] + [1])
@@ -139,7 +151,7 @@ def _search_dividend_degree(
         tail[i] = 0
 
     walk(0)
-    return hits, tested
+    return hits, tested, nodes
 
 
 def nonneg_tail_search(
@@ -149,13 +161,12 @@ def nonneg_tail_search(
     max_degree: int,
     coeff_bound: int,
     strategy: SearchStrategy = SearchStrategy.QUOTIENT,
-    *,
-    ceiling: int = DEFAULT_SEARCH_CEILING,
 ) -> SearchReport:
     """Exhaust the degree/coefficient box; expected to return no counterexamples.
 
     Partitioned by candidate degree; each partition reports its size, so long
-    runs show where the budget went.
+    runs show where the budget went. The walks of all partitions together may
+    visit DEFAULT_SEARCH_CEILING nodes; one more raises SearchSpaceTooLarge.
     """
     if q < 1:
         raise InvalidArgument(f"q must be >= 1, got {q}")
@@ -166,21 +177,22 @@ def nonneg_tail_search(
     if coeff_bound < 0:
         raise InvalidArgument(f"coeff_bound must be >= 0, got {coeff_bound}")
     strategy = SearchStrategy(strategy)
-    estimate = _estimate(q, max_degree, coeff_bound, strategy)
-    if estimate > ceiling:
-        raise SearchSpaceTooLarge(
-            f"estimated {estimate} candidates exceed the ceiling {ceiling}",
-            estimate=estimate,
-            ceiling=ceiling,
-        )
+    walker = (
+        _search_quotient_degree
+        if strategy is SearchStrategy.QUOTIENT
+        else _search_dividend_degree
+    )
+    budget = DEFAULT_SEARCH_CEILING
     counterexamples: list[IntPoly] = []
     partitions: list[PartitionStat] = []
     total = 0
     for p in range(2 * q, max_degree + 1):
-        if strategy is SearchStrategy.QUOTIENT:
-            hits, count = _search_quotient_degree(q, n, m, p, coeff_bound)
-        else:
-            hits, count = _search_dividend_degree(q, n, m, p, coeff_bound)
+        try:
+            hits, count, nodes = walker(q, n, m, p, coeff_bound, budget)
+        except RecursionError:
+            # the walks recurse once per coefficient
+            raise SearchSpaceTooLarge(f"the degree-{p} walk nests too deeply", degree=p) from None
+        budget -= nodes
         partitions.append(PartitionStat(degree=p, candidates=count, hits=len(hits)))
         counterexamples.extend(hits)
         total += count

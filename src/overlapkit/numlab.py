@@ -35,9 +35,7 @@ class CoverLevel:
         return len(self.offsets)
 
 
-def _numerator_levels(
-    spec: SelfSimilarSpec, depth: int, ceiling: int
-) -> Iterator[tuple[list[int], int]]:
+def _numerator_levels(spec: SelfSimilarSpec, depth: int) -> Iterator[tuple[list[int], int]]:
     """Sorted numerators and their shared denominator at each depth 0..depth.
 
     With lambda = a/q and B_i = d*b_i, where d is the lcm of the offsets'
@@ -47,12 +45,12 @@ def _numerator_levels(
     """
     if depth < 0:
         raise InvalidArgument(f"depth must be >= 0, got {depth}")
-    if spec.n**depth > ceiling:
+    if spec.n**depth > DEFAULT_COVER_CEILING:
         raise TooDeep(
-            f"{spec.n}^{depth} raw cylinders exceed the ceiling {ceiling}",
+            f"{spec.n}^{depth} raw cylinders exceed the ceiling {DEFAULT_COVER_CEILING}",
             n=spec.n,
             depth=depth,
-            ceiling=ceiling,
+            ceiling=DEFAULT_COVER_CEILING,
         )
     a, q = spec.lam.numerator, spec.lam.denominator
     d = 1
@@ -70,9 +68,8 @@ def _numerator_levels(
         a_power *= a
 
 
-def _cover_levels(
-    spec: SelfSimilarSpec, depth: int, ceiling: int
-) -> list[CoverLevel]:
+def cover_levels(spec: SelfSimilarSpec, depth: int) -> list[CoverLevel]:
+    """Covers at every depth 0..depth (each level refines the previous one)."""
     return [
         CoverLevel(
             depth=level,
@@ -80,23 +77,14 @@ def _cover_levels(
             length=spec.lam**level,
         )
         for level, (numerators, denominator) in enumerate(
-            _numerator_levels(spec, depth, ceiling)
+            _numerator_levels(spec, depth)
         )
     ]
 
 
-def cover(
-    spec: SelfSimilarSpec, depth: int, *, ceiling: int = DEFAULT_COVER_CEILING
-) -> CoverLevel:
+def cover(spec: SelfSimilarSpec, depth: int) -> CoverLevel:
     """Exact offsets of the depth-L cylinders with coincident ones merged."""
-    return _cover_levels(spec, depth, ceiling)[-1]
-
-
-def cover_levels(
-    spec: SelfSimilarSpec, depth: int, *, ceiling: int = DEFAULT_COVER_CEILING
-) -> list[CoverLevel]:
-    """Covers at every depth 0..depth (each level refines the previous one)."""
-    return _cover_levels(spec, depth, ceiling)
+    return cover_levels(spec, depth)[-1]
 
 
 @dataclass(frozen=True)
@@ -118,17 +106,13 @@ class GrowthResult:
         }
 
 
-def cylinder_growth(
-    spec: SelfSimilarSpec, max_depth: int, *, ceiling: int = DEFAULT_COVER_CEILING
-) -> GrowthResult:
+def cylinder_growth(spec: SelfSimilarSpec, max_depth: int) -> GrowthResult:
     """Counts N_0..N_max_depth with the fitted slope of log N_L against L.
 
     For in-class specs the recurrence N_(L+2) = n*N_(L+1) - m*N_L is reported
     as an observation; it is never enforced.
     """
-    counts = tuple(
-        len(numerators) for numerators, _ in _numerator_levels(spec, max_depth, ceiling)
-    )
+    counts = tuple(len(numerators) for numerators, _ in _numerator_levels(spec, max_depth))
     if len(counts) >= 2:
         fit = statistics.linear_regression(range(len(counts)), [math.log(c) for c in counts])
         slope = fit.slope
@@ -154,9 +138,7 @@ class ScaleCount:
     occupied: int
 
 
-def _occupied_cells(
-    spec: SelfSimilarSpec, depth: int, grid_levels: int, ceiling: int
-) -> list[int]:
+def _occupied_cells(spec: SelfSimilarSpec, depth: int, grid_levels: int) -> list[int]:
     """Cells of side lambda^j, j = 1..grid_levels, that the depth-L cover meets.
 
     With lambda = a/q, D = d*q^(L-1) the depth-L denominator and
@@ -165,7 +147,7 @@ def _occupied_cells(
     sorted, so both ends rise with N and one sweep counts the union of the
     cell ranges.
     """
-    for numerators, denominator in _numerator_levels(spec, depth, ceiling):
+    for numerators, denominator in _numerator_levels(spec, depth):
         pass  # only the deepest level is needed
     a, q = spec.lam.numerator, spec.lam.denominator
     reach = a**depth * (denominator // q ** (depth - 1))
@@ -199,13 +181,7 @@ class BoxCountResult:
         }
 
 
-def box_count_dimension(
-    spec: SelfSimilarSpec,
-    depth: int,
-    grid_levels: int,
-    *,
-    ceiling: int = DEFAULT_COVER_CEILING,
-) -> BoxCountResult:
+def box_count_dimension(spec: SelfSimilarSpec, depth: int, grid_levels: int) -> BoxCountResult:
     """Slope of log(occupied cells) against log(1/cell) over lambda-power grids.
 
     Grid cells are powers of lambda so cell boundaries align with cylinder
@@ -221,9 +197,7 @@ def box_count_dimension(
         )
     scales = [
         ScaleCount(level=j, cell=spec.lam**j, occupied=occupied)
-        for j, occupied in enumerate(
-            _occupied_cells(spec, depth, grid_levels, ceiling), start=1
-        )
+        for j, occupied in enumerate(_occupied_cells(spec, depth, grid_levels), start=1)
     ]
     xs = [-j * math.log(float(spec.lam)) for j in range(1, grid_levels + 1)]
     ys = [math.log(s.occupied) for s in scales]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from overlapkit.exactnum import surd_to_float
-from overlapkit.ifs import SelfSimilarSpec, _beta, generate
+from overlapkit.ifs import SelfSimilarSpec, _beta, feasibility_slack, generate
 
 SWEEP_PAIRS = [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 4)]
 
@@ -27,7 +27,7 @@ def random_feasible_specs(seeds_per_pair: int = 20) -> list[tuple[int, int, Frac
             if pmax < 1:
                 continue
             lam = Fraction(rng.randint(1, pmax), q)
-            if lam * beta >= 1:
+            if feasibility_slack(n, m, lam) <= 0:
                 continue
             out.append((n, m, lam, generate(n, m, lam, seed=seed)))
     return out

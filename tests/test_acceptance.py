@@ -201,9 +201,11 @@ def test_exact_paths_never_touch_floats(sweep_specs):
         inspect.getsource(ifs.SelfSimilarSpec.step_kinds),
         inspect.getsource(ifs.classify_steps),
         inspect.getsource(ifs.validate),
+        inspect.getsource(ifs.feasibility_slack),
+        inspect.getsource(ifs.generate),
         inspect.getsource(graphdir.expand),
         inspect.getsource(graphdir.build_graph),
-        inspect.getsource(numlab._cover_levels),
+        inspect.getsource(numlab.cover_levels),
         inspect.getsource(numlab._numerator_levels),
         inspect.getsource(numlab._occupied_cells),
         inspect.getsource(graphdir.verify_beta_eigen),
@@ -237,8 +239,8 @@ def test_exact_paths_never_touch_floats(sweep_specs):
     level = cover(generate(3, 1, F(1, 4), "OG"), 6)
     assert all(isinstance(off, Fraction) for off in level.offsets)
     print(
-        f"PASS exactness: validation, step classification, expansion, cover, "
-        f"integer cover kernel, box-counting cells, characteristic polynomial, "
+        f"PASS exactness: validation, step classification, feasibility, generation, "
+        f"expansion, cover, integer cover kernel, box-counting cells, characteristic polynomial, "
         f"real-root, exact division, Hensel lifting and recombination sources are free of "
         f"floating-point operations and {expansions} re-expansions observed no "
         f"unexpected child offsets"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -11,6 +12,9 @@ from hypothesis import strategies as st
 
 from overlapkit.errors import InvalidArgument, TooManyModularFactors
 from overlapkit.intpoly import IntPoly, factor, family_poly, is_irreducible, parse_poly
+
+# the package re-exports the function factor under the module's name
+factor_module = importlib.import_module("overlapkit.intpoly.factor")
 
 X = sympy.Symbol("x")
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -173,12 +177,13 @@ def test_irreducibility_agrees_with_sympy(p):
 
 
 class TestFactorCountCeiling:
-    def test_many_modular_factors_is_a_resource_error(self):
+    def test_many_modular_factors_is_a_resource_error(self, monkeypatch):
         p = IntPoly.one()
         for i in range(1, 7):
             p = p * IntPoly([-i, 1])
+        monkeypatch.setattr(factor_module, "MAX_MODULAR_FACTORS", 3)
         with pytest.raises(TooManyModularFactors):
-            factor(p, modular_factor_ceiling=3)
+            factor(p)
         # the exit-code class marks it as a resource limit, not wrong input
         assert TooManyModularFactors("x").exit_code == 2
 

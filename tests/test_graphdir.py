@@ -91,9 +91,11 @@ class TestBuildGraph:
             for j, mult in enumerate(row):
                 assert ((i, j) in listed) == (mult > 0)
 
-    def test_vertex_ceiling(self):
+    def test_vertex_ceiling(self, monkeypatch):
+        # no configurations per map: the first one found past the root is refused
+        monkeypatch.setattr("overlapkit.graphdir.VERTICES_PER_MAP", 0)
         with pytest.raises(VertexExplosion) as info:
-            build_graph(golden_spec(), Policy.CUT_AT_TOUCH, vertex_ceiling=1)
+            build_graph(golden_spec(), Policy.CUT_AT_TOUCH)
         assert info.value.exit_code == 2
         assert info.value.details["history"][0] == ""
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from overlapkit.errors import (
     BadBoundary,
@@ -189,6 +192,74 @@ class TestDimension:
             dimension(3, 1, F(5, 4))
         with pytest.raises(InvalidArgument):
             dimension(3, 1, F(1, 4), precision_bits=64)
+
+
+def near_ties(n: int, m: int, terms: int = 12) -> list[Fraction]:
+    """Convergents of 1/beta = (-n + sqrt(D)) / (-2m), D = n^2 - 4m, and the
+    mediants of consecutive ones, from its exact continued fraction: a term of
+    (P + sqrt(D)) / Q is floor((P + isqrt(D)) / Q) for Q > 0 and
+    floor((P + isqrt(D) + 1) / Q) for Q < 0."""
+    disc = n * n - 4 * m
+    root = math.isqrt(disc)
+    P, Q = -n, -2 * m
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    out = []
+    for _ in range(terms):
+        a = (P + root + (Q < 0)) // Q
+        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
+        out.append(Fraction(h1, k1))
+        if k0:
+            out.append(Fraction(h0 + h1, k0 + k1))
+        P = a * Q - P
+        Q = (disc - P * P) // Q
+    return [lam for lam in dict.fromkeys(out) if 0 < lam < 1]
+
+
+def lam_beta_exceeds_one(n: int, m: int, lam: Fraction) -> bool:
+    """Integer oracle: with lam = a/q, lam*beta > 1 iff a*sqrt(D) > t = 2q - n*a."""
+    a, q = lam.numerator, lam.denominator
+    t = 2 * q - n * a
+    return t < 0 or (n * n - 4 * m) * a * a > t * t
+
+
+@st.composite
+def in_class_ratios(draw):
+    n = draw(st.integers(3, 20))
+    m = draw(st.integers(1, n - 2))
+    q = draw(st.integers(2, 10**4))
+    random_ratio = st.builds(Fraction, st.integers(1, q - 1), st.just(q))
+    return n, m, draw(st.one_of(st.sampled_from(near_ties(n, m)), random_ratio))
+
+
+def raises_infeasible(call) -> bool:
+    try:
+        call()
+    except Infeasible:
+        return True
+    return False
+
+
+def test_near_ties_straddle_the_bound():
+    # 1/beta = (3 - sqrt 5)/2 = [0; 2, 1, 1, ...]: Fibonacci ratios alternate sides
+    ties = near_ties(3, 1)
+    assert ties[:6] == [F(1, 2), F(1, 3), F(2, 5), F(3, 8), F(5, 13), F(8, 21)]
+    assert [lam_beta_exceeds_one(3, 1, lam) for lam in ties[:4]] == [True, False, True, False]
+    assert F(21, 55) in ties and F(34, 89) in ties
+    assert not lam_beta_exceeds_one(3, 1, F(21, 55))
+    assert lam_beta_exceeds_one(3, 1, F(34, 89))
+
+
+@settings(max_examples=300, deadline=None)
+@given(in_class_ratios())
+@example((3, 1, F(21, 55)))  # 1/beta - 21/55 ~ 1.5e-4
+@example((3, 1, F(34, 89)))  # 34/89 - 1/beta ~ 5.6e-5
+@example((20, 18, F(1, 19)))
+def test_feasibility_decided_by_the_slack_matches_the_integer_oracle(case):
+    n, m, lam = case
+    exceeds = lam_beta_exceeds_one(n, m, lam)
+    assert (feasibility_slack(n, m, lam) < 0) == exceeds
+    assert raises_infeasible(lambda: dimension(n, m, lam)) == exceeds
+    assert raises_infeasible(lambda: generate(n, m, lam, seed=n * m)) == exceeds
 
 
 class TestMoran:

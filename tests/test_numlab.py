@@ -126,11 +126,12 @@ class TestCover:
         with pytest.raises(InvalidArgument):
             cover(golden_spec(), -1)
 
-    def test_ceiling(self):
+    def test_ceiling(self, monkeypatch):
         with pytest.raises(TooDeep) as info:
             cover(golden_spec(), 40)
         assert info.value.exit_code == 2
-        cover(golden_spec(), 6, ceiling=3**6)  # boundary is inclusive
+        monkeypatch.setattr("overlapkit.numlab.DEFAULT_COVER_CEILING", 3**6)
+        cover(golden_spec(), 6)  # boundary is inclusive
 
 
 @settings(max_examples=150, deadline=None)

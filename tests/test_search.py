@@ -16,6 +16,7 @@ from overlapkit.intpoly import (
     parse_poly,
 )
 from overlapkit.intpoly.search import (
+    DEFAULT_SEARCH_CEILING,
     _is_nonneg_tail,
     _search_dividend_degree,
     _search_quotient_degree,
@@ -65,9 +66,9 @@ class TestPlantedHits:
 
     def test_quotient_walker_finds_known_multiples(self):
         divisor = family_poly(1, 1, 1)
-        hits5, _ = _search_quotient_degree(1, 1, 1, 5, 1)
+        hits5, _, _ = _search_quotient_degree(1, 1, 1, 5, 1, DEFAULT_SEARCH_CEILING)
         assert hits5 == [parse_poly("x^5-x^4-1")]
-        hits6, _ = _search_quotient_degree(1, 1, 1, 6, 1)
+        hits6, _, _ = _search_quotient_degree(1, 1, 1, 6, 1, DEFAULT_SEARCH_CEILING)
         assert parse_poly("x^6-1") in hits6
         for hit in hits5 + hits6:
             assert _is_nonneg_tail(hit)
@@ -79,8 +80,8 @@ class TestPlantedHits:
         divisor = family_poly(1, 1, 1)
         bound = 2
         for p in range(2, 7):
-            q_hits, _ = _search_quotient_degree(1, 1, 1, p, bound)
-            d_hits, _ = _search_dividend_degree(1, 1, 1, p, bound)
+            q_hits, _, _ = _search_quotient_degree(1, 1, 1, p, bound, DEFAULT_SEARCH_CEILING)
+            d_hits, _, _ = _search_dividend_degree(1, 1, 1, p, bound, DEFAULT_SEARCH_CEILING)
             d_set = {f.coeffs for f in d_hits}
             for hit in q_hits:
                 if hit.max_norm() <= bound:
@@ -94,7 +95,7 @@ class TestPlantedHits:
 
     def test_no_low_degree_hits(self):
         for p in (2, 3, 4):
-            hits, _ = _search_quotient_degree(1, 1, 1, p, 3)
+            hits, _, _ = _search_quotient_degree(1, 1, 1, p, 3, DEFAULT_SEARCH_CEILING)
             assert hits == []
 
 
@@ -111,11 +112,28 @@ class TestValidationAndLimits:
         with pytest.raises(InvalidArgument):
             nonneg_tail_search(1, 3, 1, 6, -1)
 
-    def test_search_space_ceiling(self):
+    def test_search_space_ceiling(self, monkeypatch):
+        # the dividend walk over (1, 3, 1, 6, 4) visits sum(5^0..5^p) nodes for
+        # p = 2..6, 24405 in all; the ceiling counts them, inclusively
+        monkeypatch.setattr("overlapkit.intpoly.search.DEFAULT_SEARCH_CEILING", 24405)
+        nonneg_tail_search(1, 3, 1, 6, 4, SearchStrategy.DIVIDEND)
+        monkeypatch.setattr("overlapkit.intpoly.search.DEFAULT_SEARCH_CEILING", 24404)
         with pytest.raises(SearchSpaceTooLarge) as info:
-            nonneg_tail_search(1, 3, 1, 40, 10, ceiling=10**6)
+            nonneg_tail_search(1, 3, 1, 6, 4, SearchStrategy.DIVIDEND)
         assert info.value.exit_code == 2
-        assert info.value.details["estimate"] > 10**6
+        assert info.value.details == {"ceiling": 24404}
+
+    def test_walk_deeper_than_the_recursion_limit_is_a_resource_error(self):
+        # one partition of 1201 nodes, one per coefficient of x^1200
+        with pytest.raises(SearchSpaceTooLarge) as info:
+            nonneg_tail_search(600, 3, 1, 1200, 0, SearchStrategy.DIVIDEND)
+        assert info.value.details == {"degree": 1200}
+
+    def test_pruned_quotient_walk_is_charged_what_it_visits(self):
+        # (2*10+1)^(p-2) quotients per degree up to 9 would be 1.9e9, but the
+        # pruned walk tests 183 of them
+        report = nonneg_tail_search(1, 3, 1, 9, 10)
+        assert report.candidates_tested == 183
 
     def test_strategy_accepts_plain_strings(self):
         report = nonneg_tail_search(1, 3, 1, 4, 2, "dividend")
