@@ -22,6 +22,7 @@ from .errors import InputError, InvalidArgument, OverlapKitError, ResourceLimitE
 from .exactnum import DEFAULT_PRECISION_BITS, format_rational, parse_rational
 from .graphdir import Policy, build_graph, emit_dot, spectral_radius, verify_beta_eigen
 from .ifs import (
+    MIN_PRECISION_BITS,
     DustIfsSpec,
     SelfSimilarSpec,
     dimension,
@@ -120,6 +121,8 @@ def _resolve_precision(args: argparse.Namespace) -> int:
             raise InvalidArgument(
                 f"OVERLAPKIT_PRECISION_BITS must be an integer, got {raw!r}"
             ) from exc
+    if bits < MIN_PRECISION_BITS:
+        raise InvalidArgument(f"precision_bits must be >= {MIN_PRECISION_BITS}, got {bits}")
     if bits > MAX_PRECISION_BITS:
         raise ResourceLimitError(
             f"precision_bits must be <= {MAX_PRECISION_BITS}, got {bits}", ceiling=MAX_PRECISION_BITS
@@ -222,7 +225,7 @@ def _cmd_tail_search(args, bits: int) -> tuple[dict, int]:
         args.coeff_bound,
         SearchStrategy(args.strategy),
     )
-    payload = {
+    return {
         "q": report.q,
         "n": report.n,
         "m": report.m,
@@ -230,15 +233,8 @@ def _cmd_tail_search(args, bits: int) -> tuple[dict, int]:
         "coeff_bound": report.coeff_bound,
         "strategy": report.strategy.value,
         "counterexamples": [c.to_string() for c in report.counterexamples],
-        "candidates_tested": report.candidates_tested,
-        "partitions": [
-            {"degree": s.degree, "candidates": s.candidates, "hits": s.hits}
-            for s in report.partitions
-        ],
-    }
-    # a counterexample would contradict the divisibility analysis, so surface
-    # it with the consistency-failure exit code
-    return payload, 3 if report.counterexamples else 0
+        "proof": report.proof,
+    }, 0
 
 
 def _cmd_render(args, bits: int) -> tuple[dict, int]:
@@ -344,7 +340,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--exponents", type=_rational_list, default=None, metavar="e1,e2,...")
     p.add_argument("--base", type=_rational, default=None)
 
-    p = add("tail-search", _cmd_tail_search, "exhaustive nonneg-tail multiple search")
+    p = add("tail-search", _cmd_tail_search, "no nonneg-tail multiple exists (Descartes' rule)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)

@@ -81,10 +81,6 @@ class DivisorZero(InputError):
     pass
 
 
-class SearchSpaceTooLarge(ResourceLimitError):
-    pass
-
-
 class TooManyModularFactors(ResourceLimitError):
     pass
 

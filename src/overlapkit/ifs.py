@@ -38,6 +38,9 @@ from .exactnum import (
 
 OVERLAP, TOUCH, GAP = "O", "T", "G"
 
+# fewest working bits for a dimension; the CLI rejects fewer for every subcommand
+MIN_PRECISION_BITS = 80
+
 # working bits above precision_bits for the Moran equation: 32 to start, up
 # to 4096 where the equation is flat at its root (ratios 1 - 10^-30 and 1/2
 # need 128)
@@ -292,8 +295,8 @@ def dimension(
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise InvalidArgument(f"ratio must lie in (0,1), got {lam}")
-    if precision_bits < 80:
-        raise InvalidArgument(f"precision_bits must be >= 80, got {precision_bits}")
+    if precision_bits < MIN_PRECISION_BITS:
+        raise InvalidArgument(f"precision_bits must be >= {MIN_PRECISION_BITS}, got {precision_bits}")
     if feasibility_slack(n, m, lam) < 0:
         raise _infeasible(n, m, lam)
     beta = _beta(n, m)
@@ -390,7 +393,7 @@ def moran_dimension(dust: DustIfsSpec, precision_bits: int = DEFAULT_PRECISION_B
     the steps by more than eps, they stop at that noise instead, the guard
     bits double and Newton resumes from s.
     """
-    bits = max(precision_bits, 80)
+    bits = max(precision_bits, MIN_PRECISION_BITS)
     s, iterations, guard = mpmath.mpf(0), 0, _GUARD_BITS
     while True:
         with mpmath.workprec(bits + guard):

@@ -1,5 +1,6 @@
-"""Exact integer polynomials: arithmetic, parsing, factorization, and the
-nonneg-tail divisibility search."""
+"""Exact integer polynomials: arithmetic, parsing, factorization, real-root
+isolation, and the proof that x^(2q) - n*x^q + m has no monic nonneg-tail
+multiple."""
 
 from .factor import Factorization, factor, is_irreducible
 from .poly import (
@@ -10,19 +11,11 @@ from .poly import (
     moran_poly,
     parse_poly,
 )
-from .search import (
-    DEFAULT_SEARCH_CEILING,
-    PartitionStat,
-    SearchReport,
-    SearchStrategy,
-    nonneg_tail_search,
-)
+from .search import SearchReport, SearchStrategy, nonneg_tail_search
 
 __all__ = [
-    "DEFAULT_SEARCH_CEILING",
     "Factorization",
     "IntPoly",
-    "PartitionStat",
     "SearchReport",
     "SearchStrategy",
     "exact_div",

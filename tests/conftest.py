@@ -1,7 +1,9 @@
-"""Shared fixtures: a reproducible sweep of random in-class specs."""
+"""Shared fixtures: a reproducible sweep of random in-class specs, and a
+brute-force enumeration of nonneg-tail multiples."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import pytest
 
 from overlapkit.exactnum import surd_to_float
 from overlapkit.ifs import SelfSimilarSpec, _beta, feasibility_slack, generate
+from overlapkit.intpoly import IntPoly, exact_div, family_poly
 
 SWEEP_PAIRS = [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 4)]
 
@@ -38,3 +41,37 @@ def sweep_specs() -> list[tuple[int, int, Fraction, SelfSimilarSpec]]:
     specs = random_feasible_specs()
     assert len(specs) >= 100
     return specs
+
+
+def tail_multiples(q, n, m, max_degree, bound, strategy="quotient"):
+    """Brute force: the sorted monic nonneg-tail multiples of x^(2q)-n*x^q+m up
+    to max_degree, and the leaves tested. "quotient" walks monic U with
+    coefficients in [-bound, min(bound, (n*c_(j-q) - c_(j-2q)) // m)], which
+    keeps product coefficient j <= 0; "dividend" trial-divides [0, bound]^p tails."""
+    divisor, hits, leaves = family_poly(n, m, q), [], 0
+    for p in range(2 * q, max_degree + 1):
+        if strategy == "dividend":
+            for tail in itertools.product(range(bound + 1), repeat=p):
+                leaves += 1
+                candidate = IntPoly([-b for b in tail] + [1])
+                if exact_div(candidate, divisor) is not None:
+                    hits.append(candidate)
+            continue
+        stack = [[]]
+        while stack:
+            c = stack.pop()
+            if len(c) == p - 2 * q:
+                leaves += 1
+                product = IntPoly(c + [1]) * divisor
+                if all(v <= 0 for v in product.coeffs[:-1]):
+                    hits.append(product)
+                continue
+            back = [c[i] if i >= 0 else 0 for i in (len(c) - q, len(c) - 2 * q)]
+            cap = (n * back[0] - back[1]) // m
+            stack.extend(c + [v] for v in range(-bound, min(bound, cap) + 1))
+    return sorted(hits, key=lambda f: (f.degree, f.coeffs)), leaves
+
+
+@pytest.fixture(scope="session")
+def tail_oracle():
+    return tail_multiples

@@ -25,6 +25,7 @@ from overlapkit.intpoly import (
     is_irreducible,
     nonneg_tail_search,
     roots,
+    search,
 )
 from overlapkit.intpoly.factor import _factor_squarefree, _hensel_lift_tree, _hensel_step
 from overlapkit.intpoly.poly import exact_div
@@ -128,19 +129,21 @@ def test_sweep_row_identities(sweep_specs):
     )
 
 
-def test_tail_search_exhaustive_and_consistent():
+def test_tail_search_exhaustive_and_consistent(tail_oracle):
     start = time.monotonic()
     pairs = [(3, 1), (4, 1), (4, 2)]
     searched = 0
     for n, m in pairs:
         for q in (1, 2, 3):
             report = nonneg_tail_search(q, n, m, 8, 10, SearchStrategy.QUOTIENT)
-            assert report.counterexamples == (), (q, n, m)
-            searched += report.candidates_tested
+            hits, leaves = tail_oracle(q, n, m, 8, 10, SearchStrategy.QUOTIENT)
+            assert list(report.counterexamples) == hits == [], (q, n, m)
+            searched += leaves
     for n, m in pairs:
-        quotient = nonneg_tail_search(1, n, m, 5, 4, SearchStrategy.QUOTIENT)
-        dividend = nonneg_tail_search(1, n, m, 5, 4, SearchStrategy.DIVIDEND)
-        assert quotient.counterexamples == dividend.counterexamples == ()
+        for strategy in SearchStrategy:
+            report = nonneg_tail_search(1, n, m, 5, 4, strategy)
+            hits, _ = tail_oracle(1, n, m, 5, 4, strategy)
+            assert list(report.counterexamples) == hits == [], (n, m, strategy)
     rng = random.Random(2026)
     for _ in range(10_000):
         n, m = pairs[rng.randrange(3)]
@@ -153,9 +156,9 @@ def test_tail_search_exhaustive_and_consistent():
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     print(
-        f"PASS tail search: exhaustive boxes ({searched} leaves) are empty, both "
-        f"strategies agree, and 10000 random monic multiples all keep a positive "
-        f"tail coefficient [{elapsed:.2f}s < 5min]"
+        f"PASS tail search: Descartes' answer matches brute force on every box "
+        f"({searched} leaves) under both strategies, and 10000 random monic "
+        f"multiples all keep a positive tail coefficient [{elapsed:.2f}s < 5min]"
     )
 
 
@@ -210,6 +213,7 @@ def test_exact_paths_never_touch_floats(sweep_specs):
         inspect.getsource(numlab._occupied_cells),
         inspect.getsource(graphdir.verify_beta_eigen),
         inspect.getsource(roots),
+        inspect.getsource(search),
         inspect.getsource(exact_div),
         inspect.getsource(_hensel_step),
         inspect.getsource(_hensel_lift_tree),

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overlapkit.cli import MAX_PRECISION_BITS, main
-from overlapkit.intpoly import IntPoly, PartitionStat, SearchReport, SearchStrategy
 from overlapkit.intpoly.poly import MAX_DEGREE
 from overlapkit.obstruction import MAX_KMAX, MAX_NMAX
 
@@ -99,6 +98,35 @@ class TestDimension:
         payload = json.loads(err)
         assert payload["error"] == "Infeasible"
         assert "bound" in payload["details"]
+
+
+# one cheap valid call of every subcommand
+_CHEAP_ARGV = {
+    "dimension": ["--lambda", "1/4", "--n", "3", "--m", "1"],
+    "validate": ["--lambda", "1/4", "--b", "0,3/16,3/4"],
+    "generate": ["--n", "3", "--m", "1", "--lambda", "1/4"],
+    "graph": ["--lambda", "1/4", "--b", "0,3/16,3/4"],
+    "factor": ["--poly", "x^4-3*x^2+1"],
+    "obstruct": ["--n", "3", "--m", "1", "--kmax", "2"],
+    "obstruct-sweep": ["--nmax", "4", "--kmax", "2"],
+    "dust-check": ["--n", "3", "--m", "1", "--lambda", "1/4", "--exponents", "1,1/2"],
+    "moran": ["--exponents", "1,1/2", "--base", "1/4"],
+    "tail-search": ["--q", "1", "--n", "3", "--m", "1", "--max-degree", "4", "--coeff-bound", "1"],
+    "render": ["--lambda", "1/4", "--b", "0,3/16,3/4", "--depth", "2", "--svg", "cover.svg"],
+    "growth": ["--lambda", "1/4", "--b", "0,3/16,3/4", "--depth", "3"],
+    "boxdim": ["--lambda", "1/4", "--b", "0,3/16,3/4", "--depth", "6", "--grid-levels", "4"],
+}
+
+
+@pytest.mark.parametrize("bits, expected", [("-5", 1), ("79", 1), ("80", 0)])
+@pytest.mark.parametrize("command", sorted(_CHEAP_ARGV))
+def test_precision_floor_is_the_same_for_every_subcommand(capsys, tmp_path, command, bits, expected):
+    argv = [str(tmp_path / arg) if arg == "cover.svg" else arg for arg in _CHEAP_ARGV[command]]
+    code, out, err = run(capsys, command, *argv, "--precision-bits", bits)
+    assert code == expected, err
+    if expected:
+        assert out == ""
+        assert json.loads(err)["message"] == f"precision_bits must be >= 80, got {bits}"
 
 
 class TestValidateAndGenerate:
@@ -325,8 +353,10 @@ class TestTailSearch:
         assert code == 0
         data = json.loads(out)
         assert data["counterexamples"] == []
-        assert data["candidates_tested"] > 0
-        assert [p["degree"] for p in data["partitions"]] == [2, 3, 4, 5, 6]
+        assert "Descartes' rule of signs" in data["proof"]
+        assert sorted(data) == [
+            "coeff_bound", "counterexamples", "m", "max_degree", "n", "proof", "q", "strategy",
+        ]
 
     def test_strategy_flag(self, capsys):
         data = run_json(
@@ -335,26 +365,6 @@ class TestTailSearch:
             "--max-degree", "4", "--coeff-bound", "2", "--strategy", "dividend",
         )
         assert data["strategy"] == "dividend"
-
-    def test_counterexamples_exit_3(self, capsys, monkeypatch):
-        # no in-class counterexample exists, so force one through the seam to
-        # check the wiring surfaces it loudly
-        hit = IntPoly([-1, 0, 0, 0, -1, 1])
-        fake = SearchReport(
-            q=1, n=3, m=1, max_degree=5, coeff_bound=1,
-            strategy=SearchStrategy.QUOTIENT,
-            counterexamples=(hit,),
-            candidates_tested=9,
-            partitions=(PartitionStat(degree=5, candidates=9, hits=1),),
-        )
-        monkeypatch.setattr("overlapkit.cli.nonneg_tail_search", lambda *a, **k: fake)
-        code, out, err = run(
-            capsys,
-            "tail-search", "--q", "1", "--n", "3", "--m", "1",
-            "--max-degree", "5", "--coeff-bound", "1",
-        )
-        assert code == 3
-        assert json.loads(out)["counterexamples"] == ["x^5-x^4-1"]
 
 
 class TestRenderGrowthBoxdim:
@@ -543,6 +553,10 @@ def argvs(draw):
 @settings(max_examples=300, deadline=None)
 @given(argvs())
 @example(["growth", "--lambda", "1/4", "--b", "0,3/16,3/4", "--depth", "8"])
+@example(
+    ["tail-search", "--q", "100000", "--n", "3", "--m", "1", "--max-degree", "200300",
+     "--coeff-bound", "0"]
+)
 @example(["render", "--lambda", "1/3", "--b", "0,2/3", "--depth", "3", "--svg", "missing/c.svg"])
 def test_argv_fuzz_exits_with_a_documented_code(argv):
     with tempfile.TemporaryDirectory() as tmp:

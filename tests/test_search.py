@@ -1,12 +1,20 @@
-"""Exhaustive search for nonneg-tail multiples of x^(2q) - n*x^q + m."""
+"""No monic nonneg-tail multiple of x^(2q) - n*x^q + m exists.
+
+nonneg_tail_search answers from Descartes' rule of signs. These tests check
+both halves of that proof by exact root counting, and compare the answer with
+the brute-force enumeration `tail_oracle` on finite boxes.
+"""
 
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from overlapkit.errors import InvalidArgument, SearchSpaceTooLarge
+from overlapkit.errors import InvalidArgument
 from overlapkit.intpoly import (
     IntPoly,
     SearchStrategy,
@@ -15,38 +23,70 @@ from overlapkit.intpoly import (
     nonneg_tail_search,
     parse_poly,
 )
-from overlapkit.intpoly.search import (
-    DEFAULT_SEARCH_CEILING,
-    _is_nonneg_tail,
-    _search_dividend_degree,
-    _search_quotient_degree,
-)
+from overlapkit.intpoly.roots import count_roots
+
+
+def is_nonneg_tail(poly: IntPoly) -> bool:
+    """Monic, with every coefficient below the leading one at most zero."""
+    return poly.lc == 1 and all(c <= 0 for c in poly.coeffs[:-1])
 
 
 class TestTailPredicate:
     def test_examples(self):
-        assert _is_nonneg_tail(parse_poly("x^2-x-1"))
-        assert _is_nonneg_tail(parse_poly("x^5-x^4-1"))
-        assert _is_nonneg_tail(parse_poly("x^3"))
-        assert not _is_nonneg_tail(parse_poly("x^2-x+1"))  # positive constant
-        assert not _is_nonneg_tail(parse_poly("2*x^2-x-1"))  # not monic
-        assert not _is_nonneg_tail(parse_poly("-x-1"))
+        assert is_nonneg_tail(parse_poly("x^2-x-1"))
+        assert is_nonneg_tail(parse_poly("x^5-x^4-1"))
+        assert is_nonneg_tail(parse_poly("x^3"))
+        assert not is_nonneg_tail(parse_poly("x^2-x+1"))  # positive constant
+        assert not is_nonneg_tail(parse_poly("2*x^2-x-1"))  # not monic
+        assert not is_nonneg_tail(parse_poly("-x-1"))
+
+
+class TestDescartesProof:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 50), min_size=1, max_size=12))
+    def test_nonneg_tail_has_at_most_one_positive_root(self, tail):
+        # exactly one once some tail coefficient is positive, else only x = 0
+        f = IntPoly([-c for c in tail] + [1])
+        assert count_roots(f, 0, 1 + max(tail)) == (1 if any(tail) else 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(3, 20).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 2))),
+        st.integers(1, 6),
+    )
+    def test_family_has_two_positive_roots(self, pair, q):
+        n, m = pair
+        assert count_roots(family_poly(n, m, q), 0, n) == 2
+
+    def test_proof_names_the_discriminant_and_both_root_counts(self):
+        assert nonneg_tail_search(2, 5, 3, 9, 1).proof == (
+            "discriminant n^2-4m = 13 > 0 and m = 3 > 0, so x^4-5*x^2+3 and each of "
+            "its multiples have 2 positive roots, while a monic nonneg-tail "
+            "polynomial has at most 1 (Descartes' rule of signs)"
+        )
+        assert "x^2-3*x+1 " in nonneg_tail_search(1, 3, 1, 2, 0).proof
 
 
 class TestInClassSearchesComeUpEmpty:
-    def test_golden_cases_both_strategies(self):
+    def test_golden_cases_both_strategies(self, tail_oracle):
         for strategy in SearchStrategy:
             report = nonneg_tail_search(1, 3, 1, 6, 4, strategy)
-            assert report.counterexamples == ()
-            assert report.candidates_tested > 0
-            assert [s.degree for s in report.partitions] == [2, 3, 4, 5, 6]
-            assert all(s.hits == 0 for s in report.partitions)
+            hits, leaves = tail_oracle(1, 3, 1, 6, 4, strategy)
+            assert list(report.counterexamples) == hits == []
+            assert leaves > 0
+            assert report.strategy is strategy
 
-    def test_strategies_count_differently_but_agree(self):
+    def test_strategies_count_differently_but_agree(self, tail_oracle):
         quotient = nonneg_tail_search(1, 4, 2, 5, 3, SearchStrategy.QUOTIENT)
         dividend = nonneg_tail_search(1, 4, 2, 5, 3, SearchStrategy.DIVIDEND)
         assert quotient.counterexamples == dividend.counterexamples == ()
-        assert quotient.candidates_tested < dividend.candidates_tested
+        q_hits, q_leaves = tail_oracle(1, 4, 2, 5, 3, "quotient")
+        d_hits, d_leaves = tail_oracle(1, 4, 2, 5, 3, "dividend")
+        assert q_hits == d_hits == []
+        assert q_leaves < d_leaves
+        # the capped quotient walk tests 183 quotients up to degree 9 at bound
+        # 10, where (2*10+1)^(p-2) per degree would be 1.9e9
+        assert tail_oracle(1, 3, 1, 9, 10) == ([], 183)
 
     def test_random_monic_multiples_never_have_nonneg_tail(self):
         rng = random.Random(41)
@@ -56,47 +96,44 @@ class TestInClassSearchesComeUpEmpty:
             q = rng.randint(1, 3)
             deg = rng.randint(0, 6)
             u = IntPoly([rng.randint(-5, 5) for _ in range(deg)] + [1])
-            assert not _is_nonneg_tail(u * family_poly(n, m, q))
+            assert not is_nonneg_tail(u * family_poly(n, m, q))
 
 
 class TestPlantedHits:
     """Out-of-class coefficients (n=1, m=1) do admit nonneg-tail multiples,
-    which exercises the hit-reporting path that in-class runs never reach:
+    which keeps the oracle's hit path from being vacuous:
     (x^3-x-1)(x^2-x+1) = x^5-x^4-1 and x^6-1 = (x^4+x^3-x-1)(x^2-x+1)."""
 
-    def test_quotient_walker_finds_known_multiples(self):
+    def test_quotient_walker_finds_known_multiples(self, tail_oracle):
         divisor = family_poly(1, 1, 1)
-        hits5, _, _ = _search_quotient_degree(1, 1, 1, 5, 1, DEFAULT_SEARCH_CEILING)
+        hits5, _ = tail_oracle(1, 1, 1, 5, 1)
         assert hits5 == [parse_poly("x^5-x^4-1")]
-        hits6, _, _ = _search_quotient_degree(1, 1, 1, 6, 1, DEFAULT_SEARCH_CEILING)
+        hits6, _ = tail_oracle(1, 1, 1, 6, 1)
         assert parse_poly("x^6-1") in hits6
-        for hit in hits5 + hits6:
-            assert _is_nonneg_tail(hit)
+        for hit in hits6:
+            assert is_nonneg_tail(hit)
             assert exact_div(hit, divisor) is not None
 
-    def test_dividend_walker_agrees_with_quotient_walker(self):
+    def test_dividend_walker_agrees_with_quotient_walker(self, tail_oracle):
         # the strategies bound different things (quotient coefficients versus
         # dividend tail), so agreement is cross-containment after filtering
         divisor = family_poly(1, 1, 1)
         bound = 2
-        for p in range(2, 7):
-            q_hits, _, _ = _search_quotient_degree(1, 1, 1, p, bound, DEFAULT_SEARCH_CEILING)
-            d_hits, _, _ = _search_dividend_degree(1, 1, 1, p, bound, DEFAULT_SEARCH_CEILING)
-            d_set = {f.coeffs for f in d_hits}
-            for hit in q_hits:
-                if hit.max_norm() <= bound:
-                    assert hit.coeffs in d_set
-            q_set = {f.coeffs for f in q_hits}
-            for hit in d_hits:
-                u = exact_div(hit, divisor)
-                assert u is not None
-                if u.max_norm() <= bound:
-                    assert hit.coeffs in q_set
+        q_hits, _ = tail_oracle(1, 1, 1, 6, bound, "quotient")
+        d_hits, _ = tail_oracle(1, 1, 1, 6, bound, "dividend")
+        assert q_hits and d_hits
+        for hit in q_hits:
+            if hit.max_norm() <= bound:
+                assert hit in d_hits
+        for hit in d_hits:
+            u = exact_div(hit, divisor)
+            assert u is not None
+            if u.max_norm() <= bound:
+                assert hit in q_hits
 
-    def test_no_low_degree_hits(self):
-        for p in (2, 3, 4):
-            hits, _, _ = _search_quotient_degree(1, 1, 1, p, 3, DEFAULT_SEARCH_CEILING)
-            assert hits == []
+    def test_no_low_degree_hits(self, tail_oracle):
+        for strategy in SearchStrategy:
+            assert tail_oracle(1, 1, 1, 4, 3, strategy)[0] == []
 
 
 class TestValidationAndLimits:
@@ -112,36 +149,18 @@ class TestValidationAndLimits:
         with pytest.raises(InvalidArgument):
             nonneg_tail_search(1, 3, 1, 6, -1)
 
-    def test_search_space_ceiling(self, monkeypatch):
-        # the dividend walk over (1, 3, 1, 6, 4) visits sum(5^0..5^p) nodes for
-        # p = 2..6, 24405 in all; the ceiling counts them, inclusively
-        monkeypatch.setattr("overlapkit.intpoly.search.DEFAULT_SEARCH_CEILING", 24405)
-        nonneg_tail_search(1, 3, 1, 6, 4, SearchStrategy.DIVIDEND)
-        monkeypatch.setattr("overlapkit.intpoly.search.DEFAULT_SEARCH_CEILING", 24404)
-        with pytest.raises(SearchSpaceTooLarge) as info:
-            nonneg_tail_search(1, 3, 1, 6, 4, SearchStrategy.DIVIDEND)
-        assert info.value.exit_code == 2
-        assert info.value.details == {"ceiling": 24404}
-
-    def test_walk_deeper_than_the_recursion_limit_is_a_resource_error(self):
-        # one partition of 1201 nodes, one per coefficient of x^1200
-        with pytest.raises(SearchSpaceTooLarge) as info:
-            nonneg_tail_search(600, 3, 1, 1200, 0, SearchStrategy.DIVIDEND)
-        assert info.value.details == {"degree": 1200}
-
-    def test_pruned_quotient_walk_is_charged_what_it_visits(self):
-        # (2*10+1)^(p-2) quotients per degree up to 9 would be 1.9e9, but the
-        # pruned walk tests 183 of them
-        report = nonneg_tail_search(1, 3, 1, 9, 10)
-        assert report.candidates_tested == 183
+    def test_boxes_beyond_any_enumeration_answer_at_once(self):
+        # an enumeration nests 1201 deep on the first box, and on the second
+        # holds a degree-200000 divisor for each of 301 degrees
+        for box in (
+            (600, 3, 1, 1200, 0, SearchStrategy.DIVIDEND),
+            (100_000, 3, 1, 200_300, 0, SearchStrategy.QUOTIENT),
+            (10**18, 20, 18, 10**19, 10**6, SearchStrategy.QUOTIENT),
+        ):
+            start = time.monotonic()
+            assert nonneg_tail_search(*box).counterexamples == ()
+            assert time.monotonic() - start < 1.0, box
 
     def test_strategy_accepts_plain_strings(self):
         report = nonneg_tail_search(1, 3, 1, 4, 2, "dividend")
         assert report.strategy is SearchStrategy.DIVIDEND
-
-    def test_report_partition_bookkeeping(self):
-        report = nonneg_tail_search(1, 3, 1, 5, 2, SearchStrategy.DIVIDEND)
-        assert report.candidates_tested == sum(s.candidates for s in report.partitions)
-        # dividend candidates at degree p enumerate all (bound+1)^p tails
-        for stat in report.partitions:
-            assert stat.candidates == 3**stat.degree
