@@ -130,24 +130,25 @@ def _resolve_precision(args: argparse.Namespace) -> int:
     return bits
 
 
-# -- subcommand handlers: (args, precision_bits) -> (payload, exit code) --------
+# -- subcommand handlers: (args, precision_bits) -> payload -------------------
+# A handler reports failure only by raising; main maps the error to its exit code.
 
 
-def _cmd_dimension(args, bits: int) -> tuple[dict, int]:
-    return dimension(args.n, args.m, args.lam, bits).to_json(), 0
+def _cmd_dimension(args, bits: int) -> dict:
+    return dimension(args.n, args.m, args.lam, bits).to_json()
 
 
-def _cmd_validate(args, bits: int) -> tuple[dict, int]:
+def _cmd_validate(args, bits: int) -> dict:
     spec, pattern = validate(args.lam, args.b)
-    return {**spec.to_json(), **pattern.to_json()}, 0
+    return {**spec.to_json(), **pattern.to_json()}
 
 
-def _cmd_generate(args, bits: int) -> tuple[dict, int]:
+def _cmd_generate(args, bits: int) -> dict:
     spec = generate(args.n, args.m, args.lam, args.pattern, seed=args.seed)
-    return {**spec.to_json(), "pattern": spec.step_kinds()}, 0
+    return {**spec.to_json(), "pattern": spec.step_kinds()}
 
 
-def _cmd_graph(args, bits: int) -> tuple[dict, int]:
+def _cmd_graph(args, bits: int) -> dict:
     spec, pattern = validate(args.lam, args.b)
     gs = build_graph(spec, Policy(args.policy))
     spectral = spectral_radius(gs.adjacency)
@@ -163,10 +164,10 @@ def _cmd_graph(args, bits: int) -> tuple[dict, int]:
     if args.dot:
         _atomic_write(args.dot, emit_dot(gs))
         payload["dot"] = args.dot
-    return payload, 0
+    return payload
 
 
-def _cmd_factor(args, bits: int) -> tuple[dict, int]:
+def _cmd_factor(args, bits: int) -> dict:
     poly = parse_poly(args.poly)
     fac = factor(poly)
     return {
@@ -175,32 +176,32 @@ def _cmd_factor(args, bits: int) -> tuple[dict, int]:
         "content": fac.content,
         "factors": [f.to_string() for f, mult in fac.factors for _ in range(mult)],
         "irreducible": poly.degree >= 1 and fac.is_irreducible_shape,
-    }, 0
+    }
 
 
-def _cmd_obstruct(args, bits: int) -> tuple[dict, int]:
-    return obstruction_verdict(args.n, args.m, args.kmax).to_json(), 0
+def _cmd_obstruct(args, bits: int) -> dict:
+    return obstruction_verdict(args.n, args.m, args.kmax).to_json()
 
 
-def _cmd_obstruct_sweep(args, bits: int) -> tuple[dict, int]:
+def _cmd_obstruct_sweep(args, bits: int) -> dict:
     reports = sweep(range(3, args.nmax + 1), kmax=args.kmax)
     return {
         "nmax": args.nmax,
         "kmax": args.kmax,
         "reports": [r.to_json() for r in reports],
-    }, 0
+    }
 
 
-def _cmd_dust_check(args, bits: int) -> tuple[dict, int]:
+def _cmd_dust_check(args, bits: int) -> dict:
     if args.ratios is not None:
         dust = DustIfsSpec.from_ratios(args.ratios)
     else:
         base = args.base if args.base is not None else args.lam
         dust = DustIfsSpec.from_exponents(base, args.exponents)
-    return dust_candidate_check(args.n, args.m, args.lam, dust, bits).to_json(), 0
+    return dust_candidate_check(args.n, args.m, args.lam, dust).to_json()
 
 
-def _cmd_moran(args, bits: int) -> tuple[dict, int]:
+def _cmd_moran(args, bits: int) -> dict:
     if args.ratios is not None:
         dust = DustIfsSpec.from_ratios(args.ratios)
     else:
@@ -213,10 +214,10 @@ def _cmd_moran(args, bits: int) -> tuple[dict, int]:
         "s": format_dimension(root.s, bits),
         "residual": str(root.residual),
         "iterations": root.iterations,
-    }, 0
+    }
 
 
-def _cmd_tail_search(args, bits: int) -> tuple[dict, int]:
+def _cmd_tail_search(args, bits: int) -> dict:
     report = nonneg_tail_search(
         args.q,
         args.n,
@@ -234,10 +235,10 @@ def _cmd_tail_search(args, bits: int) -> tuple[dict, int]:
         "strategy": report.strategy.value,
         "counterexamples": [c.to_string() for c in report.counterexamples],
         "proof": report.proof,
-    }, 0
+    }
 
 
-def _cmd_render(args, bits: int) -> tuple[dict, int]:
+def _cmd_render(args, bits: int) -> dict:
     spec = SelfSimilarSpec(args.lam, tuple(args.b))
     levels = cover_levels(spec, args.depth)
     _atomic_write(args.svg, emit_svg(levels))
@@ -254,22 +255,22 @@ def _cmd_render(args, bits: int) -> tuple[dict, int]:
         ]
         _atomic_write(args.csv, emit_csv(("depth", "offset", "length"), rows))
         payload["csv"] = args.csv
-    return payload, 0
+    return payload
 
 
-def _cmd_growth(args, bits: int) -> tuple[dict, int]:
+def _cmd_growth(args, bits: int) -> dict:
     spec = SelfSimilarSpec(args.lam, tuple(args.b))
     result = cylinder_growth(spec, args.depth)
     payload = result.to_json()
     if args.csv:
         _atomic_write(args.csv, emit_csv(("L", "N_L"), list(enumerate(result.counts))))
         payload["csv"] = args.csv
-    return payload, 0
+    return payload
 
 
-def _cmd_boxdim(args, bits: int) -> tuple[dict, int]:
+def _cmd_boxdim(args, bits: int) -> dict:
     spec = SelfSimilarSpec(args.lam, tuple(args.b))
-    return box_count_dimension(spec, args.depth, args.grid_levels).to_json(), 0
+    return box_count_dimension(spec, args.depth, args.grid_levels).to_json()
 
 
 def _build_parser() -> _Parser:
@@ -379,13 +380,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         bits = _resolve_precision(args)
-        payload, code = args.handler(args, bits)
+        payload = args.handler(args, bits)
         text = _render_json(payload) if args.format == "json" else _render_text(payload)
         if args.output:
             _atomic_write(args.output, text)
         else:
             sys.stdout.write(text)
-        return code
+        return 0
     except OSError as exc:
         # e.g. an --output, --dot, --svg or --csv path that cannot be written
         err = InputError(str(exc))

@@ -224,6 +224,8 @@ def is_perfect_power(m: int) -> Optional[tuple[int, int]]:
 # -- integer factorization (trial division, Miller-Rabin, Pollard rho) ----------
 
 _TRIAL_LIMIT = 10**6
+# Pollard rho iterations per cofactor before factor_integer gives up
+RHO_BUDGET = 200_000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -283,7 +285,7 @@ def _pollard_rho(n: int, budget: int) -> Optional[int]:
     return None
 
 
-def factor_integer(n: int, rho_budget: int = 200_000) -> dict[int, int]:
+def factor_integer(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
     Trial division up to 1e6, then Pollard rho on what remains. A cofactor
@@ -320,42 +322,13 @@ def factor_integer(n: int, rho_budget: int = 200_000) -> dict[int, int]:
             for _ in range(exp):
                 stack.append(base)
             continue
-        d = _pollard_rho(v, rho_budget)
+        d = _pollard_rho(v, RHO_BUDGET)
         if d is None:
             raise FactorizationUnknown(
                 f"cofactor {v} resisted the factoring budget", cofactor=str(v)
             )
         stack.append(d)
         stack.append(v // d)
-    return out
-
-
-def exponent_vector(x: Fraction) -> dict[int, int]:
-    """Prime exponent vector of a positive rational (negative exponents for
-    denominator primes). Empty for x == 1."""
-    if x <= 0:
-        raise InvalidArgument(f"exponent_vector needs a positive rational, got {x}")
-    vec: dict[int, int] = {}
-    for p, e in factor_integer(x.numerator).items():
-        vec[p] = vec.get(p, 0) + e
-    for p, e in factor_integer(x.denominator).items():
-        vec[p] = vec.get(p, 0) - e
-    return {p: e for p, e in vec.items() if e}
-
-
-def primitive_direction(vec: dict[int, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(content, unit) with vec == content * unit and unit gcd-reduced."""
-    if not vec:
-        raise InvalidArgument("zero exponent vector has no direction")
-    content = math.gcd(*(abs(e) for e in vec.values()))
-    unit = tuple(sorted((p, e // content) for p, e in vec.items()))
-    return content, unit
-
-
-def _vector_to_rational(vec: dict[int, int]) -> Fraction:
-    out = Fraction(1)
-    for p, e in vec.items():
-        out *= Fraction(p) ** e
     return out
 
 
@@ -368,16 +341,34 @@ class CommonBase(NamedTuple):
 def multiplicative_dependence(x: Fraction, y: Fraction) -> Optional[CommonBase]:
     """Common-base form x = r^kx, y = r^ky with gcd(kx, ky) = 1, if any.
 
-    Both inputs must lie in (0, 1). The base r is the largest rational with
-    coprime exponents, found through prime exponent vectors.
+    Both inputs must lie in (0, 1). Euclid's algorithm on the exponents finds
+    r, by exact division of u = 1/x and w = 1/y (both > 1):
+
+    - Keep u > w by swapping. If u = g^a and w = g^b for a rational g > 1,
+      then for every e < a/b, w^e divides u (numerators and denominators),
+      w^e < u and u/w^e = g^(a-be); when a check fails there is no common
+      base. The loop takes e = (bits(num u) - 1) // bits(num w), or 1: with
+      P = num(g) that is floor(a log2 P) // (floor(b log2 P) + 1) < a/b and
+      at least about a/(2b), so q subtractive steps take O(log q) passes.
+    - Replace u by u/w^e and repeat until u == w, tracking 1/x = u^p * w^q
+      and 1/y = u^s * w^t. At u == w == G, 1/x = G^(p+q) and 1/y = G^(s+t);
+      passes and swaps are unimodular, so the exponents are coprime, and a
+      base with coprime exponents is unique.
+    - u/w^e is in lowest terms and num(w) >= 2, so each pass halves num(u)
+      at least: at most log2 num(1/x) + log2 num(1/y) passes, with no
+      factoring and no logarithm.
     """
     for v in (x, y):
         if not (0 < v < 1):
             raise InvalidArgument(f"ratio must lie in (0,1), got {v}")
-    cx, ux = primitive_direction(exponent_vector(x))
-    cy, uy = primitive_direction(exponent_vector(y))
-    if ux != uy:
-        return None
-    g = math.gcd(cx, cy)
-    base = _vector_to_rational({p: e * g for p, e in ux})
-    return CommonBase(base, cx // g, cy // g)
+    u, w = 1 / Fraction(x), 1 / Fraction(y)
+    p, q, s, t = 1, 0, 0, 1
+    while u != w:
+        if u < w:
+            u, w, p, q, s, t = w, u, q, p, t, s
+        e = max(1, (u.numerator.bit_length() - 1) // w.numerator.bit_length())
+        power = w**e
+        if u.numerator % power.numerator or u.denominator % power.denominator or power >= u:
+            return None
+        u, q, t = u / power, q + e * p, t + e * s
+    return CommonBase(1 / u, p + q, s + t)

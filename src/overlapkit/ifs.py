@@ -172,6 +172,18 @@ def _check_class(n: int, m: int):
         raise NotInClass(f"need 1 <= m <= n-2, got (n,m)=({n},{m})", n=n, m=m)
 
 
+def check_feasible(n: int, m: int, lam: Fraction) -> Fraction:
+    """lam as a Fraction, after checking class membership, 0 < lam < 1 and
+    lam*beta <= 1 (by the exact slack), in that order."""
+    _check_class(n, m)
+    lam = Fraction(lam)
+    if not 0 < lam < 1:
+        raise InvalidArgument(f"ratio must lie in (0,1), got {lam}")
+    if feasibility_slack(n, m, lam) < 0:
+        raise _infeasible(n, m, lam)
+    return lam
+
+
 def _beta(n: int, m: int) -> QuadSurd:
     roots = quad_roots(n, m)
     if isinstance(roots, RationalRoots):
@@ -197,24 +209,23 @@ def generate(
     pattern: Optional[str] = None,
     *,
     seed: int = 0,
-    gap_shares: Optional[Sequence[Fraction]] = None,
 ) -> SelfSimilarSpec:
     """Build offsets realizing a pattern (or a seed-chosen random one).
 
     O steps are lambda-lambda^2, T steps lambda, and G steps lambda plus a
-    positive rational share of the slack delta = 1 - n*lam + m*lam^2. Shares
-    are equal unless gap_shares (positive, summing to 1) or a seed is given.
+    positive rational share of the slack delta = 1 - n*lam + m*lam^2. The
+    shares are equal for a given pattern and seed-weighted for a random one.
     """
     _check_class(n, m)
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise InvalidArgument(f"ratio must lie in (0,1), got {lam}")
-    rng = random.Random(seed)
     if pattern is None:
+        rng = random.Random(seed)
         pattern = _random_pattern(n, m, rng)
-        if gap_shares is None:
-            weights = [rng.randint(1, 9) for _ in range(pattern.count(GAP))]
-            gap_shares = [Fraction(w, sum(weights)) for w in weights]
+        weights = [rng.randint(1, 9) for _ in range(pattern.count(GAP))]
+    else:
+        weights = [1] * pattern.count(GAP)
     if len(pattern) != n - 1:
         raise InvalidArgument(f"pattern length must be n-1 = {n - 1}, got {len(pattern)!r}")
     if set(pattern) - {OVERLAP, TOUCH, GAP}:
@@ -229,12 +240,7 @@ def generate(
         # rational in-class lambda always has delta != 0, so a G-free pattern
         # can never absorb the slack
         raise _infeasible(n, m, lam)
-    if gaps:
-        if gap_shares is None:
-            gap_shares = [Fraction(1, gaps)] * gaps
-        shares = [Fraction(s) for s in gap_shares]
-        if len(shares) != gaps or any(s <= 0 for s in shares) or sum(shares) != 1:
-            raise InvalidArgument("gap_shares must be positive rationals summing to 1")
+    shares = [Fraction(w, sum(weights)) for w in weights]
     step_of = {OVERLAP: lam - lam * lam, TOUCH: lam}
     offsets = [Fraction(0)]
     gap_index = 0
@@ -291,14 +297,9 @@ def dimension(
     n: int, m: int, lam: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> DimensionResult:
     """dim_H = log(beta) / -log(lambda) for the class member, beta carried exactly."""
-    _check_class(n, m)
-    lam = Fraction(lam)
-    if not 0 < lam < 1:
-        raise InvalidArgument(f"ratio must lie in (0,1), got {lam}")
     if precision_bits < MIN_PRECISION_BITS:
         raise InvalidArgument(f"precision_bits must be >= {MIN_PRECISION_BITS}, got {precision_bits}")
-    if feasibility_slack(n, m, lam) < 0:
-        raise _infeasible(n, m, lam)
+    lam = check_feasible(n, m, lam)
     beta = _beta(n, m)
     with mpmath.workprec(precision_bits + 16):
         beta_f = surd_to_float(beta, precision_bits + 16)

@@ -9,22 +9,18 @@ exists.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from math import lcm
+from typing import Iterable, Optional
 
 from .errors import ConsistencyError, InvalidArgument, OutOfClass, ResourceLimitError
-from .exactnum import (
-    DEFAULT_PRECISION_BITS,
-    format_rational,
-    is_perfect_power,
-    multiplicative_dependence,
-)
-from .ifs import DustIfsSpec, dimension
+from .exactnum import format_rational, is_perfect_power, multiplicative_dependence
+from .ifs import DustIfsSpec, check_feasible
 from .intpoly import Factorization, IntPoly, factor, family_poly, gcd_poly, moran_poly
-from .intpoly.roots import count_roots, largest_root
+from .intpoly.poly import MAX_DEGREE
+from .intpoly.roots import count_roots
 
 # up to k = 15 every in-class pair with n <= 20 gets its verdict within about
 # a second; from k = 16 on, single factorizations (x^32-13x^16+1) take seconds
@@ -126,12 +122,7 @@ def obstruction_verdict(n: int, m: int, kmax: int = 8) -> ObstructionReport:
     )
 
 
-def sweep(
-    n_values: Iterable[int],
-    *,
-    kmax: int = 8,
-    m_filter: Optional[Callable[[int, int], bool]] = None,
-) -> list[ObstructionReport]:
+def sweep(n_values: Iterable[int], *, kmax: int = 8) -> list[ObstructionReport]:
     """Reports for every in-class (n, m) with n in n_values, (n, m) ascending."""
     ns = set()
     for n in n_values:
@@ -141,8 +132,6 @@ def sweep(
     reports = []
     for n in sorted(ns):
         for m in range(1, n - 1):
-            if m_filter is not None and not m_filter(n, m):
-                continue
             reports.append(obstruction_verdict(n, m, kmax))
     return reports
 
@@ -217,13 +206,7 @@ def _lambda_exponents(lam: Fraction, dust: DustIfsSpec) -> Optional[list[Fractio
     return exponents
 
 
-def dust_candidate_check(
-    n: int,
-    m: int,
-    lam: Fraction,
-    dust: DustIfsSpec,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> EquivalenceCheck:
+def dust_candidate_check(n: int, m: int, lam: Fraction, dust: DustIfsSpec) -> EquivalenceCheck:
     """Can the dust-like candidate share E's dimension equation?
 
     Commensurability first: every dust ratio must be a rational power of
@@ -231,55 +214,37 @@ def dust_candidate_check(
     Moran polynomial and x^(2k)-n*x^k+m must share the factor that has
     beta^(1/k) as a root; a constant gcd means the dimensions differ
     (DimensionMismatch), a non-constant gcd without that root is WrongFactor.
+
+    beta^(1/k) < n is the only root of x^(2k)-n*x^k+m above 1, as the other
+    root of x^2-n*x+m lies in (0, 1) and 1-n+m < 0; so the gcd holds it iff
+    it has a root in (1, n]. Degrees above MAX_DEGREE are refused unbuilt.
     """
     if not 1 <= m <= n - 2:
         raise OutOfClass(f"need 1 <= m <= n-2, got (n,m)=({n},{m})", n=n, m=m)
-    lam = Fraction(lam)
-    dimension(n, m, lam, precision_bits)  # rejects lambda outside (0, 1/beta]
+    lam = check_feasible(n, m, lam)
     exponents = _lambda_exponents(lam, dust)
-    if exponents is None:
-        return EquivalenceCheck(
-            n=n,
-            m=m,
-            lam=lam,
-            dust=dust,
-            k=None,
-            exponents=None,
-            pbar=None,
-            qbar=None,
-            gcd=None,
-            shared_root=False,
-            conclusion=Conclusion.RULED_OUT,
-            reason=RuledOutReason.INCOMMENSURABLE_RATIOS,
-        )
-    k = math.lcm(*(e.denominator for e in exponents))
-    scaled = tuple(sorted(int(e * k) for e in exponents))
-    pbar = family_poly(n, m, k)
-    qbar = moran_poly(scaled)
-    g = gcd_poly(pbar, qbar)
-    if g.degree == 0:
-        return EquivalenceCheck(
-            n=n,
-            m=m,
-            lam=lam,
-            dust=dust,
-            k=k,
-            exponents=scaled,
-            pbar=pbar,
-            qbar=qbar,
-            gcd=g,
-            shared_root=False,
-            conclusion=Conclusion.RULED_OUT,
-            reason=RuledOutReason.DIMENSION_MISMATCH,
-        )
-    # beta^(1/k) is pbar's largest real root and lies in (0, n]; g divides
-    # pbar, so g has it iff g has a root in its isolating interval
-    lo, hi, _ = largest_root(pbar, 0, n, 0)
-    shared = count_roots(g, lo, hi) > 0
-    if shared:
-        conclusion, reason = Conclusion.NOT_RULED_OUT, None
-    else:
-        conclusion, reason = Conclusion.RULED_OUT, RuledOutReason.WRONG_FACTOR
+    k = scaled = pbar = qbar = g = None
+    shared = False
+    reason = RuledOutReason.INCOMMENSURABLE_RATIOS
+    if exponents is not None:
+        k = lcm(*(e.denominator for e in exponents))
+        scaled = tuple(sorted(int(e * k) for e in exponents))
+        degree = max(2 * k, scaled[-1])
+        if degree > MAX_DEGREE:
+            raise ResourceLimitError(
+                f"dust-check polynomials of degree {degree} exceed {MAX_DEGREE}",
+                ceiling=MAX_DEGREE,
+            )
+        pbar = family_poly(n, m, k)
+        qbar = moran_poly(scaled)
+        g = gcd_poly(pbar, qbar)
+        shared = g.degree > 0 and count_roots(g, 1, n) > 0
+        if shared:
+            reason = None
+        elif g.degree == 0:
+            reason = RuledOutReason.DIMENSION_MISMATCH
+        else:
+            reason = RuledOutReason.WRONG_FACTOR
     return EquivalenceCheck(
         n=n,
         m=m,
@@ -291,6 +256,6 @@ def dust_candidate_check(
         qbar=qbar,
         gcd=g,
         shared_root=shared,
-        conclusion=conclusion,
+        conclusion=Conclusion.NOT_RULED_OUT if reason is None else Conclusion.RULED_OUT,
         reason=reason,
     )

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import mpmath
 
-from overlapkit import graphdir, ifs, numlab
+from overlapkit import exactnum, graphdir, ifs, numlab, obstruction
 from overlapkit.exactnum import is_perfect_power, surd_to_float
 from overlapkit.graphdir import Policy, build_graph, expand, spectral_radius, verify_beta_eigen
 from overlapkit.ifs import DustIfsSpec, dimension, generate, moran_dimension, validate
@@ -199,7 +199,13 @@ def test_dimension_counts_and_box_estimate():
 
 
 def test_exact_paths_never_touch_floats(sweep_specs):
-    sources = [
+    dust_sources = [
+        inspect.getsource(exactnum.multiplicative_dependence),
+        inspect.getsource(obstruction._lambda_exponents),
+        inspect.getsource(obstruction.dust_candidate_check),
+    ]
+    sources = dust_sources + [
+        inspect.getsource(ifs.check_feasible),
         inspect.getsource(ifs.SelfSimilarSpec.__post_init__),
         inspect.getsource(ifs.SelfSimilarSpec.step_kinds),
         inspect.getsource(ifs.classify_steps),
@@ -233,6 +239,9 @@ def test_exact_paths_never_touch_floats(sweep_specs):
         numlab._occupied_cells,
     ):
         assert "Fraction" not in inspect.getsource(function), function.__name__
+    # the dust check decides commensurability by divisibility, never by factoring
+    for source in dust_sources:
+        assert "factor_integer" not in source
     expansions = 0
     for n, m, lam, spec in sweep_specs[:30]:
         for policy in Policy:
@@ -244,6 +253,7 @@ def test_exact_paths_never_touch_floats(sweep_specs):
     assert all(isinstance(off, Fraction) for off in level.offsets)
     print(
         f"PASS exactness: validation, step classification, feasibility, generation, "
+        f"multiplicative dependence (without integer factoring), the dust candidate check, "
         f"expansion, cover, integer cover kernel, box-counting cells, characteristic polynomial, "
         f"real-root, exact division, Hensel lifting and recombination sources are free of "
         f"floating-point operations and {expansions} re-expansions observed no "

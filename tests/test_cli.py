@@ -18,6 +18,10 @@ from overlapkit.intpoly.poly import MAX_DEGREE
 from overlapkit.obstruction import MAX_KMAX, MAX_NMAX
 
 
+# the first primes above 2^61+12345 and 2^62+999
+_P, _Q = 2305843009213706309, 4611686018427388919
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -311,6 +315,33 @@ class TestDustCheckAndMoran:
         assert code == 1
         assert json.loads(err)["error"] == "InvalidArgument"
 
+    def test_dust_check_degree_ceiling_exits_2(self, capsys):
+        # a largest exponent of 100000, and k = lcm(255, 256) = 65280
+        for exponents in ("1,100000", "1/255,1/256,2"):
+            code, out, err = run(
+                capsys,
+                "dust-check", "--n", "3", "--m", "1", "--lambda", "1/4",
+                "--exponents", exponents,
+            )
+            assert code == 2 and out == ""
+            assert json.loads(err)["details"]["ceiling"] == MAX_DEGREE
+        for exponents in ("1,512", "1/256,1"):
+            run_json(
+                capsys,
+                "dust-check", "--n", "3", "--m", "1", "--lambda", "1/4",
+                "--exponents", exponents,
+            )
+
+    def test_dust_check_never_factors_the_ratios(self, capsys):
+        # 1/(P*Q) for two primes above 2^61 and 2^62, beyond any factoring budget
+        data = run_json(
+            capsys,
+            "dust-check", "--n", "3", "--m", "1", "--lambda", "1/4",
+            "--ratios", f"1/4,1/{_P * _Q}",
+        )
+        assert data["conclusion"] == "RuledOut"
+        assert data["reason"] == "IncommensurableRatios"
+
     def test_moran_ratios(self, capsys):
         data = run_json(capsys, "moran", "--ratios", "1/3,1/3")
         assert abs(float(data["s"]) - math.log(2) / math.log(3)) < 1e-10
@@ -558,6 +589,8 @@ def argvs(draw):
      "--coeff-bound", "0"]
 )
 @example(["render", "--lambda", "1/3", "--b", "0,2/3", "--depth", "3", "--svg", "missing/c.svg"])
+@example(["dust-check", "--n", "3", "--m", "1", "--lambda", "1/4", "--exponents", "1,100000"])
+@example(["dust-check", "--n", "3", "--m", "1", "--lambda", "1/4", "--exponents", "1/255,1/256,2"])
 def test_argv_fuzz_exits_with_a_documented_code(argv):
     with tempfile.TemporaryDirectory() as tmp:
         argv = [

@@ -8,7 +8,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from overlapkit import exactnum
 from overlapkit.errors import (
     FactorizationUnknown,
     InvalidArgument,
@@ -18,7 +22,6 @@ from overlapkit.exactnum import (
     CommonBase,
     QuadSurd,
     RationalRoots,
-    exponent_vector,
     factor_integer,
     format_rational,
     integer_root,
@@ -27,7 +30,6 @@ from overlapkit.exactnum import (
     is_square,
     multiplicative_dependence,
     parse_rational,
-    primitive_direction,
     quad_roots,
     surd_to_float,
 )
@@ -214,27 +216,15 @@ class TestIntegerFactoring:
         p, q = 1000003, 1000033
         assert factor_integer(p * q) == {p: 1, q: 1}
 
-    def test_budget_exhaustion_is_an_error(self):
+    def test_budget_exhaustion_is_an_error(self, monkeypatch):
         p = 2**61 - 1
         q = 2**89 - 1
+        monkeypatch.setattr(exactnum, "RHO_BUDGET", 5)
         with pytest.raises(FactorizationUnknown):
-            factor_integer(p * q, rho_budget=5)
+            factor_integer(p * q)
 
 
 class TestMultiplicativeStructure:
-    def test_exponent_vector(self):
-        assert exponent_vector(Fraction(8, 27)) == {2: 3, 3: -3}
-        assert exponent_vector(Fraction(1)) == {}
-        with pytest.raises(InvalidArgument):
-            exponent_vector(Fraction(-1, 2))
-
-    def test_primitive_direction(self):
-        content, unit = primitive_direction({2: 4, 3: -2})
-        assert content == 2
-        assert unit == ((2, 2), (3, -1))
-        with pytest.raises(InvalidArgument):
-            primitive_direction({})
-
     def test_dependence_golden_pairs(self):
         assert multiplicative_dependence(Fraction(1, 4), Fraction(1, 8)) == CommonBase(
             Fraction(1, 2), 2, 3
@@ -270,3 +260,54 @@ class TestMultiplicativeStructure:
             multiplicative_dependence(Fraction(3, 2), Fraction(1, 2))
         with pytest.raises(InvalidArgument):
             multiplicative_dependence(Fraction(1, 2), Fraction(0))
+
+
+def _dependence_oracle(x: Fraction, y: Fraction):
+    """CommonBase from sympy's prime exponent vectors: x and y are powers of
+    one base iff their vectors are parallel; the base takes the gcd of the
+    two contents times their shared primitive direction."""
+    vectors = []
+    for v in (x, y):
+        vec = dict(sympy.factorint(v.numerator))
+        for p, e in sympy.factorint(v.denominator).items():
+            vec[p] = vec.get(p, 0) - e
+        content = math.gcd(*vec.values())
+        vectors.append((content, {p: e // content for p, e in vec.items()}))
+    (cx, ux), (cy, uy) = vectors
+    if ux != uy:
+        return None
+    g = math.gcd(cx, cy)
+    base = Fraction(1)
+    for p, e in ux.items():
+        base *= Fraction(p) ** (e * g)
+    return CommonBase(base, cx // g, cy // g)
+
+
+_P = sympy.nextprime(2**61 + 12345)
+_Q = sympy.nextprime(2**62 + 999)
+# the semiprime is built from these primes; telling sympy spares its ECM 5 s
+sympy.factor_cache[_P * _Q] = _P
+_bases = st.builds(Fraction, st.integers(1, 30), st.integers(2, 40)).filter(lambda r: r < 1)
+
+
+@st.composite
+def dependence_pairs(draw):
+    """Powers of one base, products of two bases, or two independent draws."""
+    kind = draw(st.sampled_from(["powers", "products", "independent"]))
+    r, s = draw(_bases), draw(_bases)
+    i, j = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if kind == "powers":
+        return r**i, r**j
+    if kind == "products":
+        return r**i * s**j, r**j * s**i
+    return r**i, s**j
+
+
+@settings(max_examples=400, deadline=None)
+@given(dependence_pairs())
+@example((Fraction(1, 4), Fraction(1, _P * _Q)))
+@example((Fraction(1, 2**4000), Fraction(1, 2**6)))
+@example((Fraction(243, 1024), Fraction(3, 8)))  # (8/3)^2 divides 1024/243 but exceeds it
+def test_dependence_matches_the_factoring_oracle(pair):
+    x, y = pair
+    assert multiplicative_dependence(x, y) == _dependence_oracle(x, y)

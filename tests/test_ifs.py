@@ -107,15 +107,6 @@ class TestGenerate:
         gaps = [s - lam for s in spec.steps[1:]]
         assert all(g == delta / 3 for g in gaps)
 
-    def test_gap_shares_must_be_a_distribution(self):
-        with pytest.raises(InvalidArgument):
-            generate(4, 1, F(1, 6), "OGG", gap_shares=[F(1, 2), F(1, 3)])
-        with pytest.raises(InvalidArgument):
-            generate(4, 1, F(1, 6), "OGG", gap_shares=[F(3, 2), F(-1, 2)])
-        spec = generate(4, 1, F(1, 6), "OGG", gap_shares=[F(1, 4), F(3, 4)])
-        _, pattern = validate(spec.lam, spec.offsets)
-        assert pattern.word == "OGG"
-
     def test_seeded_generation_is_deterministic_and_valid(self):
         for seed in range(30):
             spec = generate(5, 2, F(1, 9), seed=seed)

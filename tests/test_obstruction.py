@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from overlapkit.errors import InvalidArgument, OutOfClass
 from overlapkit.exactnum import is_perfect_power
 from overlapkit.ifs import DustIfsSpec
-from overlapkit.intpoly import IntPoly, family_poly, is_irreducible
+from overlapkit.intpoly import IntPoly, family_poly, gcd_poly, is_irreducible, moran_poly
+from overlapkit.intpoly.roots import count_roots, largest_root
 from overlapkit.obstruction import (
     Conclusion,
     RuledOutReason,
@@ -86,8 +88,8 @@ class TestVerdicts:
             (5, 2),
             (5, 3),
         ]
-        odd_only = sweep(range(3, 8), m_filter=lambda n, m: m % 2 == 1)
-        assert all(r.m % 2 == 1 for r in odd_only)
+        odd_only = [(r.n, r.m) for r in sweep(range(3, 8)) if r.m % 2 == 1]
+        assert odd_only == [(3, 1), (4, 1), (5, 1), (5, 3), (6, 1), (6, 3), (7, 1), (7, 3), (7, 5)]
 
 
 class TestDustCandidateCheck:
@@ -163,6 +165,32 @@ class TestDustCandidateCheck:
         ).to_json()
         assert ruled["reason"] == "IncommensurableRatios"
         assert ruled["pbar"] is None and ruled["qbar"] is None and ruled["gcd"] is None
+
+
+    def test_shared_root_matches_the_isolating_interval(self):
+        # the old rule as oracle: g holds beta^(1/k) iff g has a root in the
+        # isolating interval of the largest root of x^(2k)-n*x^k+m; checked on
+        # every exponent set of 2-4 maps over lambda^(1/k), k in {1,2,3,4,6},
+        # whose Moran polynomial meets the family polynomial, plus the
+        # WrongFactor example
+        cases = [(18, 1, 3, tuple([2] + [3] * 21 + [4] * 8 + [5] * 3))]
+        for n, m in ((3, 1), (6, 1), (7, 1), (8, 4), (11, 1), (12, 4)):
+            for k in (1, 2, 3, 4, 6):
+                pbar = family_poly(n, m, k)
+                for size in (2, 3, 4):
+                    for js in itertools.combinations_with_replacement(range(1, 2 * k + 1), size):
+                        if gcd_poly(pbar, moran_poly(js)).degree > 0:
+                            cases.append((n, m, k, js))
+        assert len(cases) == 29
+        verdicts = []
+        for n, m, k, js in cases:
+            lam = F(1, n + 1)
+            dust = DustIfsSpec.from_exponents(lam, [F(j, k) for j in js])
+            check = dust_candidate_check(n, m, lam, dust)
+            lo, hi, _ = largest_root(check.pbar, 0, n, 0)
+            assert check.shared_root == (count_roots(check.gcd, lo, hi) > 0), (n, m, js)
+            verdicts.append(check.shared_root)
+        assert verdicts.count(False) == 1  # the WrongFactor example
 
 
 class TestFamilyIrreducibilityBase:
