@@ -18,7 +18,6 @@ from .exactnum import (
     DEFAULT_PRECISION_BITS,
     CommonBase,
     QuadSurd,
-    factor_integer,
     integer_root,
     is_perfect_power,
     multiplicative_dependence,
@@ -126,7 +125,6 @@ __all__ = [
     "exact_div",
     "expand",
     "factor",
-    "factor_integer",
     "family_poly",
     "gcd_poly",
     "generate",

@@ -52,10 +52,6 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidArgument(message)
 
 
-def _rational(text: str) -> Fraction:
-    return parse_rational(text)
-
-
 def _rational_list(text: str) -> tuple[Fraction, ...]:
     items = [part for part in text.split(",") if part.strip()]
     if not items:
@@ -292,22 +288,22 @@ def _build_parser() -> _Parser:
         return p
 
     p = add("dimension", _cmd_dimension, "Hausdorff dimension of a class member")
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True)
+    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
 
     p = add("validate", _cmd_validate, "classify offsets and check class membership")
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True)
+    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
     p.add_argument("--b", type=_rational_list, required=True, metavar="c0,c1,...")
 
     p = add("generate", _cmd_generate, "build offsets realizing an O/T/G pattern")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True)
+    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
     p.add_argument("--pattern", default=None, metavar="OTG-word")
 
     p = add("graph", _cmd_graph, "graph-directed decomposition and spectral radius")
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True)
+    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
     p.add_argument("--b", type=_rational_list, required=True, metavar="c0,c1,...")
     p.add_argument(
         "--policy", choices=[policy.value for policy in Policy], default=Policy.CUT_AT_TOUCH.value
@@ -329,17 +325,17 @@ def _build_parser() -> _Parser:
     p = add("dust-check", _cmd_dust_check, "test a dust-like candidate against E")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True)
+    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ratios", type=_rational_list, default=None, metavar="r1,r2,...")
     group.add_argument("--exponents", type=_rational_list, default=None, metavar="e1,e2,...")
-    p.add_argument("--base", type=_rational, default=None, help="base for --exponents (default: lambda)")
+    p.add_argument("--base", type=parse_rational, default=None, help="base for --exponents (default: lambda)")
 
     p = add("moran", _cmd_moran, "Moran-equation dimension of a dust-like system")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ratios", type=_rational_list, default=None, metavar="r1,r2,...")
     group.add_argument("--exponents", type=_rational_list, default=None, metavar="e1,e2,...")
-    p.add_argument("--base", type=_rational, default=None)
+    p.add_argument("--base", type=parse_rational, default=None)
 
     p = add("tail-search", _cmd_tail_search, "no nonneg-tail multiple exists (Descartes' rule)")
     p.add_argument("--q", type=int, required=True)
@@ -354,20 +350,20 @@ def _build_parser() -> _Parser:
     )
 
     p = add("render", _cmd_render, "draw the interval cover as SVG bar rows")
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True)
+    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
     p.add_argument("--b", type=_rational_list, required=True, metavar="c0,c1,...")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--svg", metavar="PATH", required=True)
     p.add_argument("--csv", metavar="PATH", default=None)
 
     p = add("growth", _cmd_growth, "cylinder counts and growth rate")
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True)
+    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
     p.add_argument("--b", type=_rational_list, required=True, metavar="c0,c1,...")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--csv", metavar="PATH", default=None)
 
     p = add("boxdim", _cmd_boxdim, "box-counting dimension estimate")
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True)
+    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
     p.add_argument("--b", type=_rational_list, required=True, metavar="c0,c1,...")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--grid-levels", type=int, required=True)

@@ -63,10 +63,6 @@ class NonPositiveDiscriminant(InputError):
     pass
 
 
-class FactorizationUnknown(ResourceLimitError):
-    """An integer resisted the factoring budget; no guess is returned."""
-
-
 class PolySyntaxError(InputError):
     def __init__(self, message: str, position: int, **details: Any):
         super().__init__(message, position=position, **details)

@@ -1,6 +1,6 @@
 """Exact arithmetic foundation: big rationals, the exact normal form of a
-quadratic root, perfect power detection, and multiplicative dependence of
-rationals.
+quadratic root, perfect power detection, primality, and multiplicative
+dependence of rationals. Nothing here factors an integer.
 
 Everything here is a pure function on immutable values. Parameters stay
 rational so that structural predicates elsewhere in the toolkit are decided
@@ -9,14 +9,14 @@ by exact equality, never by epsilon.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import NamedTuple, Optional, Union
 
 import mpmath
 
-from .errors import FactorizationUnknown, InvalidArgument, NonPositiveDiscriminant
+from .errors import InvalidArgument, NonPositiveDiscriminant
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -47,35 +47,59 @@ def _fraction_to_mpf(value: Fraction) -> mpmath.mpf:
 def is_square(n: int) -> bool:
     if n < 0:
         return False
-    r = math.isqrt(n)
+    r = isqrt(n)
     return r * r == n
 
 
-def _squarefree_split(d: int) -> tuple[int, int]:
-    """Write d = s^2 * f with f squarefree; returns (s, f).
+_TRIAL_LIMIT = 10**6
 
-    Falls back to (1, d) if d resists the factoring budget.
+
+def _trial_divisors():
+    # 2, 3 and the 6k+-1 wheel below _TRIAL_LIMIT: a superset of its primes
+    yield 2
+    yield 3
+    for p in range(5, _TRIAL_LIMIT, 6):
+        yield p
+        yield p + 2
+
+
+def _squarefree_split(d: int) -> tuple[int, int]:
+    """Write d = s^2 * f for d >= 1 by trial division; returns (s, f).
+
+    Trial division removes each prime p while p^3 <= c, the cofactor left,
+    and stops there or at _TRIAL_LIMIT. Stopping at p^3 > c, every prime
+    factor of c exceeds c^(1/3), so c is 1, q, q*r or q^2 (q != r primes)
+    and one isqrt settles which. Stopping at the limit, every prime factor
+    of c is at least 1000003, so again c has at most two when c < 10^18.
+    So f is squarefree for d < 10^18 (every discriminant of an in-class
+    n < 10^9); above that f may keep q^2 for a prime q > 10^6. Always
+    s^2 * f == d, and the work is bounded whatever d is.
     """
-    try:
-        fac = factor_integer(d)
-    except FactorizationUnknown:
-        return 1, d
-    s = 1
-    f = 1
-    for p, e in fac.items():
-        s *= p ** (e // 2)
-        if e % 2:
-            f *= p
-    return s, f
+    s, f, c = 1, 1, d
+    cube = integer_root(c, 3)
+    for p in _trial_divisors():
+        if p > cube:
+            break
+        if c % p == 0:
+            e = 0
+            while c % p == 0:
+                c //= p
+                e += 1
+            s *= p ** (e // 2)
+            f *= p ** (e % 2)
+            cube = integer_root(c, 3)
+    r = isqrt(c)
+    return (s * r, f) if r * r == c else (s, f * c)
 
 
 class QuadSurd:
     """Exact value a + b*sqrt(D), the printed normal form of a quadratic root.
 
-    D is normalized to its squarefree part (and must end up > 1), so equal
-    reals have equal components and equality is componentwise. Rational
-    values (b == 0) compare equal across fields. There is no arithmetic or
-    ordering: decisions about the root are made on rationals or integers.
+    The square factors _squarefree_split finds in D move into b. As D is
+    not a square, the value is fixed by a and the signed b^2*D; equality and
+    hash use that pair, so they hold whatever D's reduction. Rationals
+    (b == 0) compare and hash like a. There is no arithmetic or ordering:
+    decisions about the root are made on rationals or integers.
     """
 
     __slots__ = ("a", "b", "D")
@@ -91,11 +115,12 @@ class QuadSurd:
         self.b = Fraction(b) * s
         self.D = f
 
+    def _value(self) -> tuple[Fraction, Fraction]:
+        return self.a, self.b * abs(self.b) * self.D
+
     def __eq__(self, other) -> bool:
         if isinstance(other, QuadSurd):
-            if self.b == 0 and other.b == 0:
-                return self.a == other.a
-            return self.D == other.D and self.a == other.a and self.b == other.b
+            return self._value() == other._value()
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
         return NotImplemented
@@ -103,7 +128,7 @@ class QuadSurd:
     def __hash__(self):
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.D))
+        return hash(self._value())
 
     def __repr__(self) -> str:
         return f"QuadSurd({self.a} + {self.b}*sqrt({self.D}))"
@@ -136,7 +161,7 @@ def quad_roots(n: int, m: int):
             m=m,
             discriminant=disc,
         )
-    t = math.isqrt(disc)
+    t = isqrt(disc)
     if t * t == disc:
         return RationalRoots(Fraction(n + t, 2), Fraction(n - t, 2))
     half = Fraction(1, 2)
@@ -148,7 +173,7 @@ def surd_to_float(x: QuadSurd, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
     at unit scale (guard bits grow with the magnitude of the components)."""
     if precision_bits < 53:
         raise InvalidArgument(f"precision_bits must be >= 53, got {precision_bits}")
-    mag = max(abs(x.a), abs(x.b) * (math.isqrt(x.D) + 1), Fraction(1))
+    mag = max(abs(x.a), abs(x.b) * (isqrt(x.D) + 1), Fraction(1))
     extra = int(mag).bit_length() + 4
     with mpmath.workprec(precision_bits + 12 + extra):
         val = _fraction_to_mpf(x.a) + _fraction_to_mpf(x.b) * mpmath.sqrt(x.D)
@@ -166,24 +191,18 @@ def integer_root(m: int, k: int) -> int:
     if k == 1 or m < 2:
         return m
     if k == 2:
-        return math.isqrt(m)
+        return isqrt(m)
     if k >= m.bit_length():
         return 1
-    if m.bit_length() <= 52:
-        r = max(int(m ** (1.0 / k)), 1)
-    else:
-        # Newton from an upper bound; the iteration is monotone decreasing.
-        r = 1 << -(-m.bit_length() // k)
-        while True:
-            s = ((k - 1) * r + m // r ** (k - 1)) // k
-            if s >= r:
-                break
-            r = s
-    while r**k > m:
-        r -= 1
-    while (r + 1) ** k <= m:
-        r += 1
-    return r
+    # Newton from r > m^(1/k). By AM-GM every step s is at least the root
+    # R = floor(m^(1/k)); while r > R, r^k > m makes s < r; at r == R, s >= r.
+    # So the steps fall strictly to R and stop there.
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +211,7 @@ def _primes_upto(limit: int) -> tuple[int, ...]:
         return ()
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
+    for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return tuple(i for i, flag in enumerate(sieve) if flag)
@@ -221,11 +240,8 @@ def is_perfect_power(m: int) -> Optional[tuple[int, int]]:
     return None
 
 
-# -- integer factorization (trial division, Miller-Rabin, Pollard rho) ----------
+# -- primality (Miller-Rabin) ---------------------------------------------------
 
-_TRIAL_LIMIT = 10**6
-# Pollard rho iterations per cofactor before factor_integer gives up
-RHO_BUDGET = 200_000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -233,7 +249,7 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin with fixed bases; deterministic below 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -252,84 +268,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _pollard_rho(n: int, budget: int) -> Optional[int]:
-    """Brent-cycle rho; deterministic (fixed parameter sweep), budgeted."""
-    for c in range(1, 20):
-        y, m_batch, g, r, q = 2, 128, 1, 1, 1
-        x = ys = 2
-        spent = 0
-        while g == 1 and spent < budget:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m_batch, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                spent += min(m_batch, r - k)
-                g = math.gcd(q, n)
-                k += m_batch
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1 and spent < budget:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-                spent += 1
-        if 1 < g < n:
-            return g
-    return None
-
-
-def factor_integer(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}.
-
-    Trial division up to 1e6, then Pollard rho on what remains. A cofactor
-    that resists the budget raises FactorizationUnknown rather than letting a
-    wrong answer through.
-    """
-    if n < 1:
-        raise InvalidArgument(f"factor_integer needs n >= 1, got {n}")
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    p = 5
-    while p * p <= n and p < _TRIAL_LIMIT:
-        for q in (p, p + 2):
-            while n % q == 0:
-                out[q] = out.get(q, 0) + 1
-                n //= q
-        p += 6
-    if n == 1:
-        return out
-    stack = [n]
-    while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
-        if is_prime(v):
-            out[v] = out.get(v, 0) + 1
-            continue
-        pp = is_perfect_power(v)
-        if pp is not None:
-            base, exp = pp
-            for _ in range(exp):
-                stack.append(base)
-            continue
-        d = _pollard_rho(v, RHO_BUDGET)
-        if d is None:
-            raise FactorizationUnknown(
-                f"cofactor {v} resisted the factoring budget", cofactor=str(v)
-            )
-        stack.append(d)
-        stack.append(v // d)
-    return out
 
 
 class CommonBase(NamedTuple):

@@ -205,6 +205,12 @@ def test_exact_paths_never_touch_floats(sweep_specs):
         inspect.getsource(obstruction.dust_candidate_check),
     ]
     sources = dust_sources + [
+        inspect.getsource(exactnum.integer_root),
+        inspect.getsource(is_perfect_power),
+        inspect.getsource(exactnum._squarefree_split),
+        inspect.getsource(exactnum.QuadSurd.__init__),
+        inspect.getsource(exactnum.QuadSurd.__eq__),
+        inspect.getsource(obstruction_verdict),
         inspect.getsource(ifs.check_feasible),
         inspect.getsource(ifs.SelfSimilarSpec.__post_init__),
         inspect.getsource(ifs.SelfSimilarSpec.step_kinds),
@@ -252,8 +258,10 @@ def test_exact_paths_never_touch_floats(sweep_specs):
     level = cover(generate(3, 1, F(1, 4), "OG"), 6)
     assert all(isinstance(off, Fraction) for off in level.offsets)
     print(
-        f"PASS exactness: validation, step classification, feasibility, generation, "
-        f"multiplicative dependence (without integer factoring), the dust candidate check, "
+        f"PASS exactness: integer roots, perfect powers, the obstruction verdict, the "
+        f"radicand split and QuadSurd construction and equality, validation, step "
+        f"classification, feasibility, generation, multiplicative dependence (without "
+        f"integer factoring), the dust candidate check, "
         f"expansion, cover, integer cover kernel, box-counting cells, characteristic polynomial, "
         f"real-root, exact division, Hensel lifting and recombination sources are free of "
         f"floating-point operations and {expansions} re-expansions observed no "

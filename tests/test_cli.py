@@ -8,6 +8,7 @@ import json
 import math
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -95,6 +96,15 @@ class TestDimension:
         assert json.loads(err)["details"]["ceiling"] == MAX_PRECISION_BITS
         monkeypatch.setenv("OVERLAPKIT_PRECISION_BITS", str(MAX_PRECISION_BITS))
         assert run_json(capsys, *argv)["precision_bits"] == MAX_PRECISION_BITS
+
+    def test_radicand_beyond_trial_division_is_prompt(self, capsys):
+        # a 77-bit n: D = n^2-4 is printed as it stands, after bounded trial division
+        n = 10**23 + 3
+        start = time.perf_counter()
+        data = run_json(capsys, "dimension", "--n", str(n), "--m", "1", "--lambda", f"1/{10 * n}")
+        assert time.perf_counter() - start < 5
+        assert data["beta"] == {"a": f"{n}/2", "b": "1/2", "D": n * n - 4}
+        assert data["s"] == "0.95833333333333333333333335595283759913"
 
     def test_infeasible_ratio_exits_1(self, capsys):
         code, out, err = run(capsys, "dimension", "--lambda", "2/5", "--n", "3", "--m", "1")
@@ -495,6 +505,7 @@ class TestHarness:
         code, out, err = run(capsys, "dimension", "--lambda", "0.25", "--n", "3", "--m", "1")
         assert code == 1
         assert json.loads(err)["error"] == "InvalidArgument"
+        assert json.loads(err)["message"] == "not an exact rational: '0.25'"
 
 
 # -- argv fuzz ------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact arithmetic layer: rationals, quadratic surds, integer factoring."""
+"""Exact arithmetic layer: rationals, quadratic surds, perfect powers, primality."""
 
 from __future__ import annotations
 
@@ -13,16 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overlapkit import exactnum
-from overlapkit.errors import (
-    FactorizationUnknown,
-    InvalidArgument,
-    NonPositiveDiscriminant,
-)
+from overlapkit.errors import InvalidArgument, NonPositiveDiscriminant
 from overlapkit.exactnum import (
     CommonBase,
     QuadSurd,
     RationalRoots,
-    factor_integer,
     format_rational,
     integer_root,
     is_perfect_power,
@@ -68,6 +63,22 @@ class TestQuadSurd:
         assert QuadSurd(1, 0, 5) == 1
         assert QuadSurd(Fraction(1, 2), 0, 3) == Fraction(1, 2)
         assert hash(QuadSurd(1, 0, 5)) == hash(1)
+
+    def test_equality_is_by_value(self):
+        # P*Q has no prime factor below 10^20, so the split keeps R^2 in R^2*P*Q
+        P, Q = sympy.nextprime(10**20), sympy.nextprime(2 * 10**20)
+        R = sympy.nextprime(10**6)
+        kept = QuadSurd(1, 1, R * R * P * Q)
+        assert kept.D == R * R * P * Q
+        for x, y in [
+            (QuadSurd(0, 1, 4 * P * Q), QuadSurd(0, 2, P * Q)),
+            (kept, QuadSurd(1, R, P * Q)),
+            (QuadSurd(0, -2, 12), QuadSurd(0, -4, 3)),
+        ]:
+            assert x == y and hash(x) == hash(y)
+        assert QuadSurd(0, 1, 8) != QuadSurd(0, -1, 8)
+        assert QuadSurd(0, 1, 8) != QuadSurd(0, 1, 2)
+        assert QuadSurd(1, 1, 2) != QuadSurd(0, 1, 2)
 
 
 class TestQuadRoots:
@@ -200,28 +211,62 @@ class TestIntegerFactoring:
         assert not is_prime(561)  # Carmichael
         assert not is_prime(2**67 - 1)
 
-    def test_factor_reconstructs_input(self):
-        rng = random.Random(13)
-        for _ in range(60):
-            v = rng.randrange(1, 10**9)
-            fac = factor_integer(v)
-            prod = 1
-            for p, e in fac.items():
-                assert is_prime(p)
-                assert e >= 1
-                prod *= p**e
-            assert prod == v
-
     def test_factor_semiprime_beyond_trial_division(self):
-        p, q = 1000003, 1000033
-        assert factor_integer(p * q) == {p: 1, q: 1}
+        d = 1000003 * 1000033
+        assert exactnum._squarefree_split(d) == (1, d)
 
-    def test_budget_exhaustion_is_an_error(self, monkeypatch):
-        p = 2**61 - 1
-        q = 2**89 - 1
-        monkeypatch.setattr(exactnum, "RHO_BUDGET", 5)
-        with pytest.raises(FactorizationUnknown):
-            factor_integer(p * q)
+
+def _split_oracle(d: int) -> tuple[int, int]:
+    """(s, f) with d = s^2 * f and f squarefree, from sympy's factorization."""
+    s = f = 1
+    for p, e in sympy.factorint(d).items():
+        s *= p ** (e // 2)
+        f *= p ** (e % 2)
+    return s, f
+
+
+_near_trial_limit = st.integers(10**6 - 2000, 10**6 + 2000).map(sympy.nextprime)
+
+
+@st.composite
+def radicands(draw):
+    """d < 10^18: random, p^2*q or p^3 with p a prime near 10^6, or n^2-4m."""
+    kind = draw(st.sampled_from(["random", "square", "cube", "discriminant"]))
+    if kind == "random":
+        return draw(st.integers(1, 10**18 - 1))
+    p = draw(_near_trial_limit)
+    if kind == "square":
+        return p * p * draw(st.integers(1, (10**18 - 1) // (p * p)))
+    if kind == "cube":
+        return p**3 if p**3 < 10**18 else p * p
+    n = draw(st.integers(3, 10**9 - 1))
+    return n * n - 4 * draw(st.integers(1, n - 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(radicands())
+@example(999983**3)
+@example(2**59)
+@example(1)
+def test_squarefree_split_matches_the_factoring_oracle(d):
+    assert exactnum._squarefree_split(d) == _split_oracle(d)
+
+
+_PRIMES_BELOW_TRIAL_LIMIT = tuple(sympy.primerange(2, 10**6))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(10**18, 10**40)
+    | st.tuples(_near_trial_limit, st.integers(10**12, 10**30)).map(lambda t: t[0] ** 2 * t[1])
+    | st.integers(2, 10**6).map(lambda p: p * p * (10**40 + 3))
+)
+@example(1000003**3)
+@example(4 * sympy.nextprime(10**20) * sympy.nextprime(2 * 10**20))
+def test_squarefree_split_above_the_exact_range(d):
+    s, f = exactnum._squarefree_split(d)
+    assert s * s * f == d
+    assert all(f % (p * p) for p in _PRIMES_BELOW_TRIAL_LIMIT)
 
 
 class TestMultiplicativeStructure:
