@@ -18,13 +18,14 @@ import tempfile
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InputError, InvalidArgument, OverlapKitError, ResourceLimitError
+from .errors import InputError, InvalidArgument, OverlapKitError
 from .exactnum import DEFAULT_PRECISION_BITS, format_rational, parse_rational
 from .graphdir import Policy, build_graph, emit_dot, spectral_radius, verify_beta_eigen
 from .ifs import (
-    MIN_PRECISION_BITS,
+    MAX_PRECISION_BITS,  # re-exported: callers read the ceiling here
     DustIfsSpec,
     SelfSimilarSpec,
+    check_precision,
     dimension,
     format_dimension,
     generate,
@@ -34,6 +35,7 @@ from .ifs import (
 from .intpoly import SearchStrategy, factor, nonneg_tail_search, parse_poly
 from .numlab import (
     box_count_dimension,
+    check_cylinders,
     cover_levels,
     cylinder_growth,
     emit_csv,
@@ -41,8 +43,9 @@ from .numlab import (
 )
 from .obstruction import dust_candidate_check, obstruction_verdict, sweep
 
-# dimension and moran each finish within about a second at this precision
-MAX_PRECISION_BITS = 4096
+# render draws every cylinder of every level, n^depth * n/(n-1) when none
+# merge; (1/5; 0,2/5,4/5) at depth 10 (3^10) then takes 1.4 s with --csv
+MAX_RENDER_CYLINDERS = 60_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,12 +120,7 @@ def _resolve_precision(args: argparse.Namespace) -> int:
             raise InvalidArgument(
                 f"OVERLAPKIT_PRECISION_BITS must be an integer, got {raw!r}"
             ) from exc
-    if bits < MIN_PRECISION_BITS:
-        raise InvalidArgument(f"precision_bits must be >= {MIN_PRECISION_BITS}, got {bits}")
-    if bits > MAX_PRECISION_BITS:
-        raise ResourceLimitError(
-            f"precision_bits must be <= {MAX_PRECISION_BITS}, got {bits}", ceiling=MAX_PRECISION_BITS
-        )
+    check_precision(bits)
     return bits
 
 
@@ -188,22 +186,21 @@ def _cmd_obstruct_sweep(args, bits: int) -> dict:
     }
 
 
+def _dust_spec(args, default_base: Optional[Fraction] = None) -> DustIfsSpec:
+    """The system of --ratios, or of --exponents over --base (default_base if
+    not given); DustIfsSpec refuses any other combination."""
+    base = args.base
+    if base is None and args.exponents is not None:
+        base = default_base
+    return DustIfsSpec(ratios=args.ratios, base=base, exponents=args.exponents)
+
+
 def _cmd_dust_check(args, bits: int) -> dict:
-    if args.ratios is not None:
-        dust = DustIfsSpec.from_ratios(args.ratios)
-    else:
-        base = args.base if args.base is not None else args.lam
-        dust = DustIfsSpec.from_exponents(base, args.exponents)
-    return dust_candidate_check(args.n, args.m, args.lam, dust).to_json()
+    return dust_candidate_check(args.n, args.m, args.lam, _dust_spec(args, args.lam)).to_json()
 
 
 def _cmd_moran(args, bits: int) -> dict:
-    if args.ratios is not None:
-        dust = DustIfsSpec.from_ratios(args.ratios)
-    else:
-        if args.base is None:
-            raise InvalidArgument("--base is required with --exponents")
-        dust = DustIfsSpec.from_exponents(args.base, args.exponents)
+    dust = _dust_spec(args)
     root = moran_dimension(dust, bits)
     return {
         "dust": dust.to_json(),
@@ -236,6 +233,7 @@ def _cmd_tail_search(args, bits: int) -> dict:
 
 def _cmd_render(args, bits: int) -> dict:
     spec = SelfSimilarSpec(args.lam, tuple(args.b))
+    check_cylinders(spec.n, args.depth, MAX_RENDER_CYLINDERS)
     levels = cover_levels(spec, args.depth)
     _atomic_write(args.svg, emit_svg(levels))
     payload = {

@@ -1,6 +1,6 @@
 """Exact arithmetic foundation: big rationals, the exact normal form of a
-quadratic root, perfect power detection, primality, and multiplicative
-dependence of rationals. Nothing here factors an integer.
+quadratic root, perfect power detection, and multiplicative dependence of
+rationals. Nothing here factors an integer.
 
 Everything here is a pure function on immutable values. Parameters stay
 rational so that structural predicates elsewhere in the toolkit are decided
@@ -10,7 +10,6 @@ by exact equality, never by epsilon.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple, Optional, Union
 
@@ -205,18 +204,6 @@ def integer_root(m: int, k: int) -> int:
         r = s
 
 
-@lru_cache(maxsize=None)
-def _primes_upto(limit: int) -> tuple[int, ...]:
-    if limit < 2:
-        return ()
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
-
-
 def is_perfect_power(m: int) -> Optional[tuple[int, int]]:
     """Canonical witness (a, i) with a^i == m, smallest base and largest
     exponent i >= 2; None when m is not a perfect power. 1 reports (1, 2)."""
@@ -224,10 +211,10 @@ def is_perfect_power(m: int) -> Optional[tuple[int, int]]:
         raise InvalidArgument(f"m must be >= 1, got {m}")
     if m == 1:
         return (1, 2)
-    base = m
-    exponent = 1
+    base, exponent = m, 1
     while True:
-        for q in _primes_upto(base.bit_length()):
+        # the first q that hits is prime: were q = a*b, the a-th root hit first
+        for q in range(2, base.bit_length() + 1):
             r = integer_root(base, q)
             if r**q == base:
                 base = r
@@ -235,39 +222,7 @@ def is_perfect_power(m: int) -> Optional[tuple[int, int]]:
                 break
         else:
             break
-    if exponent >= 2:
-        return (base, exponent)
-    return None
-
-
-# -- primality (Miller-Rabin) ---------------------------------------------------
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases; deterministic below 3.3e24."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return (base, exponent) if exponent >= 2 else None
 
 
 class CommonBase(NamedTuple):

@@ -29,17 +29,22 @@ from .errors import (
 from .exactnum import (
     DEFAULT_PRECISION_BITS,
     QuadSurd,
-    RationalRoots,
     format_rational,
     parse_rational,
     quad_roots,
     surd_to_float,
 )
+from .intpoly.poly import MAX_COEFF_BITS
 
 OVERLAP, TOUCH, GAP = "O", "T", "G"
 
-# fewest working bits for a dimension; the CLI rejects fewer for every subcommand
+# working bits of dimension and moran, bounded by check_precision (the CLI's for
+# every subcommand); at the ceiling each finishes within about a second
 MIN_PRECISION_BITS = 80
+MAX_PRECISION_BITS = 4096
+# largest n of generate: its offsets and output grow linearly in n, and at
+# n = 30000 with lambda = 1/60000 it returns in about a second (1.1 MB of JSON)
+MAX_GENERATE_N = 30_000
 
 # working bits above precision_bits for the Moran equation: 32 to start, up
 # to 4096 where the equation is flat at its root (ratios 1 - 10^-30 and 1/2
@@ -167,7 +172,26 @@ def feasibility_slack(n: int, m: int, lam: Fraction) -> Fraction:
     return 1 - n * lam + m * lam * lam
 
 
-def _check_class(n: int, m: int):
+def check_precision(bits: int) -> None:
+    """Refuse working precisions below MIN_PRECISION_BITS or above MAX_PRECISION_BITS."""
+    if bits < MIN_PRECISION_BITS:
+        raise InvalidArgument(f"precision_bits must be >= {MIN_PRECISION_BITS}, got {bits}")
+    if bits > MAX_PRECISION_BITS:
+        raise ResourceLimitError(
+            f"precision_bits must be <= {MAX_PRECISION_BITS}, got {bits}",
+            ceiling=MAX_PRECISION_BITS,
+        )
+
+
+def check_class(n: int, m: int) -> None:
+    """Refuse (n, m) outside class A: 1 <= m <= n-2, with n and m at most
+    MAX_COEFF_BITS bits (the coefficient ceiling of x^(2k)-n*x^k+m)."""
+    if max(abs(n), abs(m)).bit_length() > MAX_COEFF_BITS:
+        raise ResourceLimitError(
+            f"n and m must have at most {MAX_COEFF_BITS} bits, "
+            f"got {abs(n).bit_length()} and {abs(m).bit_length()} bits",
+            ceiling=MAX_COEFF_BITS,
+        )
     if not 1 <= m <= n - 2:
         raise NotInClass(f"need 1 <= m <= n-2, got (n,m)=({n},{m})", n=n, m=m)
 
@@ -175,7 +199,7 @@ def _check_class(n: int, m: int):
 def check_feasible(n: int, m: int, lam: Fraction) -> Fraction:
     """lam as a Fraction, after checking class membership, 0 < lam < 1 and
     lam*beta <= 1 (by the exact slack), in that order."""
-    _check_class(n, m)
+    check_class(n, m)
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise InvalidArgument(f"ratio must lie in (0,1), got {lam}")
@@ -185,11 +209,8 @@ def check_feasible(n: int, m: int, lam: Fraction) -> Fraction:
 
 
 def _beta(n: int, m: int) -> QuadSurd:
-    roots = quad_roots(n, m)
-    if isinstance(roots, RationalRoots):
-        # unreachable for 1 <= m <= n-2; the discriminant is never a square there
-        raise InvalidArgument(f"x^2-{n}x+{m} has rational roots {roots}")
-    return roots[0]
+    # in class, (n-2)^2 < n^2-4m < n^2 with the parity of n^2: never a square
+    return quad_roots(n, m)[0]
 
 
 def _infeasible(n: int, m: int, lam: Fraction) -> Infeasible:
@@ -215,11 +236,11 @@ def generate(
     O steps are lambda-lambda^2, T steps lambda, and G steps lambda plus a
     positive rational share of the slack delta = 1 - n*lam + m*lam^2. The
     shares are equal for a given pattern and seed-weighted for a random one.
+    n is at most MAX_GENERATE_N.
     """
-    _check_class(n, m)
-    lam = Fraction(lam)
-    if not 0 < lam < 1:
-        raise InvalidArgument(f"ratio must lie in (0,1), got {lam}")
+    lam = check_feasible(n, m, lam)
+    if n > MAX_GENERATE_N:
+        raise ResourceLimitError(f"n must be <= {MAX_GENERATE_N}, got {n}", ceiling=MAX_GENERATE_N)
     if pattern is None:
         rng = random.Random(seed)
         pattern = _random_pattern(n, m, rng)
@@ -234,23 +255,15 @@ def generate(
         raise InvalidArgument(
             f"pattern must contain exactly m={m} O letters, got {pattern.count(OVERLAP)}"
         )
-    delta = feasibility_slack(n, m, lam)
-    gaps = pattern.count(GAP)
-    if delta < 0 or (delta > 0 and gaps == 0) or (delta == 0 and gaps > 0):
-        # rational in-class lambda always has delta != 0, so a G-free pattern
-        # can never absorb the slack
+    if GAP not in pattern:
+        # a feasible rational lambda leaves slack delta > 0, which only G steps absorb
         raise _infeasible(n, m, lam)
-    shares = [Fraction(w, sum(weights)) for w in weights]
+    share = feasibility_slack(n, m, lam) / sum(weights)
+    gap_steps = iter([lam + w * share for w in weights])
     step_of = {OVERLAP: lam - lam * lam, TOUCH: lam}
     offsets = [Fraction(0)]
-    gap_index = 0
     for letter in pattern:
-        if letter == GAP:
-            step = lam + shares[gap_index] * delta
-            gap_index += 1
-        else:
-            step = step_of[letter]
-        offsets.append(offsets[-1] + step)
+        offsets.append(offsets[-1] + (next(gap_steps) if letter == GAP else step_of[letter]))
     return SelfSimilarSpec(lam, tuple(offsets))
 
 
@@ -297,8 +310,7 @@ def dimension(
     n: int, m: int, lam: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> DimensionResult:
     """dim_H = log(beta) / -log(lambda) for the class member, beta carried exactly."""
-    if precision_bits < MIN_PRECISION_BITS:
-        raise InvalidArgument(f"precision_bits must be >= {MIN_PRECISION_BITS}, got {precision_bits}")
+    check_precision(precision_bits)
     lam = check_feasible(n, m, lam)
     beta = _beta(n, m)
     with mpmath.workprec(precision_bits + 16):
@@ -394,7 +406,8 @@ def moran_dimension(dust: DustIfsSpec, precision_bits: int = DEFAULT_PRECISION_B
     the steps by more than eps, they stop at that noise instead, the guard
     bits double and Newton resumes from s.
     """
-    bits = max(precision_bits, MIN_PRECISION_BITS)
+    check_precision(precision_bits)
+    bits = precision_bits
     s, iterations, guard = mpmath.mpf(0), 0, _GUARD_BITS
     while True:
         with mpmath.workprec(bits + guard):

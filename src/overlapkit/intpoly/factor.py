@@ -17,7 +17,6 @@ from itertools import combinations
 from typing import Optional
 
 from ..errors import ConsistencyError, InvalidArgument, TooManyModularFactors
-from ..exactnum import is_prime
 from .poly import IntPoly, exact_div, gcd_poly
 
 MAX_MODULAR_FACTORS = 24
@@ -275,17 +274,16 @@ def _mignotte_bound(f: IntPoly) -> int:
 
 
 def _pick_prime(f: IntPoly) -> int:
+    """The smallest prime p >= 5 not dividing lc(f) with f mod p squarefree."""
     p = 5
     while True:
-        if f.lc % p != 0:
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)) and f.lc % p != 0:
             fp = _trim([c % p for c in f.coeffs])
             if len(fp) == len(f.coeffs):
                 fp = _gf_monic(fp, p)
                 if len(_gf_gcd(fp, _gf_deriv(fp, p), p)) == 1:
                     return p
         p += 2
-        while not is_prime(p):
-            p += 2
 
 
 def _yun_squarefree(f: IntPoly) -> list[tuple[IntPoly, int]]:

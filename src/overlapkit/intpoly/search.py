@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .. import ifs  # as a module: ifs itself imports intpoly.poly
 from ..errors import InvalidArgument
 from .poly import IntPoly
 
@@ -51,8 +52,7 @@ def nonneg_tail_search(
     """Answer the degree/coefficient box from the module's proof: no counterexamples."""
     if q < 1:
         raise InvalidArgument(f"q must be >= 1, got {q}")
-    if not 1 <= m <= n - 2:
-        raise InvalidArgument(f"need 1 <= m <= n-2, got (n,m)=({n},{m})")
+    ifs.check_class(n, m)
     if max_degree < 2 * q:
         raise InvalidArgument(f"max_degree must be >= 2q = {2 * q}, got {max_degree}")
     if coeff_bound < 0:

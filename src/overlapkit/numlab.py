@@ -35,6 +35,18 @@ class CoverLevel:
         return len(self.offsets)
 
 
+def check_cylinders(n: int, depth: int, ceiling: int) -> None:
+    """TooDeep when n^depth raw cylinders exceed the ceiling; as n >= 2, every
+    depth from the ceiling's bit length on does, so no larger power is taken."""
+    if n ** min(depth, ceiling.bit_length()) > ceiling:
+        raise TooDeep(
+            f"{n}^{depth} raw cylinders exceed the ceiling {ceiling}",
+            n=n,
+            depth=depth,
+            ceiling=ceiling,
+        )
+
+
 def _numerator_levels(spec: SelfSimilarSpec, depth: int) -> Iterator[tuple[list[int], int]]:
     """Sorted numerators and their shared denominator at each depth 0..depth.
 
@@ -45,13 +57,7 @@ def _numerator_levels(spec: SelfSimilarSpec, depth: int) -> Iterator[tuple[list[
     """
     if depth < 0:
         raise InvalidArgument(f"depth must be >= 0, got {depth}")
-    if spec.n**depth > DEFAULT_COVER_CEILING:
-        raise TooDeep(
-            f"{spec.n}^{depth} raw cylinders exceed the ceiling {DEFAULT_COVER_CEILING}",
-            n=spec.n,
-            depth=depth,
-            ceiling=DEFAULT_COVER_CEILING,
-        )
+    check_cylinders(spec.n, depth, DEFAULT_COVER_CEILING)
     a, q = spec.lam.numerator, spec.lam.denominator
     d = 1
     for b in spec.offsets:

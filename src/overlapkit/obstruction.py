@@ -15,9 +15,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional
 
-from .errors import ConsistencyError, InvalidArgument, OutOfClass, ResourceLimitError
+from .errors import ConsistencyError, InvalidArgument, ResourceLimitError
 from .exactnum import format_rational, is_perfect_power, multiplicative_dependence
-from .ifs import DustIfsSpec, check_feasible
+from .ifs import DustIfsSpec, check_class, check_feasible
 from .intpoly import Factorization, IntPoly, factor, family_poly, gcd_poly, moran_poly
 from .intpoly.poly import MAX_DEGREE
 from .intpoly.roots import count_roots
@@ -82,8 +82,7 @@ def obstruction_verdict(n: int, m: int, kmax: int = 8) -> ObstructionReport:
         raise InvalidArgument(f"kmax must be >= 2, got {kmax}")
     if kmax > MAX_KMAX:
         raise ResourceLimitError(f"kmax must be <= {MAX_KMAX}, got {kmax}", ceiling=MAX_KMAX)
-    if not 1 <= m <= n - 2:
-        raise OutOfClass(f"need 1 <= m <= n-2, got (n,m)=({n},{m})", n=n, m=m)
+    check_class(n, m)
     pp = is_perfect_power(m)
     reducible: list[tuple[int, Factorization]] = []
     for k in range(1, kmax + 1):
@@ -219,8 +218,6 @@ def dust_candidate_check(n: int, m: int, lam: Fraction, dust: DustIfsSpec) -> Eq
     root of x^2-n*x+m lies in (0, 1) and 1-n+m < 0; so the gcd holds it iff
     it has a root in (1, n]. Degrees above MAX_DEGREE are refused unbuilt.
     """
-    if not 1 <= m <= n - 2:
-        raise OutOfClass(f"need 1 <= m <= n-2, got (n,m)=({n},{m})", n=n, m=m)
     lam = check_feasible(n, m, lam)
     exponents = _lambda_exponents(lam, dust)
     k = scaled = pbar = qbar = g = None

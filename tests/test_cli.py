@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from overlapkit import cli, ifs
 from overlapkit.cli import MAX_PRECISION_BITS, main
-from overlapkit.intpoly.poly import MAX_DEGREE
+from overlapkit.intpoly.poly import MAX_COEFF_BITS, MAX_DEGREE
 from overlapkit.obstruction import MAX_KMAX, MAX_NMAX
 
 
@@ -171,6 +172,14 @@ class TestValidateAndGenerate:
         assert a == b
         assert a != c
 
+    def test_generate_n_ceiling_exits_2(self, capsys):
+        n = ifs.MAX_GENERATE_N + 1
+        code, out, err = run(
+            capsys, "generate", "--n", str(n), "--m", "1", "--lambda", f"1/{2 * n}"
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["details"]["ceiling"] == ifs.MAX_GENERATE_N
+
     def test_generate_infeasible_pattern(self, capsys):
         code, out, err = run(
             capsys, "generate", "--n", "3", "--m", "1", "--lambda", "1/4", "--pattern", "OT"
@@ -278,7 +287,43 @@ class TestFactorAndObstruct:
     def test_out_of_class_exits_1(self, capsys):
         code, out, err = run(capsys, "obstruct", "--n", "3", "--m", "2")
         assert code == 1
-        assert json.loads(err)["error"] == "OutOfClass"
+        assert json.loads(err)["error"] == "NotInClass"
+
+    def test_class_size_ceiling_exits_2(self, capsys):
+        # a 13953-bit n: refused before any polynomial, surd or JSON holds it
+        n = 10**4200 + 1
+        for argv in (
+            ["obstruct", "--n", str(n), "--m", "4", "--kmax", "15"],
+            ["dimension", "--n", str(n), "--m", "4", "--lambda", f"1/{10 * n}"],
+        ):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1
+            assert code == 2 and out == "", argv[0]
+            payload = json.loads(err)
+            assert payload["error"] == "ResourceLimitError"
+            assert payload["details"]["ceiling"] == MAX_COEFF_BITS
+        n = 2**MAX_COEFF_BITS - 1
+        assert run_json(capsys, "obstruct", "--n", str(n), "--m", "4", "--kmax", "2")["n"] == n
+
+
+# the other flags of each subcommand that takes (n, m)
+_CLASS_ARGV = {
+    "obstruct": [],
+    "dust-check": ["--lambda", "1/4", "--ratios", "1/4,1/2"],
+    "dimension": ["--lambda", "1/4"],
+    "generate": ["--lambda", "1/4"],
+    "tail-search": ["--q", "1", "--max-degree", "6", "--coeff-bound", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CLASS_ARGV))
+def test_out_of_class_is_the_same_error_everywhere(capsys, command):
+    code, out, err = run(capsys, command, "--n", "3", "--m", "2", *_CLASS_ARGV[command])
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "NotInClass"
+    assert payload["message"] == "need 1 <= m <= n-2, got (n,m)=(3,2)"
 
 
 class TestDustCheckAndMoran:
@@ -352,6 +397,18 @@ class TestDustCheckAndMoran:
         assert data["conclusion"] == "RuledOut"
         assert data["reason"] == "IncommensurableRatios"
 
+    def test_base_beside_ratios_exits_1(self, capsys):
+        for argv in (
+            ["moran", "--ratios", "1/3,1/3", "--base", "1/2"],
+            ["dust-check", "--n", "3", "--m", "1", "--lambda", "1/4",
+             "--ratios", "1/4,1/2", "--base", "1/2"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", argv[0]
+            payload = json.loads(err)
+            assert payload["error"] == "InvalidArgument"
+            assert payload["message"] == "give either ratios or base+exponents, not both"
+
     def test_moran_ratios(self, capsys):
         data = run_json(capsys, "moran", "--ratios", "1/3,1/3")
         assert abs(float(data["s"]) - math.log(2) / math.log(3)) < 1e-10
@@ -424,6 +481,27 @@ class TestRenderGrowthBoxdim:
         assert csv_lines[0] == "depth,offset,length"
         assert csv_lines[1] == "0,0,1"
         assert len(csv_lines) == 1 + 1 + 3 + 8
+
+    def test_render_ceiling_exits_2_before_writing(self, capsys, tmp_path, monkeypatch):
+        svg, csv_path = tmp_path / "cover.svg", tmp_path / "cover.csv"
+        argv = [
+            "render", "--lambda", "1/4", "--b", "0,3/16,3/4",
+            "--svg", str(svg), "--csv", str(csv_path),
+        ]
+        for depth in ("11", "1000000000"):
+            code, out, err = run(capsys, *argv, "--depth", depth)
+            assert code == 2 and out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "TooDeep"
+            assert payload["details"]["ceiling"] == cli.MAX_RENDER_CYLINDERS
+            assert list(tmp_path.iterdir()) == []
+        # the ceiling is read at call time: 3^2 cylinders pass a ceiling of 9, 3^3 do not
+        monkeypatch.setattr(cli, "MAX_RENDER_CYLINDERS", 9)
+        assert run_json(capsys, *argv, "--depth", "2")["counts"] == [1, 3, 8]
+        svg.unlink()
+        csv_path.unlink()
+        code, out, err = run(capsys, *argv, "--depth", "3")
+        assert code == 2 and list(tmp_path.iterdir()) == []
 
     def test_growth_with_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "growth.csv"

@@ -1,4 +1,4 @@
-"""Exact arithmetic layer: rationals, quadratic surds, perfect powers, primality."""
+"""Exact arithmetic layer: rationals, quadratic surds, perfect powers."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from overlapkit.exactnum import (
     format_rational,
     integer_root,
     is_perfect_power,
-    is_prime,
     is_square,
     multiplicative_dependence,
     parse_rational,
@@ -194,23 +193,29 @@ class TestPerfectPower:
             is_perfect_power(0)
 
 
+def _sympy_perfect_power(m: int):
+    """sympy's witness in this package's convention (1 reports (1, 2))."""
+    return (1, 2) if m == 1 else sympy.perfect_power(m) or None
+
+
+@st.composite
+def _powers(draw):
+    """b^e <= 10^40 with b >= 2 and e >= 2."""
+    e = draw(st.integers(2, 132))
+    b = draw(st.integers(2, max(2, integer_root(10**40, e))))
+    return b**e
+
+
+@settings(max_examples=300, deadline=None)
+@given(_powers() | _powers().map(lambda v: v + 1) | st.integers(1, 10**40))
+@example(2**132)
+@example(3**30 * 5**30)
+@example(10**40 - 1)
+def test_perfect_power_matches_sympy(m):
+    assert is_perfect_power(m) == _sympy_perfect_power(m)
+
+
 class TestIntegerFactoring:
-    def test_is_prime_against_sieve(self):
-        limit = 3000
-        sieve = [True] * (limit + 1)
-        sieve[0] = sieve[1] = False
-        for p in range(2, int(limit**0.5) + 1):
-            if sieve[p]:
-                for q in range(p * p, limit + 1, p):
-                    sieve[q] = False
-        for v in range(limit + 1):
-            assert is_prime(v) == sieve[v]
-
-    def test_is_prime_large_cases(self):
-        assert is_prime(2**61 - 1)
-        assert not is_prime(561)  # Carmichael
-        assert not is_prime(2**67 - 1)
-
     def test_factor_semiprime_beyond_trial_division(self):
         d = 1000003 * 1000033
         assert exactnum._squarefree_split(d) == (1, d)

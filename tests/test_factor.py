@@ -176,6 +176,26 @@ def test_irreducibility_agrees_with_sympy(p):
     assert is_irreducible(p) == to_sympy(p).is_irreducible
 
 
+def _smallest_good_prime(p: IntPoly) -> int:
+    """The smallest prime q >= 5 with q not dividing lc(p) and p mod q squarefree, by sympy."""
+    q = 5
+    while p.lc % q == 0 or not sympy.Poly(to_sympy(p).as_expr(), X, modulus=q).is_sqf:
+        q = sympy.nextprime(q)
+    return q
+
+
+@PROPERTY
+@given(nonconstant.filter(lambda p: to_sympy(p).is_sqf))
+# x(x-1)...(x-11) repeats a root mod 5, 7 and 11; 5005 = 5*7*11*13
+@example(parse_poly("x*(x-1)*(x-2)*(x-3)*(x-4)*(x-5)*(x-6)*(x-7)*(x-8)*(x-9)*(x-10)*(x-11)"))
+@example(parse_poly("5005*x+1"))
+@example(family_poly(7, 4, 6))
+def test_pick_prime_is_smallest_good_prime(p):
+    chosen = factor_module._pick_prime(p)
+    assert sympy.isprime(chosen)
+    assert chosen == _smallest_good_prime(p)
+
+
 class TestFactorCountCeiling:
     def test_many_modular_factors_is_a_resource_error(self, monkeypatch):
         p = IntPoly.one()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from overlapkit import ifs
 from overlapkit.errors import (
     BadBoundary,
     Infeasible,
@@ -23,10 +24,13 @@ from overlapkit.errors import (
 from overlapkit.exactnum import QuadSurd, surd_to_float
 from overlapkit.ifs import (
     GAP,
+    MAX_PRECISION_BITS,
+    MIN_PRECISION_BITS,
     OVERLAP,
     TOUCH,
     DustIfsSpec,
     SelfSimilarSpec,
+    check_class,
     classify_steps,
     dimension,
     feasibility_slack,
@@ -138,6 +142,13 @@ class TestGenerate:
         with pytest.raises(NotInClass):
             generate(4, 3, F(1, 6), "OOO")
 
+    def test_n_ceiling_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(ifs, "MAX_GENERATE_N", 10)
+        assert generate(10, 1, F(1, 20)).n == 10
+        with pytest.raises(ResourceLimitError) as info:
+            generate(11, 1, F(1, 22))
+        assert info.value.details["ceiling"] == 10
+
     def test_random_specs_round_trip_via_validate(self, sweep_specs):
         for n, m, lam, spec in sweep_specs:
             _, pattern = validate(spec.lam, spec.offsets)
@@ -183,6 +194,31 @@ class TestDimension:
             dimension(3, 1, F(5, 4))
         with pytest.raises(InvalidArgument):
             dimension(3, 1, F(1, 4), precision_bits=64)
+
+    def test_class_rule_and_size_ceiling(self):
+        check_class(2**2048 - 1, 2**2048 - 3)
+        for n, m in ((2**2048, 1), (5, -(2**2048)), (10**4200 + 1, 4)):
+            with pytest.raises(ResourceLimitError) as info:
+                check_class(n, m)
+            assert info.value.details == {"ceiling": 2048}
+        for n, m in ((3, 2), (2, 1), (5, 0)):
+            with pytest.raises(NotInClass) as info:
+                check_class(n, m)
+            assert str(info.value) == f"need 1 <= m <= n-2, got (n,m)=({n},{m})"
+
+
+def test_dimension_and_moran_share_the_precision_bounds():
+    dust = DustIfsSpec.from_ratios([F(1, 3), F(1, 3)])
+    for compute in (
+        lambda bits: dimension(3, 1, F(1, 4), bits),
+        lambda bits: moran_dimension(dust, bits),
+    ):
+        with pytest.raises(InvalidArgument):
+            compute(MIN_PRECISION_BITS - 1)
+        with pytest.raises(ResourceLimitError) as info:
+            compute(MAX_PRECISION_BITS + 1)
+        assert info.value.details["ceiling"] == MAX_PRECISION_BITS
+        assert compute(MIN_PRECISION_BITS).s > 0
 
 
 def near_ties(n: int, m: int, terms: int = 12) -> list[Fraction]:

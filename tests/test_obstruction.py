@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from overlapkit.errors import InvalidArgument, OutOfClass
+from overlapkit.errors import InvalidArgument, NotInClass
 from overlapkit.exactnum import is_perfect_power
 from overlapkit.ifs import DustIfsSpec
 from overlapkit.intpoly import IntPoly, family_poly, gcd_poly, is_irreducible, moran_poly
@@ -64,9 +64,9 @@ class TestVerdicts:
             )
 
     def test_out_of_class_and_bad_kmax(self):
-        with pytest.raises(OutOfClass):
+        with pytest.raises(NotInClass):
             obstruction_verdict(3, 2)
-        with pytest.raises(OutOfClass):
+        with pytest.raises(NotInClass):
             obstruction_verdict(2, 1)
         with pytest.raises(InvalidArgument):
             obstruction_verdict(3, 1, kmax=1)
@@ -149,7 +149,7 @@ class TestDustCandidateCheck:
         assert by_ratio.exponents == by_exp.exponents == (1, 2)
 
     def test_out_of_class(self):
-        with pytest.raises(OutOfClass):
+        with pytest.raises(NotInClass):
             dust_candidate_check(3, 2, F(1, 4), DustIfsSpec.from_ratios([F(1, 4), F(1, 2)]))
 
     def test_json_shapes(self):

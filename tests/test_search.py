@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlapkit.errors import InvalidArgument
+from overlapkit.errors import InvalidArgument, NotInClass
 from overlapkit.intpoly import (
     IntPoly,
     SearchStrategy,
@@ -140,9 +140,9 @@ class TestValidationAndLimits:
     def test_argument_validation(self):
         with pytest.raises(InvalidArgument):
             nonneg_tail_search(0, 3, 1, 6, 2)
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(NotInClass):
             nonneg_tail_search(1, 3, 2, 6, 2)  # m > n-2
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(NotInClass):
             nonneg_tail_search(1, 2, 1, 6, 2)  # n too small for any m
         with pytest.raises(InvalidArgument):
             nonneg_tail_search(2, 3, 1, 3, 2)  # max_degree < 2q
