@@ -103,10 +103,6 @@ class Infeasible(InputError):
     pass
 
 
-class UnexpectedChildGap(ConsistencyError):
-    """A child gap fell outside the three admissible classes."""
-
-
 class VertexExplosion(ResourceLimitError):
     pass
 

@@ -257,7 +257,7 @@ def generate(
         )
     if GAP not in pattern:
         # a feasible rational lambda leaves slack delta > 0, which only G steps absorb
-        raise _infeasible(n, m, lam)
+        raise InvalidArgument(f"pattern needs a G letter to absorb the slack, got {pattern!r}")
     share = feasibility_slack(n, m, lam) / sum(weights)
     gap_steps = iter([lam + w * share for w in weights])
     step_of = {OVERLAP: lam - lam * lam, TOUCH: lam}

@@ -1,5 +1,6 @@
-"""Shared fixtures: a reproducible sweep of random in-class specs, and a
-brute-force enumeration of nonneg-tail multiples."""
+"""Shared fixtures: a reproducible sweep of random in-class specs, a
+brute-force enumeration of nonneg-tail multiples, and graph expansion from
+exact Fraction offsets."""
 
 from __future__ import annotations
 
@@ -10,7 +11,17 @@ from fractions import Fraction
 import pytest
 
 from overlapkit.exactnum import surd_to_float
-from overlapkit.ifs import SelfSimilarSpec, _beta, feasibility_slack, generate
+from overlapkit.graphdir import Configuration, Policy
+from overlapkit.ifs import (
+    GAP,
+    OVERLAP,
+    TOUCH,
+    SelfSimilarSpec,
+    _beta,
+    classify_steps,
+    feasibility_slack,
+    generate,
+)
 from overlapkit.intpoly import IntPoly, exact_div, family_poly
 
 SWEEP_PAIRS = [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 4)]
@@ -75,3 +86,31 @@ def tail_multiples(q, n, m, max_degree, bound, strategy="quotient"):
 @pytest.fixture(scope="session")
 def tail_oracle():
     return tail_multiples
+
+
+def fraction_expand(config, spec, policy):
+    """Children of a configuration from exact offsets: copy i at a_i (a_(i+1) - a_i
+    is 1 - lambda at O and 1 at T), its children at a_i + b_j (a shared one counted
+    once), sorted, every step classified, then cut at G (and T under cut-touch)."""
+    lam = spec.lam
+    copies = [Fraction(0)]
+    for letter in config.steps:
+        copies.append(copies[-1] + (1 - lam if letter == OVERLAP else 1))
+    offsets = sorted({a + b for a in copies for b in spec.offsets})
+    kinds = classify_steps([right - left for left, right in zip(offsets, offsets[1:])], lam)
+    assert None not in kinds, (config, spec)
+    cut = {GAP} if policy is Policy.KEEP_TOUCH else {GAP, TOUCH}
+    children, word = {}, []
+    for kind in kinds + [GAP]:
+        if kind in cut:
+            child = Configuration("".join(word))
+            children[child] = children.get(child, 0) + 1
+            word = []
+        else:
+            word.append(kind)
+    return children
+
+
+@pytest.fixture(scope="session")
+def expand_oracle():
+    return fraction_expand

@@ -198,7 +198,7 @@ def test_dimension_counts_and_box_estimate():
     )
 
 
-def test_exact_paths_never_touch_floats(sweep_specs):
+def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
     dust_sources = [
         inspect.getsource(exactnum.multiplicative_dependence),
         inspect.getsource(obstruction._lambda_exponents),
@@ -253,7 +253,9 @@ def test_exact_paths_never_touch_floats(sweep_specs):
         for policy in Policy:
             graph = build_graph(spec, policy)
             for vertex in graph.vertices:
-                expand(vertex, spec, policy)  # raises UnexpectedChildGap on drift
+                assert list(expand(vertex, spec, policy).items()) == list(
+                    expand_oracle(vertex, spec, policy).items()
+                )
                 expansions += 1
     level = cover(generate(3, 1, F(1, 4), "OG"), 6)
     assert all(isinstance(off, Fraction) for off in level.offsets)
@@ -264,6 +266,6 @@ def test_exact_paths_never_touch_floats(sweep_specs):
         f"integer factoring), the dust candidate check, "
         f"expansion, cover, integer cover kernel, box-counting cells, characteristic polynomial, "
         f"real-root, exact division, Hensel lifting and recombination sources are free of "
-        f"floating-point operations and {expansions} re-expansions observed no "
-        f"unexpected child offsets"
+        f"floating-point operations and {expansions} re-expansions matched the "
+        f"Fraction-offset expansion"
     )

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from overlapkit import cli, ifs
+from overlapkit import cli, graphdir, ifs
 from overlapkit.cli import MAX_PRECISION_BITS, main
 from overlapkit.intpoly.poly import MAX_COEFF_BITS, MAX_DEGREE
 from overlapkit.obstruction import MAX_KMAX, MAX_NMAX
@@ -181,11 +181,14 @@ class TestValidateAndGenerate:
         assert json.loads(err)["details"]["ceiling"] == ifs.MAX_GENERATE_N
 
     def test_generate_infeasible_pattern(self, capsys):
+        # 1/4 is feasible for (3, 1); a pattern without G cannot absorb the slack
         code, out, err = run(
             capsys, "generate", "--n", "3", "--m", "1", "--lambda", "1/4", "--pattern", "OT"
         )
-        assert code == 1
-        assert json.loads(err)["error"] == "Infeasible"
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidArgument"
+        assert payload["message"] == "pattern needs a G letter to absorb the slack, got 'OT'"
 
 
 class TestGraph:
@@ -219,6 +222,19 @@ class TestGraph:
         text = dot.read_text()
         assert text.startswith("digraph")
         assert 'label="2"' in text  # the O -> O edge has multiplicity 2
+
+    def test_over_the_interval_budget_exits_2_before_expanding(self, capsys, monkeypatch):
+        # a budget below n refuses the root's own expansion
+        def never(*args):
+            raise AssertionError("expand called past the budget")
+
+        monkeypatch.setattr(graphdir, "MAX_CHILD_INTERVALS", 2)
+        monkeypatch.setattr(graphdir, "expand", never)
+        code, out, err = run(capsys, "graph", "--lambda", "1/4", "--b", "0,3/16,3/4")
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "VertexExplosion"
+        assert payload["details"] == {"ceiling": 2, "history": [""]}
 
 
 class TestFactorAndObstruct:

@@ -177,9 +177,12 @@ def test_irreducibility_agrees_with_sympy(p):
 
 
 def _smallest_good_prime(p: IntPoly) -> int:
-    """The smallest prime q >= 5 with q not dividing lc(p) and p mod q squarefree, by sympy."""
+    """The smallest prime q >= 5 with q not dividing lc(p) and p mod q squarefree, by
+    sympy's squarefree decomposition (its is_sqf calls x^5+1 squarefree mod 5)."""
     q = 5
-    while p.lc % q == 0 or not sympy.Poly(to_sympy(p).as_expr(), X, modulus=q).is_sqf:
+    while p.lc % q == 0 or any(
+        mult > 1 for _, mult in sympy.Poly(to_sympy(p).as_expr(), X, modulus=q).sqf_list()[1]
+    ):
         q = sympy.nextprime(q)
     return q
 
@@ -190,6 +193,7 @@ def _smallest_good_prime(p: IntPoly) -> int:
 @example(parse_poly("x*(x-1)*(x-2)*(x-3)*(x-4)*(x-5)*(x-6)*(x-7)*(x-8)*(x-9)*(x-10)*(x-11)"))
 @example(parse_poly("5005*x+1"))
 @example(family_poly(7, 4, 6))
+@example(parse_poly("x^5+1"))  # its derivative vanishes mod 5: (x+1)^5
 def test_pick_prime_is_smallest_good_prime(p):
     chosen = factor_module._pick_prime(p)
     assert sympy.isprime(chosen)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from overlapkit import graphdir
 from overlapkit.errors import InvalidArgument, VertexExplosion
 from overlapkit.exactnum import surd_to_float
 from overlapkit.graphdir import (
@@ -18,7 +22,7 @@ from overlapkit.graphdir import (
     spectral_radius,
     verify_beta_eigen,
 )
-from overlapkit.ifs import _beta, generate
+from overlapkit.ifs import SelfSimilarSpec, _beta, generate
 
 F = Fraction
 
@@ -28,12 +32,6 @@ def golden_spec():
 
 
 class TestConfiguration:
-    def test_copy_offsets(self):
-        lam = F(1, 4)
-        assert Configuration("").copy_offsets(lam) == [F(0)]
-        assert Configuration("O").copy_offsets(lam) == [F(0), F(3, 4)]
-        assert Configuration("OT").copy_offsets(lam) == [F(0), F(3, 4), F(7, 4)]
-
     def test_letter_validation(self):
         with pytest.raises(InvalidArgument):
             Configuration("OG")
@@ -67,6 +65,34 @@ class TestExpand:
         assert Configuration("OT") in keep
 
 
+@st.composite
+def in_class_specs(draw):
+    """A generated in-class spec: n <= 8 maps, a random O/T/G pattern with
+    m O letters and at least one G, and a feasible lambda = 1/q."""
+    n = draw(st.integers(3, 8))
+    m = draw(st.integers(1, n - 2))
+    rest = draw(st.lists(st.sampled_from("TG"), min_size=n - 1 - m, max_size=n - 1 - m))
+    if "G" not in rest:
+        rest[0] = "G"
+    pattern = "".join(draw(st.permutations(["O"] * m + rest)))
+    q = draw(st.integers(n, 4 * n))
+    return generate(n, m, F(1, q), pattern)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    in_class_specs(),
+    st.text(alphabet="OT", max_size=12),
+    st.sampled_from(list(Policy)),
+)
+def test_expand_matches_the_fraction_oracle(expand_oracle, spec, steps, policy):
+    # equal as dicts and in insertion order, which numbers the graph's vertices
+    config = Configuration(steps)
+    assert list(expand(config, spec, policy).items()) == list(
+        expand_oracle(config, spec, policy).items()
+    )
+
+
 class TestBuildGraph:
     def test_golden_graph(self):
         graph = build_graph(golden_spec(), Policy.CUT_AT_TOUCH)
@@ -92,12 +118,52 @@ class TestBuildGraph:
                 assert ((i, j) in listed) == (mult > 0)
 
     def test_vertex_ceiling(self, monkeypatch):
-        # no configurations per map: the first one found past the root is refused
-        monkeypatch.setattr("overlapkit.graphdir.VERTICES_PER_MAP", 0)
+        # a budget of n child intervals admits the root's expansion (1 copy,
+        # n children) and refuses the two-copy "O" block before expanding it
+        monkeypatch.setattr(graphdir, "MAX_CHILD_INTERVALS", 3)
         with pytest.raises(VertexExplosion) as info:
             build_graph(golden_spec(), Policy.CUT_AT_TOUCH)
         assert info.value.exit_code == 2
         assert info.value.details["history"][0] == ""
+        assert info.value.details == {"ceiling": 3, "history": ["", "O"]}
+
+    def test_policy_strings_are_coerced_once(self):
+        spec = generate(4, 1, F(1, 5), "OTG")
+        graph = build_graph(spec, "keep-touch")
+        assert graph.policy is Policy.KEEP_TOUCH
+        assert [v.steps for v in graph.vertices] == ["", "OT", "TOT"]
+        assert graph.to_json()["policy"] == "keep-touch"
+        with pytest.raises(InvalidArgument, match="keep_touch"):
+            build_graph(spec, "keep_touch")
+
+    def test_long_cut_touch_chain(self):
+        # O^(n-2) G at n = 1000: the root and the 999-copy overlap run
+        spec = generate(1000, 998, F(1, 4000), "O" * 998 + "G")
+        start = time.perf_counter()
+        graph = build_graph(spec, Policy.CUT_AT_TOUCH)
+        assert time.perf_counter() - start < 1.0
+        assert graph.adjacency == ((1, 1), (1, 999))
+
+    def test_long_keep_touch_chain(self):
+        # O T^(n-3) G at n = 1000; the Fraction-offset expansion took about 30 s
+        spec = generate(1000, 1, F(1, 4000), "O" + "T" * 997 + "G")
+        start = time.perf_counter()
+        graph = build_graph(spec, Policy.KEEP_TOUCH)
+        assert time.perf_counter() - start < 1.0
+        chain = "O" + "T" * 997
+        assert [v.steps for v in graph.vertices] == ["", chain, "T" + chain]
+        assert graph.adjacency == ((1, 1, 0), (1, 2, 997), (1, 2, 998))
+
+    def test_all_touch_spec_is_refused_not_hung(self):
+        # out of class: with no G to cut at, keep-touch blocks grow n-fold per level
+        spec = SelfSimilarSpec(F(1, 3), (F(0), F(1, 3), F(2, 3)))
+        start = time.perf_counter()
+        with pytest.raises(VertexExplosion) as info:
+            build_graph(spec, Policy.KEEP_TOUCH)
+        assert time.perf_counter() - start < 5.0
+        assert info.value.exit_code == 2
+        assert info.value.details["ceiling"] == graphdir.MAX_CHILD_INTERVALS
+        assert info.value.details["history"][:3] == ["", "TT", "TTTTTTTT"]
 
     def test_json_schema(self):
         graph = build_graph(golden_spec(), Policy.CUT_AT_TOUCH)

@@ -126,10 +126,11 @@ class TestGenerate:
 
     def test_gap_free_pattern_infeasible_for_rational_ratio(self):
         # delta = 1 - n*lam + m*lam^2 cannot vanish at rational lam in class,
-        # so a pattern with no G letter can never absorb the slack
-        with pytest.raises(Infeasible):
+        # so a pattern with no G letter can never absorb the slack; the fault
+        # is the pattern, not the (feasible) ratio
+        with pytest.raises(InvalidArgument, match="G letter"):
             generate(3, 1, F(1, 4), "OT")
-        with pytest.raises(Infeasible):
+        with pytest.raises(InvalidArgument, match="G letter"):
             generate(4, 1, F(1, 5), "OTT")
 
     def test_pattern_validation(self):
