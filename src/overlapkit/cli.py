@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,6 @@ from .errors import InputError, InvalidArgument, OverlapKitError
 from .exactnum import DEFAULT_PRECISION_BITS, format_rational, parse_rational
 from .graphdir import Policy, build_graph, emit_dot, spectral_radius, verify_beta_eigen
 from .ifs import (
-    MAX_PRECISION_BITS,  # re-exported: callers read the ceiling here
     DustIfsSpec,
     SelfSimilarSpec,
     check_precision,
@@ -68,6 +68,9 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 would survive the replace
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -124,25 +127,26 @@ def _resolve_precision(args: argparse.Namespace) -> int:
     return bits
 
 
-# -- subcommand handlers: (args, precision_bits) -> payload -------------------
-# A handler reports failure only by raising; main maps the error to its exit code.
+# -- subcommand handlers: (args) -> payload -----------------------------------
+# main resolves args.precision_bits before any handler runs. A handler reports
+# failure only by raising; main maps the error to its exit code.
 
 
-def _cmd_dimension(args, bits: int) -> dict:
-    return dimension(args.n, args.m, args.lam, bits).to_json()
+def _cmd_dimension(args) -> dict:
+    return dimension(args.n, args.m, args.lam, args.precision_bits).to_json()
 
 
-def _cmd_validate(args, bits: int) -> dict:
+def _cmd_validate(args) -> dict:
     spec, pattern = validate(args.lam, args.b)
     return {**spec.to_json(), **pattern.to_json()}
 
 
-def _cmd_generate(args, bits: int) -> dict:
+def _cmd_generate(args) -> dict:
     spec = generate(args.n, args.m, args.lam, args.pattern, seed=args.seed)
     return {**spec.to_json(), "pattern": spec.step_kinds()}
 
 
-def _cmd_graph(args, bits: int) -> dict:
+def _cmd_graph(args) -> dict:
     spec, pattern = validate(args.lam, args.b)
     gs = build_graph(spec, Policy(args.policy))
     spectral = spectral_radius(gs.adjacency)
@@ -161,7 +165,7 @@ def _cmd_graph(args, bits: int) -> dict:
     return payload
 
 
-def _cmd_factor(args, bits: int) -> dict:
+def _cmd_factor(args) -> dict:
     poly = parse_poly(args.poly)
     fac = factor(poly)
     return {
@@ -173,11 +177,11 @@ def _cmd_factor(args, bits: int) -> dict:
     }
 
 
-def _cmd_obstruct(args, bits: int) -> dict:
+def _cmd_obstruct(args) -> dict:
     return obstruction_verdict(args.n, args.m, args.kmax).to_json()
 
 
-def _cmd_obstruct_sweep(args, bits: int) -> dict:
+def _cmd_obstruct_sweep(args) -> dict:
     reports = sweep(range(3, args.nmax + 1), kmax=args.kmax)
     return {
         "nmax": args.nmax,
@@ -195,22 +199,22 @@ def _dust_spec(args, default_base: Optional[Fraction] = None) -> DustIfsSpec:
     return DustIfsSpec(ratios=args.ratios, base=base, exponents=args.exponents)
 
 
-def _cmd_dust_check(args, bits: int) -> dict:
+def _cmd_dust_check(args) -> dict:
     return dust_candidate_check(args.n, args.m, args.lam, _dust_spec(args, args.lam)).to_json()
 
 
-def _cmd_moran(args, bits: int) -> dict:
+def _cmd_moran(args) -> dict:
     dust = _dust_spec(args)
-    root = moran_dimension(dust, bits)
+    root = moran_dimension(dust, args.precision_bits)
     return {
         "dust": dust.to_json(),
-        "s": format_dimension(root.s, bits),
+        "s": format_dimension(root.s, args.precision_bits),
         "residual": str(root.residual),
         "iterations": root.iterations,
     }
 
 
-def _cmd_tail_search(args, bits: int) -> dict:
+def _cmd_tail_search(args) -> dict:
     report = nonneg_tail_search(
         args.q,
         args.n,
@@ -231,11 +235,11 @@ def _cmd_tail_search(args, bits: int) -> dict:
     }
 
 
-def _cmd_render(args, bits: int) -> dict:
+def _cmd_render(args) -> dict:
     spec = SelfSimilarSpec(args.lam, tuple(args.b))
     check_cylinders(spec.n, args.depth, MAX_RENDER_CYLINDERS)
     levels = cover_levels(spec, args.depth)
-    _atomic_write(args.svg, emit_svg(levels))
+    texts = {args.svg: emit_svg(levels)}  # both texts first, so a failure writes neither
     payload = {
         "depth": args.depth,
         "counts": [level.count for level in levels],
@@ -247,12 +251,14 @@ def _cmd_render(args, bits: int) -> dict:
             for level in levels
             for offset in level.offsets
         ]
-        _atomic_write(args.csv, emit_csv(("depth", "offset", "length"), rows))
+        texts[args.csv] = emit_csv(("depth", "offset", "length"), rows)
         payload["csv"] = args.csv
+    for path, text in texts.items():
+        _atomic_write(path, text)
     return payload
 
 
-def _cmd_growth(args, bits: int) -> dict:
+def _cmd_growth(args) -> dict:
     spec = SelfSimilarSpec(args.lam, tuple(args.b))
     result = cylinder_growth(spec, args.depth)
     payload = result.to_json()
@@ -262,119 +268,97 @@ def _cmd_growth(args, bits: int) -> dict:
     return payload
 
 
-def _cmd_boxdim(args, bits: int) -> dict:
+def _cmd_boxdim(args) -> dict:
     spec = SelfSimilarSpec(args.lam, tuple(args.b))
     return box_count_dimension(spec, args.depth, args.grid_levels).to_json()
 
 
-def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--output", metavar="PATH", default=None)
-    common.add_argument("--precision-bits", type=int, default=None)
-    common.add_argument("--seed", type=int, default=0)
+# -- the parser, as data --------------------------------------------------------
+# Every flag once: dest -> (option string, add_argument keywords).
+_FLAGS = {
+    "format": ("--format", dict(choices=("json", "text"), default="json")),
+    "output": ("--output", dict(metavar="PATH")),
+    "precision_bits": ("--precision-bits", dict(type=int)),
+    "seed": ("--seed", dict(type=int, default=0)),
+    "lam": ("--lambda", dict(type=parse_rational, required=True)),
+    "n": ("--n", dict(type=int, required=True)),
+    "m": ("--m", dict(type=int, required=True)),
+    "b": ("--b", dict(type=_rational_list, required=True, metavar="c0,c1,...")),
+    "pattern": ("--pattern", dict(metavar="OTG-word")),
+    "policy": (
+        "--policy",
+        dict(choices=[p.value for p in Policy], default=Policy.CUT_AT_TOUCH.value),
+    ),
+    "dot": ("--dot", dict(metavar="PATH")),
+    "poly": ("--poly", dict(required=True, metavar="EXPR")),
+    "kmax": ("--kmax", dict(type=int, default=8)),
+    "nmax": ("--nmax", dict(type=int, required=True)),
+    "ratios": ("--ratios", dict(type=_rational_list, metavar="r1,r2,...")),
+    "exponents": ("--exponents", dict(type=_rational_list, metavar="e1,e2,...")),
+    "base": ("--base", dict(type=parse_rational, help="base for --exponents (dust-check: lambda)")),
+    "q": ("--q", dict(type=int, required=True)),
+    "max_degree": ("--max-degree", dict(type=int, required=True)),
+    "coeff_bound": ("--coeff-bound", dict(type=int, required=True)),
+    "strategy": (
+        "--strategy",
+        dict(choices=[s.value for s in SearchStrategy], default=SearchStrategy.QUOTIENT.value),
+    ),
+    "depth": ("--depth", dict(type=int, required=True)),
+    "svg": ("--svg", dict(metavar="PATH", required=True)),
+    "csv": ("--csv", dict(metavar="PATH")),
+    "grid_levels": ("--grid-levels", dict(type=int, required=True)),
+}
 
+# name -> (handler, help, flag dests in usage order); "a|b" is a required
+# choice of exactly one of two flags. Every subcommand also takes _COMMON.
+_COMMON = "format output precision_bits seed"
+_DUST = "ratios|exponents base"
+_SUBCOMMANDS = {
+    "dimension": (_cmd_dimension, "Hausdorff dimension of a class member", "lam n m"),
+    "validate": (_cmd_validate, "classify offsets and check class membership", "lam b"),
+    "generate": (_cmd_generate, "build offsets realizing an O/T/G pattern", "n m lam pattern"),
+    "graph": (_cmd_graph, "graph-directed decomposition and spectral radius", "lam b policy dot"),
+    "factor": (_cmd_factor, "factor an integer polynomial", "poly"),
+    "obstruct": (_cmd_obstruct, "dust-equivalence obstruction verdict", "n m kmax"),
+    "obstruct-sweep": (_cmd_obstruct_sweep, "verdicts for every (n,m) up to nmax", "nmax kmax"),
+    "dust-check": (_cmd_dust_check, "test a dust-like candidate against E", f"n m lam {_DUST}"),
+    "moran": (_cmd_moran, "Moran-equation dimension of a dust-like system", _DUST),
+    "tail-search": (
+        _cmd_tail_search,
+        "no nonneg-tail multiple exists (Descartes' rule)",
+        "q n m max_degree coeff_bound strategy",
+    ),
+    "render": (_cmd_render, "draw the interval cover as SVG bar rows", "lam b depth svg csv"),
+    "growth": (_cmd_growth, "cylinder counts and growth rate", "lam b depth csv"),
+    "boxdim": (_cmd_boxdim, "box-counting dimension estimate", "lam b depth grid_levels"),
+}
+
+
+@functools.cache
+def _build_parser() -> _Parser:
+    """The parser of both tables, built on the first main() call and reused."""
     parser = _Parser(
         prog="overlapkit",
         description="Exact analysis of self-similar sets with exact overlaps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_text: str) -> _Parser:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("dimension", _cmd_dimension, "Hausdorff dimension of a class member")
-    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("validate", _cmd_validate, "classify offsets and check class membership")
-    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
-    p.add_argument("--b", type=_rational_list, required=True, metavar="c0,c1,...")
-
-    p = add("generate", _cmd_generate, "build offsets realizing an O/T/G pattern")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
-    p.add_argument("--pattern", default=None, metavar="OTG-word")
-
-    p = add("graph", _cmd_graph, "graph-directed decomposition and spectral radius")
-    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
-    p.add_argument("--b", type=_rational_list, required=True, metavar="c0,c1,...")
-    p.add_argument(
-        "--policy", choices=[policy.value for policy in Policy], default=Policy.CUT_AT_TOUCH.value
-    )
-    p.add_argument("--dot", metavar="PATH", default=None)
-
-    p = add("factor", _cmd_factor, "factor an integer polynomial")
-    p.add_argument("--poly", required=True, metavar="EXPR")
-
-    p = add("obstruct", _cmd_obstruct, "dust-equivalence obstruction verdict")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=8)
-
-    p = add("obstruct-sweep", _cmd_obstruct_sweep, "verdicts for every (n,m) up to nmax")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=8)
-
-    p = add("dust-check", _cmd_dust_check, "test a dust-like candidate against E")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--ratios", type=_rational_list, default=None, metavar="r1,r2,...")
-    group.add_argument("--exponents", type=_rational_list, default=None, metavar="e1,e2,...")
-    p.add_argument("--base", type=parse_rational, default=None, help="base for --exponents (default: lambda)")
-
-    p = add("moran", _cmd_moran, "Moran-equation dimension of a dust-like system")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--ratios", type=_rational_list, default=None, metavar="r1,r2,...")
-    group.add_argument("--exponents", type=_rational_list, default=None, metavar="e1,e2,...")
-    p.add_argument("--base", type=parse_rational, default=None)
-
-    p = add("tail-search", _cmd_tail_search, "no nonneg-tail multiple exists (Descartes' rule)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--coeff-bound", type=int, required=True)
-    p.add_argument(
-        "--strategy",
-        choices=[strategy.value for strategy in SearchStrategy],
-        default=SearchStrategy.QUOTIENT.value,
-    )
-
-    p = add("render", _cmd_render, "draw the interval cover as SVG bar rows")
-    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
-    p.add_argument("--b", type=_rational_list, required=True, metavar="c0,c1,...")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--svg", metavar="PATH", required=True)
-    p.add_argument("--csv", metavar="PATH", default=None)
-
-    p = add("growth", _cmd_growth, "cylinder counts and growth rate")
-    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
-    p.add_argument("--b", type=_rational_list, required=True, metavar="c0,c1,...")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--csv", metavar="PATH", default=None)
-
-    p = add("boxdim", _cmd_boxdim, "box-counting dimension estimate")
-    p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
-    p.add_argument("--b", type=_rational_list, required=True, metavar="c0,c1,...")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--grid-levels", type=int, required=True)
-
+    for name, (handler, help_text, dests) in _SUBCOMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler)
+        for slot in f"{_COMMON} {dests}".split():
+            either = slot.split("|")
+            target = cmd.add_mutually_exclusive_group(required=True) if len(either) > 1 else cmd
+            for dest in either:
+                flag, keywords = _FLAGS[dest]
+                target.add_argument(flag, dest=dest, **keywords)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        bits = _resolve_precision(args)
-        payload = args.handler(args, bits)
+        args = _build_parser().parse_args(argv)
+        args.precision_bits = _resolve_precision(args)
+        payload = args.handler(args)
         text = _render_json(payload) if args.format == "json" else _render_text(payload)
         if args.output:
             _atomic_write(args.output, text)

@@ -9,13 +9,14 @@ by exact equality, never by epsilon.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Optional, Union
 
 import mpmath
 
-from .errors import InvalidArgument, NonPositiveDiscriminant
+from .errors import InvalidArgument, NonPositiveDiscriminant, ResourceLimitError
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -34,8 +35,17 @@ def parse_rational(text: str) -> Fraction:
         raise InvalidArgument(f"not an exact rational: {text!r}") from exc
 
 
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+def format_rational(value: Rationalish) -> str:
+    """'p' or 'p/q': the one place a rational becomes text. Past the
+    interpreter's int-to-str digit limit it raises ResourceLimitError, decided
+    before anything is converted."""
+    value = Fraction(value)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (< 3.10.7)
+    big = max(abs(value.numerator), value.denominator)
+    # below 2^(3*limit) < 10^limit, so only a long number pays for the power
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ResourceLimitError(f"rationals past {limit} digits cannot be printed", ceiling=limit)
+    return str(value)
 
 
 def _fraction_to_mpf(value: Fraction) -> mpmath.mpf:

@@ -84,7 +84,9 @@ class SelfSimilarSpec:
         steps = self.steps
         for i, s in enumerate(steps, start=1):
             if s <= 0:
-                raise NotMonotone(f"offsets must be strictly increasing, step {i} is {s}")
+                raise NotMonotone(
+                    f"offsets must be strictly increasing, step {i} is {format_rational(s)}"
+                )
         if self.offsets[0] != 0:
             raise BadBoundary(f"first offset must be 0, got {self.offsets[0]}")
         if self.offsets[-1] != 1 - self.lam:
@@ -95,8 +97,8 @@ class SelfSimilarSpec:
         for i, (s, kind) in enumerate(zip(steps, classify_steps(steps, self.lam)), start=1):
             if kind is None:
                 raise InvalidStep(
-                    f"step {i} = {s} is a positive overlap that is not exact "
-                    f"(expected {exact} or at least {self.lam})",
+                    f"step {i} = {format_rational(s)} is a positive overlap that is not "
+                    f"exact (expected {format_rational(exact)} or at least {self.lam})",
                     index=i,
                 )
 

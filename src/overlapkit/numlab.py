@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import DegenerateFit, InvalidArgument, NotInClass, TooDeep
+from .exactnum import format_rational
 from .ifs import SelfSimilarSpec, validate
 
 DEFAULT_COVER_CEILING = 10**7
@@ -180,7 +181,7 @@ class BoxCountResult:
         return {
             "estimate": repr(self.estimate),
             "scales": [
-                {"level": s.level, "cell": str(s.cell), "occupied": s.occupied}
+                {"level": s.level, "cell": format_rational(s.cell), "occupied": s.occupied}
                 for s in self.scales
             ],
             "residuals": [repr(r) for r in self.residuals],
@@ -205,7 +206,9 @@ def box_count_dimension(spec: SelfSimilarSpec, depth: int, grid_levels: int) -> 
         ScaleCount(level=j, cell=spec.lam**j, occupied=occupied)
         for j, occupied in enumerate(_occupied_cells(spec, depth, grid_levels), start=1)
     ]
-    xs = [-j * math.log(float(spec.lam)) for j in range(1, grid_levels + 1)]
+    # from the integers: float(lambda) underflows to 0 below about 1e-324
+    log_lam = math.log(spec.lam.numerator) - math.log(spec.lam.denominator)
+    xs = [-j * log_lam for j in range(1, grid_levels + 1)]
     ys = [math.log(s.occupied) for s in scales]
     fit = statistics.linear_regression(xs, ys)
     residuals = tuple(y - (fit.slope * x + fit.intercept) for x, y in zip(xs, ys))

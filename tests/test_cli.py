@@ -7,6 +7,9 @@ import io
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -15,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overlapkit import cli, graphdir, ifs
-from overlapkit.cli import MAX_PRECISION_BITS, main
+from overlapkit.cli import main
+from overlapkit.ifs import MAX_PRECISION_BITS
 from overlapkit.intpoly.poly import MAX_COEFF_BITS, MAX_DEGREE
 from overlapkit.obstruction import MAX_KMAX, MAX_NMAX
 
@@ -545,6 +549,37 @@ class TestRenderGrowthBoxdim:
         assert abs(float(data["estimate"]) - math.log(2) / math.log(3)) < 1e-9
         assert len(data["scales"]) == 4
 
+    def test_boxdim_at_a_lambda_below_float_range(self, capsys):
+        # float(1/(10^400+1)) is 0; the log is taken from the integers
+        q = 10**400 + 1
+        data = run_json(
+            capsys, "boxdim", "--lambda", f"1/{q}", "--b", f"0,{q - 1}/{q}", "--depth", "5",
+            "--grid-levels", "4",
+        )
+        assert abs(float(data["estimate"]) - math.log(2) / math.log(q)) < 1e-12
+        assert data["scales"][0]["cell"] == f"1/{q}"
+
+
+# past the interpreter's int-to-str limit (4300 digits): exit 2, and no file
+_Q = 10**2200 + 1
+_LONG_NUMBER_ARGV = [
+    ["generate", "--n", "3", "--m", "1", "--lambda", f"1/{_Q}", "--pattern", "OG"],
+    ["validate", "--lambda", f"1/{_Q}", "--b", f"0,1/{2 * _Q},{_Q - 1}/{_Q}"],
+    ["render", "--lambda", f"1/{_Q}", "--b", f"0,{_Q - 1}/{_Q}", "--depth", "2",
+     "--svg", "c.svg", "--csv", "c.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", _LONG_NUMBER_ARGV, ids=lambda argv: argv[0])
+def test_numbers_past_the_digit_limit_exit_2_and_write_nothing(capsys, tmp_path, argv):
+    argv = [str(tmp_path / arg) if arg in ("c.svg", "c.csv") else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ResourceLimitError"
+    assert payload["details"]["ceiling"] == sys.get_int_max_str_digits()
+    assert list(tmp_path.iterdir()) == []
+
 
 class TestHarness:
     def test_unwritable_paths_exit_1_without_traceback(self, capsys, tmp_path):
@@ -570,6 +605,60 @@ class TestHarness:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["n"] == 3
+
+    def test_written_files_follow_the_umask(self, capsys, tmp_path):
+        svg, csv_path, out = tmp_path / "c.svg", tmp_path / "c.csv", tmp_path / "out.json"
+        old = os.umask(0o022)
+        try:
+            run_json(
+                capsys, "graph", "--lambda", "1/4", "--b", "0,3/16,3/4",
+                "--dot", str(tmp_path / "g.dot"),
+            )
+            code, _, err = run(
+                capsys, "render", "--lambda", "1/4", "--b", "0,3/16,3/4", "--depth", "2",
+                "--svg", str(svg), "--csv", str(csv_path), "--output", str(out),
+            )
+            assert code == 0, err
+        finally:
+            os.umask(old)
+        modes = {path.name: path.stat().st_mode & 0o777 for path in tmp_path.iterdir()}
+        assert modes == {"g.dot": 0o644, "c.svg": 0o644, "c.csv": 0o644, "out.json": 0o644}
+
+    def test_parser_is_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        run_json(capsys, "obstruct", "--n", "3", "--m", "1", "--kmax", "2")
+        run_json(capsys, "dimension", "--lambda", "1/4", "--n", "3", "--m", "1")
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_reused_parser_matches_fresh_processes(self, capsys):
+        # a parse error, --help's SystemExit and an explicit --seed leave no
+        # trace in the next call of the one cached parser
+        generate = ["generate", "--n", "5", "--m", "2", "--lambda", "1/9"]
+        calls = [
+            ["graph", "--lambda", "1/4", "--b", "0,3/16,3/4", "--policy", "bogus"],
+            ["--help"],
+            [*generate, "--seed", "5"],
+            generate,
+        ]
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        fresh = [_fresh_run(*argv) for argv in calls]
+        assert in_process == fresh
+        assert [code for code, _, _ in fresh] == [1, 0, 0, 0]
+        assert in_process[2][1] != in_process[3][1]
+
+    def test_entry_point_maps_the_exit_code(self):
+        code, out, _ = _fresh_run("obstruct", "--n", "3", "--m", "1", "--kmax", "2")
+        assert code == 0 and json.loads(out)["verdict"] == "NecessaryConditionMet"
+        code, out, err = _fresh_run("obstruct", "--n", "3", "--m", "2")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "NotInClass"
 
     def test_reruns_are_byte_identical(self, capsys):
         argv = ["obstruct-sweep", "--nmax", "8"]
@@ -600,6 +689,17 @@ class TestHarness:
         assert code == 1
         assert json.loads(err)["error"] == "InvalidArgument"
         assert json.loads(err)["message"] == "not an exact rational: '0.25'"
+
+
+def _fresh_run(*argv):
+    """(exit code, stdout, stderr) of `python -m overlapkit argv` in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("OVERLAPKIT_PRECISION_BITS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "overlapkit", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 # -- argv fuzz ------------------------------------------------------------------------
@@ -663,6 +763,16 @@ _SUBCOMMANDS = {
 }
 
 
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_help_lists_the_flags_of_the_fuzz_table(capsys, command):
+    # the fuzz's table is kept apart from cli's, so drift in either one fails
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {*_SUBCOMMANDS[command], *_COMMON}
+
+
 @st.composite
 def argvs(draw):
     """A subcommand (now and then an unknown word) with a subset of its flags,
@@ -696,6 +806,13 @@ def argvs(draw):
 @example(["render", "--lambda", "1/3", "--b", "0,2/3", "--depth", "3", "--svg", "missing/c.svg"])
 @example(["dust-check", "--n", "3", "--m", "1", "--lambda", "1/4", "--exponents", "1,100000"])
 @example(["dust-check", "--n", "3", "--m", "1", "--lambda", "1/4", "--exponents", "1/255,1/256,2"])
+@example(
+    ["boxdim", "--lambda", f"1/{10**400 + 1}", "--b", f"0,{10**400}/{10**400 + 1}",
+     "--depth", "5", "--grid-levels", "4"]
+)
+@example(_LONG_NUMBER_ARGV[0])
+@example(_LONG_NUMBER_ARGV[1])
+@example(_LONG_NUMBER_ARGV[2])
 def test_argv_fuzz_exits_with_a_documented_code(argv):
     with tempfile.TemporaryDirectory() as tmp:
         argv = [
