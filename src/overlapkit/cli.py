@@ -4,7 +4,7 @@ Every subcommand prints one report (JSON by default, or a flat key=value text
 rendering of the same data) and exits 0 on success, 1 on invalid input, 2 on
 a resource ceiling, and 3 on an internal consistency failure. Errors are
 additionally written to stderr as machine-readable JSON. File outputs (DOT,
-SVG, CSV, and --output) are written atomically.
+SVG, CSV, and --output) are written all or none.
 """
 
 from __future__ import annotations
@@ -62,19 +62,28 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(part) for part in items)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".overlapkit-")
+def _atomic_write(files: dict[str, str]) -> None:
+    """Each path -> text goes to a temporary file beside its path, and the paths
+    are replaced only once all are written; a failure unlinks every one."""
+    temps: list[str] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 would survive the replace
-        os.replace(tmp, path)
+        for path, text in files.items():
+            if os.path.isdir(path):  # os.replace would fail only after other targets were replaced
+                raise IsADirectoryError(f"{path} is a directory")
+            directory = os.path.dirname(os.path.abspath(path))
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".overlapkit-")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 would survive the replace
+        for tmp, path in zip(temps, files):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise
 
 
@@ -128,8 +137,9 @@ def _resolve_precision(args: argparse.Namespace) -> int:
 
 
 # -- subcommand handlers: (args) -> payload -----------------------------------
-# main resolves args.precision_bits before any handler runs. A handler reports
-# failure only by raising; main maps the error to its exit code.
+# main resolves args.precision_bits before any handler runs and writes the files
+# a handler puts in args.files (path -> text) with --output, all or none. A
+# handler reports failure only by raising; main maps the error to its exit code.
 
 
 def _cmd_dimension(args) -> dict:
@@ -160,7 +170,7 @@ def _cmd_graph(args) -> dict:
         "spectral": spectral.to_json(),
     }
     if args.dot:
-        _atomic_write(args.dot, emit_dot(gs))
+        args.files[args.dot] = emit_dot(gs)
         payload["dot"] = args.dot
     return payload
 
@@ -239,7 +249,7 @@ def _cmd_render(args) -> dict:
     spec = SelfSimilarSpec(args.lam, tuple(args.b))
     check_cylinders(spec.n, args.depth, MAX_RENDER_CYLINDERS)
     levels = cover_levels(spec, args.depth)
-    texts = {args.svg: emit_svg(levels)}  # both texts first, so a failure writes neither
+    args.files[args.svg] = emit_svg(levels)
     payload = {
         "depth": args.depth,
         "counts": [level.count for level in levels],
@@ -251,10 +261,8 @@ def _cmd_render(args) -> dict:
             for level in levels
             for offset in level.offsets
         ]
-        texts[args.csv] = emit_csv(("depth", "offset", "length"), rows)
+        args.files[args.csv] = emit_csv(("depth", "offset", "length"), rows)
         payload["csv"] = args.csv
-    for path, text in texts.items():
-        _atomic_write(path, text)
     return payload
 
 
@@ -263,7 +271,7 @@ def _cmd_growth(args) -> dict:
     result = cylinder_growth(spec, args.depth)
     payload = result.to_json()
     if args.csv:
-        _atomic_write(args.csv, emit_csv(("L", "N_L"), list(enumerate(result.counts))))
+        args.files[args.csv] = emit_csv(("L", "N_L"), list(enumerate(result.counts)))
         payload["csv"] = args.csv
     return payload
 
@@ -358,11 +366,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         args.precision_bits = _resolve_precision(args)
+        args.files = {}
         payload = args.handler(args)
         text = _render_json(payload) if args.format == "json" else _render_text(payload)
         if args.output:
-            _atomic_write(args.output, text)
-        else:
+            args.files[args.output] = text
+        _atomic_write(args.files)
+        if not args.output:
             sys.stdout.write(text)
         return 0
     except OSError as exc:

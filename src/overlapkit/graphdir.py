@@ -168,11 +168,14 @@ class SpectralResult:
 
 
 def spectral_radius(matrix) -> SpectralResult:
-    """Perron root of a nonnegative integer matrix, isolated exactly.
+    """Perron root of a nonnegative integer matrix, bracketed exactly.
 
-    By Perron-Frobenius rho(A) is an eigenvalue and bounds every eigenvalue's
-    modulus, so it is the largest real root of det(x*I - A), in [0, max row
-    sum]. `iterations` counts the bisection steps down to width 2^-128.
+    By Perron-Frobenius rho(A) is an eigenvalue, in [0, max row sum], and
+    every eigenvalue z has |z| <= rho, so Re z < rho unless z = rho. So for
+    the squarefree part s of det(x*I - A), x >= rho iff no Taylor
+    coefficient of s at x is negative: above rho each factor of s(x + t)
+    has positive coefficients, and below it t = rho - x > 0 is a root.
+    `iterations` counts the bisection steps (one test each) to width 2^-128.
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):

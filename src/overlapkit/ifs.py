@@ -341,16 +341,18 @@ class DustIfsSpec:
             if len(self.ratios) < 2:
                 raise InvalidArgument("need at least two ratios")
             if any(not 0 < r < 1 for r in self.ratios):
-                raise InvalidArgument(f"ratios must lie in (0,1), got {self.ratios}")
+                got = ", ".join(map(format_rational, self.ratios))
+                raise InvalidArgument(f"ratios must lie in (0,1), got {got}")
         else:
             if self.base is None or self.exponents is None:
                 raise InvalidArgument("base and exponents are required together")
             if not 0 < self.base < 1:
-                raise InvalidArgument(f"base must lie in (0,1), got {self.base}")
+                raise InvalidArgument(f"base must lie in (0,1), got {format_rational(self.base)}")
             if len(self.exponents) < 2:
                 raise InvalidArgument("need at least two exponents")
             if any(e <= 0 for e in self.exponents):
-                raise InvalidArgument(f"exponents must be positive, got {self.exponents}")
+                got = ", ".join(map(format_rational, self.exponents))
+                raise InvalidArgument(f"exponents must be positive, got {got}")
 
     @classmethod
     def from_ratios(cls, ratios: Sequence[Fraction]) -> "DustIfsSpec":

@@ -1,8 +1,8 @@
-"""Exact real algebra on IntPoly: characteristic polynomials and real roots.
+"""Exact real algebra on IntPoly: characteristic polynomials and Perron roots.
 
 Every decision is the sign of an integer: `charpoly` is Berkowitz's
-division-free algorithm, and real roots are isolated with Sturm sequences
-and bisected on dyadic points a/2^e.
+division-free algorithm, and the largest real root of a Perron polynomial is
+bisected on dyadic points a/2^e, each tested by the signs of one Taylor shift.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import InvalidArgument
-from .poly import IntPoly, _pseudo_rem, exact_div, gcd_poly
+from .poly import IntPoly, exact_div, gcd_poly
 
 
 def charpoly(matrix: Sequence[Sequence[int]]) -> IntPoly:
@@ -38,69 +38,47 @@ def charpoly(matrix: Sequence[Sequence[int]]) -> IntPoly:
     return IntPoly(reversed(vec))
 
 
-def sturm_chain(poly: IntPoly) -> tuple[IntPoly, ...]:
-    """Sturm sequence p, p', -rem(p, p'), ... of the squarefree part p of poly.
-
-    Each remainder is a pseudo-remainder scaled by a positive integer and
-    made primitive, which keeps every sign and hence every variation count.
-    """
-    if poly.is_zero:
-        raise InvalidArgument("the zero polynomial has no Sturm sequence")
-    # poly / gcd(poly, poly') has each root once; by Gauss's lemma it is integral
-    chain = [exact_div(poly, gcd_poly(poly, poly.derivative())).primitive_part()]
-    chain.append(chain[0].derivative())
-    while chain[-1].degree > 0:
-        a, b = chain[-2], chain[-1]
-        rem = _pseudo_rem(a, b)
-        if b.lc < 0 and (a.degree - b.degree) % 2 == 0:
-            rem = -rem  # it was scaled by lc(b)^(odd power) < 0
-        chain.append(-rem.primitive_part())
-    return tuple(chain)
-
-
-def _sign_at(poly: IntPoly, num: int, den: int) -> int:
-    """Sign of poly(num/den) for den > 0, from den^deg * poly(num/den)."""
-    acc = 0
-    scale = 1
-    for c in reversed(poly.coeffs):
-        acc = acc * num + c * scale
-        scale *= den
-    return (acc > 0) - (acc < 0)
-
-
-def _variations(chain: Sequence[IntPoly], num: int, den: int) -> int:
-    """Sign changes along the chain at num/den, zeros skipped."""
-    signs = [s for s in (_sign_at(p, num, den) for p in chain) if s]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def count_roots(poly: IntPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of poly in (lo, hi], for lo < hi.
-
-    Sturm's theorem gives V(lo) - V(hi), roots at either end included.
-    """
-    chain = sturm_chain(poly)
-    return _variations(chain, *lo.as_integer_ratio()) - _variations(chain, *hi.as_integer_ratio())
+def _at_or_above(desc: Sequence[int], num: int, exp: int) -> bool:
+    """Whether no Taylor coefficient at num/2^exp of the polynomial with
+    descending coefficients desc is negative. Pass i of the Taylor shift of
+    2^(exp*d) * p((num + u)/2^exp) fixes its coefficient of u^i, 2^(exp*(d-i))
+    times the i-th Taylor one, and the test stops at the first negative one."""
+    shifted = [c << (exp * j) for j, c in enumerate(desc)]
+    d = len(shifted) - 1
+    for i in range(d):
+        for j in range(1, d - i + 1):
+            shifted[j] += num * shifted[j - 1]
+        if shifted[d - i] < 0:
+            return False
+    return True
 
 
 def largest_root(poly: IntPoly, lo: int, hi: int, bits: int) -> tuple[Fraction, Fraction, int]:
-    """Isolating interval (a, b] of the largest real root r of poly.
+    """Interval (a, b] of width at most 2^-bits holding the largest real root
+    r of a Perron polynomial poly: every other complex root z has Re z < r,
+    as for det(x*I - A) with A >= 0 (Perron-Frobenius).
 
-    The caller guarantees lo < r <= hi for integers lo and hi. Sturm
-    bisection narrows (a, b] until r is its only root and b - a <= 2^-bits.
-    Returns a, b and the number of bisection steps.
+    Let s be the squarefree part of poly with positive leading coefficient;
+    s(x + t) is lc(s) times the product of t + (x - z) over its roots z. For
+    x > r every real factor, and every conjugate pair
+    t^2 + 2*Re(x - z)*t + |x - z|^2, has positive coefficients, so all
+    Taylor coefficients of s at x are positive; at x = r the constant one is
+    0 and the others stay positive. For x < r, t = r - x > 0 is a root of
+    s(x + t), which a polynomial with nonnegative coefficients and positive
+    leading one cannot have. So x >= r iff no Taylor coefficient of s at x
+    is negative. The integers lo and hi must satisfy lo < r <= hi; bisection
+    keeps a < r <= b. Returns a, b and the number of bisection steps.
     """
-    chain = sturm_chain(poly)
-    v_lo, v_hi = _variations(chain, lo, 1), _variations(chain, hi, 1)
-    if v_lo == v_hi:
-        raise InvalidArgument(f"{poly.to_string()} has no real root in ({lo}, {hi}]")
+    # poly / gcd(poly, poly') has each root once; by Gauss's lemma it is integral
+    desc = exact_div(poly, gcd_poly(poly, poly.derivative())).monic_positive().coeffs[::-1]
+    if _at_or_above(desc, lo, 0) or not _at_or_above(desc, hi, 0):
+        raise InvalidArgument(f"the largest root of {poly.to_string()} is not in ({lo}, {hi}]")
     exp = steps = 0
-    while v_lo - v_hi > 1 or (hi - lo) << bits > 1 << exp:
+    while (hi - lo) << bits > 1 << exp:
         lo, hi, exp, steps = 2 * lo, 2 * hi, exp + 1, steps + 1
         mid = (lo + hi) // 2
-        v_mid = _variations(chain, mid, 1 << exp)
-        if v_mid > v_hi:  # a root lies in (mid, hi], so r does
-            lo, v_lo = mid, v_mid
+        if _at_or_above(desc, mid, exp):
+            hi = mid
         else:
-            hi, v_hi = mid, v_mid
+            lo = mid
     return Fraction(lo, 1 << exp), Fraction(hi, 1 << exp), steps

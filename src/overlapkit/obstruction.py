@@ -20,7 +20,6 @@ from .exactnum import format_rational, is_perfect_power, multiplicative_dependen
 from .ifs import DustIfsSpec, check_class, check_feasible
 from .intpoly import Factorization, IntPoly, factor, family_poly, gcd_poly, moran_poly
 from .intpoly.poly import MAX_DEGREE
-from .intpoly.roots import count_roots
 
 # up to k = 15 every in-class pair with n <= 20 gets its verdict within about
 # a second; from k = 16 on, single factorizations (x^32-13x^16+1) take seconds
@@ -214,9 +213,12 @@ def dust_candidate_check(n: int, m: int, lam: Fraction, dust: DustIfsSpec) -> Eq
     beta^(1/k) as a root; a constant gcd means the dimensions differ
     (DimensionMismatch), a non-constant gcd without that root is WrongFactor.
 
-    beta^(1/k) < n is the only root of x^(2k)-n*x^k+m above 1, as the other
-    root of x^2-n*x+m lies in (0, 1) and 1-n+m < 0; so the gcd holds it iff
-    it has a root in (1, n]. Degrees above MAX_DEGREE are refused unbuilt.
+    The gcd g is primitive with positive leading coefficient and divides
+    x^(2k)-n*x^k+m, which is squarefree, is 1-n+m < 0 at 1, and has
+    beta^(1/k) < n as its only real root above 1 (the other root of
+    x^2-n*x+m lies in (0, 1)). So g > 0 on [n, oo), and its only possible
+    root in (1, n) is simple: g holds beta^(1/k) iff g(1) < 0. Degrees above
+    MAX_DEGREE are refused unbuilt.
     """
     lam = check_feasible(n, m, lam)
     exponents = _lambda_exponents(lam, dust)
@@ -235,7 +237,7 @@ def dust_candidate_check(n: int, m: int, lam: Fraction, dust: DustIfsSpec) -> Eq
         pbar = family_poly(n, m, k)
         qbar = moran_poly(scaled)
         g = gcd_poly(pbar, qbar)
-        shared = g.degree > 0 and count_roots(g, 1, n) > 0
+        shared = g.evaluate(1) < 0
         if shared:
             reason = None
         elif g.degree == 0:

@@ -429,6 +429,17 @@ class TestDustCheckAndMoran:
             assert payload["error"] == "InvalidArgument"
             assert payload["message"] == "give either ratios or base+exponents, not both"
 
+    def test_bad_dust_values_print_as_rationals(self, capsys):
+        for argv, message in (
+            (["moran", "--ratios", "1/2,3/2"], "ratios must lie in (0,1), got 1/2, 3/2"),
+            (["dust-check", "--n", "3", "--m", "1", "--lambda", "1/4", "--exponents", "1,-1/2"],
+             "exponents must be positive, got 1, -1/2"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", argv[0]
+            assert "Fraction(" not in err
+            assert json.loads(err)["message"] == message
+
     def test_moran_ratios(self, capsys):
         data = run_json(capsys, "moran", "--ratios", "1/3,1/3")
         assert abs(float(data["s"]) - math.log(2) / math.log(3)) < 1e-10
@@ -595,6 +606,25 @@ class TestHarness:
             assert "Traceback" not in err
             assert json.loads(err)["error"] == "InputError"
         assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--lambda", "1/4", "--b", "0,3/16,3/4", "--dot", "g.dot"],
+            ["growth", "--lambda", "1/4", "--b", "0,3/16,3/4", "--depth", "3", "--csv", "c.csv"],
+            ["render", "--lambda", "1/4", "--b", "0,3/16,3/4", "--depth", "3", "--svg", "s.svg"],
+        ],
+        ids=["graph", "growth", "render"],
+    )
+    @pytest.mark.parametrize("output", ["missing/out.json", "outdir"])
+    def test_failing_output_writes_no_file(self, capsys, tmp_path, argv, output):
+        (tmp_path / "outdir").mkdir()
+        argv = [str(tmp_path / arg) if arg in ("g.dot", "c.csv", "s.svg") else arg for arg in argv]
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path / output))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+        # neither the file nor a .overlapkit-* temporary
+        assert [p.name for p in tmp_path.rglob("*")] == ["outdir"]
 
     def test_output_file_replaces_stdout(self, capsys, tmp_path):
         path = tmp_path / "out.json"

@@ -6,12 +6,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from overlapkit.errors import InvalidArgument, NotInClass
 from overlapkit.exactnum import is_perfect_power
 from overlapkit.ifs import DustIfsSpec
 from overlapkit.intpoly import IntPoly, family_poly, gcd_poly, is_irreducible, moran_poly
-from overlapkit.intpoly.roots import count_roots, largest_root
 from overlapkit.obstruction import (
     Conclusion,
     RuledOutReason,
@@ -22,6 +24,11 @@ from overlapkit.obstruction import (
 )
 
 F = Fraction
+X = sp.Symbol("x")
+
+
+def sympy_poly(poly: IntPoly) -> sp.Poly:
+    return sp.Poly(list(reversed(poly.coeffs)), X)
 
 
 class TestVerdicts:
@@ -168,11 +175,10 @@ class TestDustCandidateCheck:
 
 
     def test_shared_root_matches_the_isolating_interval(self):
-        # the old rule as oracle: g holds beta^(1/k) iff g has a root in the
-        # isolating interval of the largest root of x^(2k)-n*x^k+m; checked on
-        # every exponent set of 2-4 maps over lambda^(1/k), k in {1,2,3,4,6},
-        # whose Moran polynomial meets the family polynomial, plus the
-        # WrongFactor example
+        # g holds beta^(1/k) iff g has a root in sympy's isolating interval of
+        # the largest real root of x^(2k)-n*x^k+m; checked on every exponent
+        # set of 2-4 maps over lambda^(1/k), k in {1,2,3,4,6}, whose Moran
+        # polynomial meets the family polynomial, plus the WrongFactor example
         cases = [(18, 1, 3, tuple([2] + [3] * 21 + [4] * 8 + [5] * 3))]
         for n, m in ((3, 1), (6, 1), (7, 1), (8, 4), (11, 1), (12, 4)):
             for k in (1, 2, 3, 4, 6):
@@ -187,10 +193,29 @@ class TestDustCandidateCheck:
             lam = F(1, n + 1)
             dust = DustIfsSpec.from_exponents(lam, [F(j, k) for j in js])
             check = dust_candidate_check(n, m, lam, dust)
-            lo, hi, _ = largest_root(check.pbar, 0, n, 0)
-            assert check.shared_root == (count_roots(check.gcd, lo, hi) > 0), (n, m, js)
+            (lo, hi), _ = sympy_poly(check.pbar).intervals()[-1]
+            assert check.shared_root == (sympy_poly(check.gcd).count_roots(lo, hi) > 0), (n, m, js)
             verdicts.append(check.shared_root)
         assert verdicts.count(False) == 1  # the WrongFactor example
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(3, 20).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 2))),
+        st.sampled_from((1, 2, 3, 4, 6)).flatmap(
+            lambda k: st.tuples(st.just(k), st.lists(st.integers(1, 2 * k), min_size=2, max_size=4))
+        ),
+    )
+    @example((3, 1), (2, [1, 2]))
+    @example((6, 1), (2, [1, 1, 2]))
+    @example((11, 1), (2, [1, 1, 1, 2]))
+    @example((18, 1), (3, [2] + [3] * 21 + [4] * 8 + [5] * 3))  # WrongFactor
+    def test_shared_root_is_a_root_of_the_gcd_in_one_to_n(self, pair, kjs):
+        (n, m), (k, js) = pair, kjs
+        lam = F(1, n + 1)
+        dust = DustIfsSpec.from_exponents(lam, [F(j, k) for j in js])
+        check = dust_candidate_check(n, m, lam, dust)
+        closed = sympy_poly(check.gcd).count_roots(1, n)  # roots in [1, n]
+        assert check.shared_root == (closed - (check.gcd.evaluate(1) == 0) > 0), (n, m, k, js)
 
 
 class TestFamilyIrreducibilityBase:

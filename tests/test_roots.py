@@ -7,13 +7,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy as sp
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overlapkit.errors import InvalidArgument
 from overlapkit.graphdir import spectral_radius, verify_beta_eigen
 from overlapkit.intpoly import IntPoly
-from overlapkit.intpoly.roots import charpoly, count_roots, largest_root
+from overlapkit.intpoly.roots import charpoly, largest_root
 
 X = sp.Symbol("x")
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -50,10 +50,6 @@ def beta_cases(draw):
     return matrix, a + d, a * d - b * c
 
 
-polys = st.lists(st.integers(-20, 20), min_size=1, max_size=9).map(IntPoly).filter(bool)
-points = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 4))
-
-
 def sympy_charpoly(matrix) -> list[int]:
     """Ascending coefficients of det(x*I - A)."""
     return [int(c) for c in reversed(sp.Matrix(matrix).charpoly().all_coeffs())]
@@ -84,32 +80,22 @@ def test_beta_eigen_matches_sympy_remainder(case):
 
 
 @PROPERTY
-@given(polys, points, points)
-# its Sturm chain drops two degrees at a negative leading coefficient, where
-# the pseudo-remainder's sign must be corrected
-@example(IntPoly([4, 2, 0, 0, 3]), Fraction(-5), Fraction(5))
-def test_count_roots_matches_sympy(poly, lo, hi):
-    assume(lo < hi)
-    expected = sp.Poly(list(reversed(poly.coeffs)), X).count_roots(
-        sp.Rational(lo.numerator, lo.denominator), sp.Rational(hi.numerator, hi.denominator)
-    )
-    if poly.evaluate(lo) == 0:
-        expected -= 1  # sympy counts the closed interval, count_roots (lo, hi]
-    assert count_roots(poly, lo, hi) == expected
-
-
-@PROPERTY
-@given(polys, st.integers(0, 40))
-def test_largest_root_interval_isolates_it(poly, bits):
-    roots = sp.real_roots(sp.Poly(list(reversed(poly.coeffs)), X))
-    assume(roots)
-    bound = 1 + poly.max_norm()  # Cauchy: every root has modulus below this
-    lo, hi, _ = largest_root(poly, -bound, bound, bits)
+@given(matrices(), st.integers(0, 40))
+@example([[0]], 10)
+@example([[2]], 10)  # hi must stay 2 exactly
+@example([[0, 1], [1, 0]], 10)  # roots 1 and -1
+@example([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 10)  # two complex roots of modulus 1
+@example([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]], 10)  # a double Perron root
+def test_largest_root_interval_holds_the_perron_root(matrix, bits):
+    coeffs = sympy_charpoly(matrix)
+    top = sp.real_roots(sp.Poly(list(reversed(coeffs)), X))[-1]
+    hi_bound = max(map(sum, matrix))
+    lo, hi, _ = largest_root(IntPoly(coeffs), -1, hi_bound, bits)
     assert hi - lo <= Fraction(1, 2**bits)
-    assert count_roots(poly, lo, hi) == 1
-    top = roots[-1]
     assert sp.Rational(lo.numerator, lo.denominator) < top
     assert top <= sp.Rational(hi.numerator, hi.denominator)
+    if top == hi_bound:
+        assert hi == hi_bound
 
 
 def test_charpoly_validation():
@@ -121,6 +107,6 @@ def test_charpoly_validation():
 
 def test_largest_root_needs_a_root_in_the_bracket():
     with pytest.raises(InvalidArgument):
-        largest_root(IntPoly([1, 0, 1]), -2, 2, 10)  # x^2+1
-    with pytest.raises(InvalidArgument):
         largest_root(IntPoly([-5, 1]), 0, 4, 10)  # the root 5 lies above the bracket
+    with pytest.raises(InvalidArgument):
+        largest_root(IntPoly([-5, 1]), 5, 9, 10)  # lo must lie below the root
