@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import os
@@ -64,12 +65,13 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
 
 def _atomic_write(files: dict[str, str]) -> None:
     """Each path -> text goes to a temporary file beside its path, and the paths
-    are replaced only once all are written; a failure unlinks every one."""
+    are replaced only once all are written; a failure unlinks every one and
+    names the path it was writing, never its temporary file."""
     temps: list[str] = []
     try:
         for path, text in files.items():
             if os.path.isdir(path):  # os.replace would fail only after other targets were replaced
-                raise IsADirectoryError(f"{path} is a directory")
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             directory = os.path.dirname(os.path.abspath(path))
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".overlapkit-")
             temps.append(tmp)
@@ -80,10 +82,12 @@ def _atomic_write(files: dict[str, str]) -> None:
             os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 would survive the replace
         for tmp, path in zip(temps, files):
             os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         for tmp in temps:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -153,7 +157,7 @@ def _cmd_validate(args) -> dict:
 
 def _cmd_generate(args) -> dict:
     spec = generate(args.n, args.m, args.lam, args.pattern, seed=args.seed)
-    return {**spec.to_json(), "pattern": spec.step_kinds()}
+    return {**spec.to_json(), "pattern": spec.step_kinds}
 
 
 def _cmd_graph(args) -> dict:

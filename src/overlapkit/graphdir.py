@@ -96,7 +96,7 @@ def expand(
     cut letters (G, and T under cut-touch) gives the child configurations.
     This holds for any SelfSimilarSpec, in class or not.
     """
-    kinds = spec.step_kinds()
+    kinds = spec.step_kinds
     word = kinds + config.steps.translate({ord(OVERLAP): kinds, ord(TOUCH): TOUCH + kinds})
     if policy is Policy.CUT_AT_TOUCH:
         word = word.replace(TOUCH, GAP)

@@ -71,7 +71,9 @@ def classify_steps(steps: Sequence[Fraction], lam: Fraction) -> list[Optional[st
 @dataclass(frozen=True)
 class SelfSimilarSpec:
     """Maps f_i(x) = lam*x + offsets[i] on [0,1]; boundary and step classes
-    are enforced here, class membership (the m count) is not."""
+    are enforced here, class membership (the m count) is not. `steps` (the
+    offset differences) and `step_kinds` (their O/T/G word) are set once,
+    outside the fields."""
 
     lam: Fraction
     offsets: tuple[Fraction, ...]
@@ -81,7 +83,7 @@ class SelfSimilarSpec:
             raise InvalidArgument(f"ratio must lie in (0,1), got {self.lam}")
         if len(self.offsets) < 2:
             raise InvalidArgument("need at least two maps")
-        steps = self.steps
+        steps = tuple(b - a for a, b in zip(self.offsets, self.offsets[1:]))
         for i, s in enumerate(steps, start=1):
             if s <= 0:
                 raise NotMonotone(
@@ -94,24 +96,20 @@ class SelfSimilarSpec:
                 f"last offset must be 1-lambda = {1 - self.lam}, got {self.offsets[-1]}"
             )
         exact = self.lam - self.lam * self.lam
-        for i, (s, kind) in enumerate(zip(steps, classify_steps(steps, self.lam)), start=1):
+        kinds = classify_steps(steps, self.lam)
+        for i, (s, kind) in enumerate(zip(steps, kinds), start=1):
             if kind is None:
                 raise InvalidStep(
                     f"step {i} = {format_rational(s)} is a positive overlap that is not "
                     f"exact (expected {format_rational(exact)} or at least {self.lam})",
                     index=i,
                 )
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "step_kinds", "".join(kinds))
 
     @property
     def n(self) -> int:
         return len(self.offsets)
-
-    @property
-    def steps(self) -> tuple[Fraction, ...]:
-        return tuple(b - a for a, b in zip(self.offsets, self.offsets[1:]))
-
-    def step_kinds(self) -> str:
-        return "".join(classify_steps(self.steps, self.lam))
 
     def to_json(self) -> dict:
         return {
@@ -151,7 +149,7 @@ class OverlapPattern:
 def validate(lam: Fraction, offsets: Sequence[Fraction]) -> tuple[SelfSimilarSpec, OverlapPattern]:
     """Classify every step exactly and check class membership 1 <= m <= n-2."""
     spec = SelfSimilarSpec(Fraction(lam), tuple(Fraction(b) for b in offsets))
-    word = spec.step_kinds()
+    word = spec.step_kinds
     m = word.count(OVERLAP)
     n = spec.n
     if not 1 <= m <= n - 2:

@@ -213,7 +213,6 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(obstruction_verdict),
         inspect.getsource(ifs.check_feasible),
         inspect.getsource(ifs.SelfSimilarSpec.__post_init__),
-        inspect.getsource(ifs.SelfSimilarSpec.step_kinds),
         inspect.getsource(ifs.classify_steps),
         inspect.getsource(ifs.validate),
         inspect.getsource(ifs.feasibility_slack),

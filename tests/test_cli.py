@@ -292,6 +292,15 @@ class TestFactorAndObstruct:
             assert payload["error"] == "ResourceLimitError"
             assert payload["details"]["ceiling"] == MAX_KMAX
 
+    def test_sweep_checks_kmax_before_anything_else(self, capsys):
+        # an empty sweep (nmax 2) and an nmax over its ceiling still get the kmax check
+        for nmax in ("2", "21"):
+            for kmax, code, error in (("99", 2, "ResourceLimitError"), ("1", 1, "InvalidArgument")):
+                got, out, err = run(capsys, "obstruct-sweep", "--nmax", nmax, "--kmax", kmax)
+                assert (got, out) == (code, ""), (nmax, kmax)
+                payload = json.loads(err)
+                assert payload["error"] == error and f"got {kmax}" in payload["message"]
+
     def test_parse_and_sweep_ceilings_exit_2(self, capsys):
         for argv, ceiling in (
             (["factor", "--poly", "x^99999999"], MAX_DEGREE),
@@ -625,6 +634,17 @@ class TestHarness:
         assert json.loads(err)["error"] == "InputError"
         # neither the file nor a .overlapkit-* temporary
         assert [p.name for p in tmp_path.rglob("*")] == ["outdir"]
+
+    def test_unwritable_output_names_the_given_path(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["graph", "--lambda", "1/4", "--b", "0,3/16,3/4", "--dot", "g.dot"]
+        first = run(capsys, *argv, "--output", "missing/out.json")
+        assert run(capsys, *argv, "--output", "missing/out.json") == first
+        code, out, err = first
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+        assert "'missing/out.json'" in err and ".overlapkit-" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_output_file_replaces_stdout(self, capsys, tmp_path):
         path = tmp_path / "out.json"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlapkit import graphdir
+from overlapkit import graphdir, ifs
 from overlapkit.errors import InvalidArgument, VertexExplosion
 from overlapkit.exactnum import surd_to_float
 from overlapkit.graphdir import (
@@ -29,6 +29,17 @@ F = Fraction
 
 def golden_spec():
     return generate(3, 1, F(1, 4), "OG")
+
+
+def test_a_built_spec_is_never_classified_again(monkeypatch):
+    spec = generate(6, 2, F(1, 8), "OTGOT")
+    calls = []
+    classify = ifs.classify_steps
+    monkeypatch.setattr(ifs, "classify_steps", lambda *args: calls.append(args) or classify(*args))
+    for policy in Policy:
+        build_graph(spec, policy)
+    assert calls == []
+    assert spec.step_kinds == "OTGOT"
 
 
 class TestConfiguration:

@@ -95,7 +95,9 @@ class TestSpecValidation:
     def test_spec_json_round_trip(self):
         spec = generate(4, 2, F(1, 7), "OGO")
         again = SelfSimilarSpec.from_json(spec.to_json())
-        assert again == spec
+        assert again == spec and hash(again) == hash(spec)
+        # the cached steps and kinds are no fields: equality, hash and repr ignore them
+        assert repr(spec) == f"SelfSimilarSpec(lam={spec.lam!r}, offsets={spec.offsets!r})"
 
 
 class TestGenerate:

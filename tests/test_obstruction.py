@@ -10,10 +10,11 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from overlapkit import obstruction
 from overlapkit.errors import InvalidArgument, NotInClass
 from overlapkit.exactnum import is_perfect_power
 from overlapkit.ifs import DustIfsSpec
-from overlapkit.intpoly import IntPoly, family_poly, gcd_poly, is_irreducible, moran_poly
+from overlapkit.intpoly import IntPoly, factor, family_poly, gcd_poly, is_irreducible, moran_poly
 from overlapkit.obstruction import (
     Conclusion,
     RuledOutReason,
@@ -29,6 +30,16 @@ X = sp.Symbol("x")
 
 def sympy_poly(poly: IntPoly) -> sp.Poly:
     return sp.Poly(list(reversed(poly.coeffs)), X)
+
+
+def split_allowed(m: int, k: int) -> bool:
+    """Capelli's divisor rule, by sympy's integer roots: some divisor d >= 2
+    of k makes m a d-th power."""
+    return any(k % d == 0 and sp.integer_nthroot(m, d)[1] for d in range(2, k + 1))
+
+
+def in_class_pair(nmax: int):
+    return st.integers(3, nmax).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 2)))
 
 
 class TestVerdicts:
@@ -84,6 +95,27 @@ class TestVerdicts:
         assert data["perfect_power"] == {"a": 1, "i": 2}
         assert data["verdict"] == "NecessaryConditionMet"
         assert data["reducible_ks"][0] == {"k": 2, "factors": ["x^2-x-1", "x^2+x-1"]}
+
+    def test_verdict_factors_k1_and_where_a_split_is_possible(self, monkeypatch):
+        # k = 1 as a check of the discriminant argument, and for k >= 2 only
+        # the k where Capelli's divisor rule allows a split
+        asked: list[int] = []
+
+        def recorder(poly: IntPoly):
+            asked.append(poly.degree // 2)
+            return factor(poly)
+
+        monkeypatch.setattr(obstruction, "factor", recorder)
+        expected = {
+            (10, 8): [1, 3, 6],
+            (9, 4): [1, 2, 4, 6, 8],
+            (7, 5): [],
+            (3, 1): list(range(1, 9)),
+        }
+        for (n, m), ks in expected.items():
+            asked.clear()
+            obstruction_verdict(n, m, kmax=8)
+            assert asked == ks, (n, m)
 
     def test_sweep_is_sorted_and_filterable(self):
         reports = sweep([5, 4, 3])
@@ -200,7 +232,7 @@ class TestDustCandidateCheck:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.integers(3, 20).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 2))),
+        in_class_pair(20),
         st.sampled_from((1, 2, 3, 4, 6)).flatmap(
             lambda k: st.tuples(st.just(k), st.lists(st.integers(1, 2 * k), min_size=2, max_size=4))
         ),
@@ -226,3 +258,28 @@ class TestFamilyIrreducibilityBase:
         for n in range(3, 16):
             for m in range(1, n - 1):
                 assert is_irreducible(family_poly(n, m, 1))
+
+    def test_family_splits_only_where_a_divisor_makes_m_a_power(self):
+        # every in-class (n, m) with n <= 20 and 1 <= k <= 8: the factorizations
+        # the verdict skips by Capelli's theorem are all irreducible
+        checked = split = 0
+        for n in range(3, 21):
+            for m in range(1, n - 1):
+                for k in range(1, 9):
+                    if not factor(family_poly(n, m, k)).is_irreducible_shape:
+                        assert split_allowed(m, k), (n, m, k)
+                        split += 1
+                    checked += 1
+        assert (checked, split) == (1368, 49)
+
+    @settings(max_examples=150, deadline=None)
+    @given(in_class_pair(60), st.integers(1, 12))
+    @example((18, 1), 3)  # (x^2-3x+1)(x^4+3x^3+8x^2+3x+1)
+    @example((40, 8), 3)  # (x^2-4x+2)(x^4+4x^3+14x^2+8x+4)
+    @example((12, 4), 2)  # (x^2-4x+2)(x^2+4x+2)
+    @example((52, 1), 6)  # (x^4-4x^2+1)(x^8+4x^6+15x^4+4x^2+1)
+    def test_sympy_splits_only_where_a_divisor_makes_m_a_power(self, pair, k):
+        n, m = pair
+        _, factors = sp.factor_list(X ** (2 * k) - n * X**k + m)
+        if len(factors) > 1 or factors[0][1] > 1:
+            assert split_allowed(m, k), (n, m, k)
