@@ -27,10 +27,11 @@ from .intpoly import exact_div, family_poly
 from .intpoly.roots import charpoly, largest_root
 
 _SPECTRAL_BITS = 128
-# build_graph refuses a closure whose expansions, k*n child intervals for a
-# k-copy configuration, sum past this. Many short pieces cost the most, about
-# 100 ns per interval: O T^215 G^21472 under keep-touch (9.5e6) takes 1.1 s
-MAX_CHILD_INTERVALS = 10_000_000
+# build_graph refuses a closure that may need more vertices than this. A graph
+# call runs two O(V^4) Berkowitz charpolys; one in-process call on keep-touch
+# specs of distinct O/T words joined by G (2-core Xeon) took 0.17 s at V = 34,
+# 0.4 s at V = 43, 0.9-1.0 s at V = 54 and 1.7-1.9 s at V = 64.
+MAX_VERTICES = 54
 
 
 class Policy(str, Enum):
@@ -78,6 +79,14 @@ class GraphSystem:
         }
 
 
+def _step_word(spec: SelfSimilarSpec, policy: Policy) -> tuple[str, str]:
+    """The spec's step word and the glue at a T junction, with the policy's
+    cut letters (G, and T under cut-touch) written as G."""
+    if policy is Policy.CUT_AT_TOUCH:
+        return spec.step_kinds.replace(TOUCH, GAP), GAP
+    return spec.step_kinds, TOUCH
+
+
 def expand(
     config: Configuration, spec: SelfSimilarSpec, policy: Policy
 ) -> dict[Configuration, int]:
@@ -95,50 +104,69 @@ def expand(
     copy, glued by nothing at O and by T at T. Splitting it at the policy's
     cut letters (G, and T under cut-touch) gives the child configurations.
     This holds for any SelfSimilarSpec, in class or not.
+
+    When S has a cut letter, split S into head, inner pieces and tail. The
+    child word's pieces are then the head once, each inner piece once per
+    copy, the tail once, and the junction word tail + glue + head split at
+    its cuts once per letter of the configuration; in the word the junction
+    of a letter first appears after the inner pieces of the first copy, in
+    the order the letters first appear, so they are counted in that order in
+    O(n + k). Without a cut letter the whole word is built and split.
     """
-    kinds = spec.step_kinds
-    word = kinds + config.steps.translate({ord(OVERLAP): kinds, ord(TOUCH): TOUCH + kinds})
-    if policy is Policy.CUT_AT_TOUCH:
-        word = word.replace(TOUCH, GAP)
-    return {Configuration(piece): mult for piece, mult in Counter(word.split(GAP)).items()}
+    word, touch = _step_word(spec, policy)
+    if GAP not in word:
+        word += config.steps.translate({ord(OVERLAP): word, ord(TOUCH): touch + word})
+        return {Configuration(piece): mult for piece, mult in Counter(word.split(GAP)).items()}
+    head, *inner, tail = word.split(GAP)
+    counts = Counter({head: 1})
+    for piece in inner:
+        counts[piece] += config.k
+    glue = {OVERLAP: "", TOUCH: touch}
+    for letter, junctions in Counter(config.steps).items():
+        for piece in (tail + glue[letter] + head).split(GAP):
+            counts[piece] += junctions
+    counts[tail] += 1
+    return {Configuration(piece): mult for piece, mult in counts.items()}
 
 
 def build_graph(spec: SelfSimilarSpec, policy: Policy = Policy.CUT_AT_TOUCH) -> GraphSystem:
     """Breadth-first closure from the single-copy configuration.
 
-    Expanding a k-copy configuration yields k*n child intervals; the closure
-    is refused before the expansion that would take its total past
-    MAX_CHILD_INTERVALS.
+    By expand, every child is a piece of the step word S (a child of the
+    root) or a junction piece, tail + head at O or tail + T + head at T under
+    keep-touch. So with a cut letter in S the closure has at most the root,
+    S's distinct pieces and two junction pieces; without one every expansion
+    adds copies and the closure is infinite. Both are decided before anything
+    is expanded, and a bound past MAX_VERTICES is refused.
     """
     try:
         policy = Policy(policy)
     except ValueError:
         raise InvalidArgument(f"policy must be cut-touch or keep-touch, got {policy!r}") from None
+    word, _ = _step_word(spec, policy)
+    if GAP not in word:
+        raise VertexExplosion(
+            f"the step word has no cut letter under {policy.value}, so the closure is infinite",
+            ceiling=MAX_VERTICES,
+            vertices=None,
+        )
+    bound = len(set(word.split(GAP))) + 3
+    if bound > MAX_VERTICES:
+        raise VertexExplosion(
+            f"the closure may need {bound} vertices, more than {MAX_VERTICES}",
+            ceiling=MAX_VERTICES,
+            vertices=bound,
+        )
     root = Configuration("")
     vertices: list[Configuration] = [root]
     index = {root: 0}
-    parent: dict[Configuration, Optional[Configuration]] = {root: None}
     rows: list[dict[int, int]] = []
-    intervals = 0
     for current in vertices:
-        intervals += current.k * spec.n
-        if intervals > MAX_CHILD_INTERVALS:
-            history = []
-            walk: Optional[Configuration] = current
-            while walk is not None:
-                history.append(walk.steps)
-                walk = parent[walk]
-            raise VertexExplosion(
-                f"the closure needs more than {MAX_CHILD_INTERVALS} child intervals",
-                ceiling=MAX_CHILD_INTERVALS,
-                history=history[::-1],
-            )
         row: dict[int, int] = {}
         for child, mult in expand(current, spec, policy).items():
             if child not in index:
                 index[child] = len(vertices)
                 vertices.append(child)
-                parent[child] = current
             row[index[child]] = mult
         rows.append(row)
     adjacency = tuple(tuple(row.get(j, 0) for j in range(len(vertices))) for row in rows)

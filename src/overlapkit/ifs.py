@@ -360,10 +360,6 @@ class DustIfsSpec:
     def from_exponents(cls, base: Fraction, exponents: Sequence[Fraction]) -> "DustIfsSpec":
         return cls(base=Fraction(base), exponents=tuple(Fraction(e) for e in exponents))
 
-    @property
-    def size(self) -> int:
-        return len(self.ratios if self.ratios is not None else self.exponents)
-
     def log_ratios(self) -> list[mpmath.mpf]:
         """log r_j at the working precision; exponent form takes e_j * log(base)."""
         if self.ratios is not None:

@@ -38,10 +38,6 @@ class IntPoly:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "IntPoly":
         return cls((1,))
 

@@ -227,18 +227,18 @@ class TestGraph:
         assert text.startswith("digraph")
         assert 'label="2"' in text  # the O -> O edge has multiplicity 2
 
-    def test_over_the_interval_budget_exits_2_before_expanding(self, capsys, monkeypatch):
-        # a budget below n refuses the root's own expansion
+    def test_over_the_vertex_ceiling_exits_2_before_expanding(self, capsys, monkeypatch):
+        # the golden word OG bounds the closure by 2 pieces + 3 vertices
         def never(*args):
-            raise AssertionError("expand called past the budget")
+            raise AssertionError("expand called past the ceiling")
 
-        monkeypatch.setattr(graphdir, "MAX_CHILD_INTERVALS", 2)
+        monkeypatch.setattr(graphdir, "MAX_VERTICES", 4)
         monkeypatch.setattr(graphdir, "expand", never)
         code, out, err = run(capsys, "graph", "--lambda", "1/4", "--b", "0,3/16,3/4")
         assert code == 2 and out == ""
         payload = json.loads(err)
         assert payload["error"] == "VertexExplosion"
-        assert payload["details"] == {"ceiling": 2, "history": [""]}
+        assert payload["details"] == {"ceiling": 4, "vertices": 5}
 
 
 class TestFactorAndObstruct:

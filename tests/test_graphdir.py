@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import time
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overlapkit import graphdir, ifs
@@ -90,12 +91,25 @@ def in_class_specs(draw):
     return generate(n, m, F(1, q), pattern)
 
 
+ALL_TOUCH = SelfSimilarSpec(F(1, 3), (F(0), F(1, 3), F(2, 3)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     in_class_specs(),
     st.text(alphabet="OT", max_size=12),
     st.sampled_from(list(Policy)),
 )
+# S opening with a cut (empty head), closing with one (empty tail), with one
+# cut (no inner piece), and with no cut at all; configurations of O or T alone
+@example(generate(4, 1, F(1, 8), "GOT"), "OTO", Policy.KEEP_TOUCH)
+@example(generate(4, 1, F(1, 8), "GOT"), "TOT", Policy.CUT_AT_TOUCH)
+@example(generate(4, 1, F(1, 8), "OTG"), "TOT", Policy.KEEP_TOUCH)
+@example(generate(4, 2, F(1, 8), "OGO"), "OOOO", Policy.KEEP_TOUCH)
+@example(generate(4, 2, F(1, 8), "OGO"), "TTT", Policy.KEEP_TOUCH)
+@example(generate(4, 2, F(1, 8), "OGO"), "TTT", Policy.CUT_AT_TOUCH)
+@example(ALL_TOUCH, "OTOT", Policy.CUT_AT_TOUCH)
+@example(ALL_TOUCH, "TOT", Policy.KEEP_TOUCH)
 def test_expand_matches_the_fraction_oracle(expand_oracle, spec, steps, policy):
     # equal as dicts and in insertion order, which numbers the graph's vertices
     config = Configuration(steps)
@@ -129,14 +143,15 @@ class TestBuildGraph:
                 assert ((i, j) in listed) == (mult > 0)
 
     def test_vertex_ceiling(self, monkeypatch):
-        # a budget of n child intervals admits the root's expansion (1 copy,
-        # n children) and refuses the two-copy "O" block before expanding it
-        monkeypatch.setattr(graphdir, "MAX_CHILD_INTERVALS", 3)
+        # the golden word OG has the pieces O and "", so the closure may need
+        # 2 + 3 vertices
+        monkeypatch.setattr(graphdir, "MAX_VERTICES", 4)
         with pytest.raises(VertexExplosion) as info:
             build_graph(golden_spec(), Policy.CUT_AT_TOUCH)
         assert info.value.exit_code == 2
-        assert info.value.details["history"][0] == ""
-        assert info.value.details == {"ceiling": 3, "history": ["", "O"]}
+        assert info.value.details == {"ceiling": 4, "vertices": 5}
+        monkeypatch.setattr(graphdir, "MAX_VERTICES", 5)
+        assert len(build_graph(golden_spec(), Policy.CUT_AT_TOUCH).vertices) == 2
 
     def test_policy_strings_are_coerced_once(self):
         spec = generate(4, 1, F(1, 5), "OTG")
@@ -147,34 +162,48 @@ class TestBuildGraph:
         with pytest.raises(InvalidArgument, match="keep_touch"):
             build_graph(spec, "keep_touch")
 
-    def test_long_cut_touch_chain(self):
-        # O^(n-2) G at n = 1000: the root and the 999-copy overlap run
-        spec = generate(1000, 998, F(1, 4000), "O" * 998 + "G")
+    @pytest.mark.parametrize("n", [1000, 3000, 30000])
+    def test_long_cut_touch_chain(self, n):
+        # O^(n-2) G: the root and the (n-1)-copy overlap run
+        spec = generate(n, n - 2, F(1, 4 * n), "O" * (n - 2) + "G")
         start = time.perf_counter()
         graph = build_graph(spec, Policy.CUT_AT_TOUCH)
         assert time.perf_counter() - start < 1.0
-        assert graph.adjacency == ((1, 1), (1, 999))
+        assert graph.adjacency == ((1, 1), (1, n - 1))
 
-    def test_long_keep_touch_chain(self):
-        # O T^(n-3) G at n = 1000; the Fraction-offset expansion took about 30 s
-        spec = generate(1000, 1, F(1, 4000), "O" + "T" * 997 + "G")
+    @pytest.mark.parametrize("n", [1000, 3000, 30000])
+    def test_long_keep_touch_chain(self, n):
+        # O T^(n-3) G: three vertices, two of them with n-1 and n copies
+        spec = generate(n, 1, F(1, 4 * n), "O" + "T" * (n - 3) + "G")
         start = time.perf_counter()
         graph = build_graph(spec, Policy.KEEP_TOUCH)
         assert time.perf_counter() - start < 1.0
-        chain = "O" + "T" * 997
+        chain = "O" + "T" * (n - 3)
         assert [v.steps for v in graph.vertices] == ["", chain, "T" + chain]
-        assert graph.adjacency == ((1, 1, 0), (1, 2, 997), (1, 2, 998))
+        assert graph.adjacency == ((1, 1, 0), (1, 2, n - 3), (1, 2, n - 2))
 
     def test_all_touch_spec_is_refused_not_hung(self):
-        # out of class: with no G to cut at, keep-touch blocks grow n-fold per level
-        spec = SelfSimilarSpec(F(1, 3), (F(0), F(1, 3), F(2, 3)))
+        # out of class: with no G to cut at, keep-touch blocks grow n-fold per
+        # level; cut-touch cuts at every T and closes on the root alone
+        start = time.perf_counter()
+        with pytest.raises(VertexExplosion) as info:
+            build_graph(ALL_TOUCH, Policy.KEEP_TOUCH)
+        assert time.perf_counter() - start < 1.0
+        assert info.value.exit_code == 2
+        assert info.value.details == {"ceiling": graphdir.MAX_VERTICES, "vertices": None}
+        assert build_graph(ALL_TOUCH, Policy.CUT_AT_TOUCH).adjacency == ((3,),)
+
+    def test_many_distinct_pieces_are_refused_not_hung(self):
+        # every O/T word of length 1 to 6 joined by G: 126 distinct pieces, a
+        # 129-vertex keep-touch closure whose two charpolys took about 29 s
+        words = ["".join(w) for size in range(1, 7) for w in itertools.product("OT", repeat=size)]
+        spec = generate(768, 321, F(1, 1536), "G".join(words))
         start = time.perf_counter()
         with pytest.raises(VertexExplosion) as info:
             build_graph(spec, Policy.KEEP_TOUCH)
-        assert time.perf_counter() - start < 5.0
+        assert time.perf_counter() - start < 1.0
         assert info.value.exit_code == 2
-        assert info.value.details["ceiling"] == graphdir.MAX_CHILD_INTERVALS
-        assert info.value.details["history"][:3] == ["", "TT", "TTTTTTTT"]
+        assert info.value.details == {"ceiling": graphdir.MAX_VERTICES, "vertices": 129}
 
     def test_json_schema(self):
         graph = build_graph(golden_spec(), Policy.CUT_AT_TOUCH)
