@@ -13,6 +13,7 @@ positive gaps.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -23,14 +24,15 @@ import mpmath
 from .errors import InvalidArgument, VertexExplosion
 from .exactnum import RationalRoots, quad_roots
 from .ifs import GAP, OVERLAP, TOUCH, SelfSimilarSpec
-from .intpoly import exact_div, family_poly
+from .intpoly import IntPoly, exact_div, family_poly
 from .intpoly.roots import charpoly, largest_root
 
 _SPECTRAL_BITS = 128
 # build_graph refuses a closure that may need more vertices than this. A graph
-# call runs two O(V^4) Berkowitz charpolys; one in-process call on keep-touch
-# specs of distinct O/T words joined by G (2-core Xeon) took 0.17 s at V = 34,
-# 0.4 s at V = 43, 0.9-1.0 s at V = 54 and 1.7-1.9 s at V = 64.
+# call builds one O(V^4) Berkowitz charpoly; one in-process call on keep-touch
+# specs of distinct O/T words joined by G (2-core Xeon) took 0.05 s at V = 33
+# and 0.45-0.49 s at V = 54. With two charpolys per call it took 0.9-1.0 s at
+# V = 54 and 1.7-1.9 s at V = 64, so the ceiling has room to rise.
 MAX_VERTICES = 54
 
 
@@ -195,6 +197,13 @@ class SpectralResult:
         }
 
 
+@functools.lru_cache(maxsize=1)
+def _charpoly(matrix: tuple[tuple[int, ...], ...]) -> IntPoly:
+    """charpoly of the last matrix asked for: a graph call asks both
+    spectral_radius and verify_beta_eigen about one adjacency matrix."""
+    return charpoly(matrix)
+
+
 def spectral_radius(matrix) -> SpectralResult:
     """Perron root of a nonnegative integer matrix, bracketed exactly.
 
@@ -210,7 +219,8 @@ def spectral_radius(matrix) -> SpectralResult:
         raise InvalidArgument("adjacency matrix must be square and nonempty")
     if any(c < 0 for row in matrix for c in row):
         raise InvalidArgument("adjacency matrix must be nonnegative")
-    _, hi, steps = largest_root(charpoly(matrix), -1, max(map(sum, matrix)), _SPECTRAL_BITS)
+    cp = _charpoly(tuple(map(tuple, matrix)))
+    _, hi, steps = largest_root(cp, -1, max(map(sum, matrix)), _SPECTRAL_BITS)
     with mpmath.workprec(_SPECTRAL_BITS):
         rho = mpmath.mpf(hi.numerator) / hi.denominator
     return SpectralResult(rho=rho, iterations=steps)
@@ -222,7 +232,7 @@ def verify_beta_eigen(matrix, n: int, m: int) -> bool:
     det(x*I - A) exactly when x^2 - n*x + m divides it."""
     if isinstance(quad_roots(n, m), RationalRoots):
         raise InvalidArgument(f"x^2-{n}x+{m} has a square discriminant; beta is not a surd")
-    return exact_div(charpoly(matrix), family_poly(n, m, 1)) is not None
+    return exact_div(_charpoly(tuple(map(tuple, matrix))), family_poly(n, m, 1)) is not None
 
 
 def emit_dot(gs: GraphSystem) -> str:

@@ -1,11 +1,21 @@
 """Complete factorization over the integers: Yun squarefree split, modular
-factorization at a good small prime, quadratic Hensel lifting, and Zassenhaus
-subset recombination.
+factorization at a chosen small prime, quadratic Hensel lifting, and
+Zassenhaus subset recombination.
+
+The prime is chosen from distinct-degree factorizations alone. Modulo the
+first good prime (p >= 5, not dividing lc(f), f mod p squarefree) f splits
+into some number of factors; when that is more than FEW_MODULAR_FACTORS, the
+next good primes are split too, up to PRIME_TRIALS in all. Every factor of f
+over Z has a degree that is a subset sum of each prime's degree pattern, so
+the intersection of these sums bounds the degrees a factor can have
+(Musser's test). When it holds only 0 and deg f, f is irreducible and no
+equal-degree split, lift or recombination runs. Otherwise f is split, lifted
+and recombined at the prime with the fewest modular factors.
 
 The recombination loop filters subsets by degree (subset degree sum at most
-half the remaining degree) while letting the subset size run over the full
-range, which keeps the search complete; trial division over the integers is
-the only acceptance test.
+half the remaining degree, and in the intersected degree set) while letting
+the subset size run over the full range, which keeps the search complete;
+trial division over the integers is the only acceptance test.
 """
 
 from __future__ import annotations
@@ -14,12 +24,16 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, NamedTuple
 
 from ..errors import ConsistencyError, InvalidArgument, TooManyModularFactors
 from .poly import IntPoly, exact_div, gcd_poly
 
 MAX_MODULAR_FACTORS = 24
+# _choose_prime tries more primes than the first only when it gives more than
+# FEW_MODULAR_FACTORS modular factors, and then at most PRIME_TRIALS in all.
+PRIME_TRIALS = 5
+FEW_MODULAR_FACTORS = 4
 
 # -- arithmetic in (Z/p)[x], and in (Z/p^j)[x] for Hensel lifting: plain ------
 # ascending int lists, no trailing zeros. Mod p^j only the coefficients prime
@@ -178,11 +192,14 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
         return _edf(split, d, p, rng) + _edf(quot, d, p, rng)
 
 
-def _factor_mod_p(f: list[int], p: int) -> list[list[int]]:
-    """All monic irreducible factors of a monic squarefree f in GF(p)[x]."""
+def _factor_mod_p(
+    f: list[int], p: int, parts: list[tuple[list[int], int]]
+) -> list[list[int]]:
+    """All monic irreducible factors of a monic squarefree f in GF(p)[x], given
+    its distinct-degree split."""
     rng = random.Random(0xC0FFEE ^ p ^ len(f))
     out: list[list[int]] = []
-    for part, d in _ddf(f, p):
+    for part, d in parts:
         out.extend(_edf(part, d, p, rng))
     out.sort(key=lambda g: (len(g), tuple(reversed(g))))
     return out
@@ -273,17 +290,59 @@ def _mignotte_bound(f: IntPoly) -> int:
     return (math.isqrt(d + 1) + 1) * (1 << d) * f.max_norm() * abs(f.lc)
 
 
-def _pick_prime(f: IntPoly) -> int:
-    """The smallest prime p >= 5 not dividing lc(f) with f mod p squarefree."""
+def _good_primes(f: IntPoly) -> Iterator[tuple[int, list[int]]]:
+    """Primes p >= 5 not dividing lc(f) with f mod p squarefree, in increasing
+    order, each with f mod p made monic."""
     p = 5
     while True:
         if all(p % d for d in range(3, math.isqrt(p) + 1, 2)) and f.lc % p != 0:
-            fp = _trim([c % p for c in f.coeffs])
-            if len(fp) == len(f.coeffs):
-                fp = _gf_monic(fp, p)
-                if len(_gf_gcd(fp, _gf_deriv(fp, p), p)) == 1:
-                    return p
+            fp = _gf_monic(_trim([c % p for c in f.coeffs]), p)
+            if len(_gf_gcd(fp, _gf_deriv(fp, p), p)) == 1:
+                yield p, fp
         p += 2
+
+
+class PrimeChoice(NamedTuple):
+    """The prime to lift at, and what the distinct-degree splits showed."""
+
+    prime: int
+    fp: list[int]  # f mod prime, monic
+    parts: list[tuple[list[int], int]]  # its distinct-degree split
+    count: int  # its number of modular factors
+    degrees: int  # bit d set iff every prime tried allows a factor of degree d
+    tried: tuple[int, ...]
+
+
+def _choose_prime(f: IntPoly) -> PrimeChoice:
+    """Distinct-degree factor f modulo good primes; keep the fewest-factor one.
+
+    A factor of f over Z is, modulo each good prime, a product of some of the
+    modular factors, so its degree is a subset sum of every prime's degree
+    pattern (Musser, J. ACM 25, 1978); `degrees` intersects these sums. The
+    first prime settles the choice when it gives at most FEW_MODULAR_FACTORS
+    factors; otherwise up to PRIME_TRIALS primes are tried. Trying stops as
+    soon as only 0 and deg f are left, which proves f irreducible.
+    """
+    irreducible = 1 | 1 << f.degree
+    degrees = -1  # every degree, before the first prime
+    splits: list[tuple[int, int, list[int], list[tuple[list[int], int]]]] = []
+    for p, fp in _good_primes(f):
+        parts = _ddf(fp, p)
+        sums, count = 1, 0
+        for part, d in parts:
+            for _ in range((len(part) - 1) // d):
+                sums |= sums << d
+                count += 1
+        degrees &= sums
+        splits.append((count, p, fp, parts))
+        if (
+            degrees == irreducible
+            or len(splits) == PRIME_TRIALS
+            or (len(splits) == 1 and count <= FEW_MODULAR_FACTORS)
+        ):
+            break
+    count, p, fp, parts = min(splits, key=lambda split: split[0])
+    return PrimeChoice(p, fp, parts, count, degrees, tuple(split[1] for split in splits))
 
 
 def _yun_squarefree(f: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -319,17 +378,16 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree f, positive lc, f(0) != 0."""
     if f.degree == 1:
         return [f]
-    p = _pick_prime(f)
-    fp = _gf_monic(_trim([c % p for c in f.coeffs]), p)
-    modular = _factor_mod_p(fp, p)
-    if len(modular) == 1:
+    p, fp, parts, count, degrees, _ = _choose_prime(f)
+    if degrees == 1 | 1 << f.degree:
         return [f]
-    if len(modular) > MAX_MODULAR_FACTORS:
+    if count > MAX_MODULAR_FACTORS:
         raise TooManyModularFactors(
-            f"{len(modular)} modular factors exceed the recombination ceiling",
-            count=len(modular),
+            f"{count} modular factors exceed the recombination ceiling",
+            count=count,
             ceiling=MAX_MODULAR_FACTORS,
         )
+    modular = _factor_mod_p(fp, p, parts)
     bound = 2 * _mignotte_bound(f) + 1
     target = 1
     while p**target < bound:
@@ -338,14 +396,15 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
     lifted = _hensel_lift_tree(p, list(f.coeffs), modular, target)
 
     remaining = list(range(len(lifted)))
-    degrees = {i: len(lifted[i]) - 1 for i in remaining}
+    sizes = {i: len(lifted[i]) - 1 for i in remaining}
     cur = f
     found: list[IntPoly] = []
     s = 1
     while s < len(remaining):
         hit = False
         for combo in combinations(remaining, s):
-            if sum(degrees[i] for i in combo) > cur.degree // 2:
+            total = sum(sizes[i] for i in combo)
+            if total > cur.degree // 2 or not degrees >> total & 1:
                 continue
             lead = cur.lc
             # Cheap veto on the constant coefficient before a full product.

@@ -27,7 +27,12 @@ from overlapkit.intpoly import (
     roots,
     search,
 )
-from overlapkit.intpoly.factor import _factor_squarefree, _hensel_lift_tree, _hensel_step
+from overlapkit.intpoly.factor import (
+    _choose_prime,
+    _factor_squarefree,
+    _hensel_lift_tree,
+    _hensel_step,
+)
 from overlapkit.intpoly.poly import exact_div
 from overlapkit.numlab import box_count_dimension, cover, cylinder_growth
 from overlapkit.obstruction import Verdict, obstruction_verdict, sweep
@@ -82,6 +87,22 @@ def test_non_perfect_power_families_stay_irreducible():
     print(
         f"PASS irreducibility: {checked} family polynomials with non-perfect-power "
         f"m never factor [{elapsed:.2f}s < 5min]"
+    )
+
+
+def test_slow_family_exponents_factor_quickly():
+    # the first good prime splits these into 12-20 modular factors; the
+    # fewest-factor prime among the first five gives 2-10
+    start = time.monotonic()
+    for n, m, k in ((12, 1, 20), (13, 1, 16), (20, 9, 24)):
+        fac = factor(family_poly(n, m, k))
+        assert fac.product() == family_poly(n, m, k)
+        assert fac.is_irreducible_shape, (n, m, k)
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0
+    print(
+        f"PASS family exponents: (12,1,20), (13,1,16) and (20,9,24) are irreducible "
+        f"[{elapsed:.2f}s < 5s]"
     )
 
 
@@ -228,6 +249,7 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(exact_div),
         inspect.getsource(_hensel_step),
         inspect.getsource(_hensel_lift_tree),
+        inspect.getsource(_choose_prime),
         inspect.getsource(_factor_squarefree),
     ]
     for source in sources:
@@ -239,6 +261,7 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         exact_div,
         _hensel_step,
         _hensel_lift_tree,
+        _choose_prime,
         _factor_squarefree,
         numlab._numerator_levels,
         numlab._occupied_cells,

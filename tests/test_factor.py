@@ -176,15 +176,23 @@ def test_irreducibility_agrees_with_sympy(p):
     assert is_irreducible(p) == to_sympy(p).is_irreducible
 
 
+def _is_good_prime(p: IntPoly, q: int) -> bool:
+    """q does not divide lc(p) and p mod q is squarefree, by sympy's squarefree
+    decomposition (its is_sqf calls x^5+1 squarefree mod 5)."""
+    return p.lc % q != 0 and all(
+        mult == 1 for _, mult in sympy.Poly(to_sympy(p).as_expr(), X, modulus=q).sqf_list()[1]
+    )
+
+
 def _smallest_good_prime(p: IntPoly) -> int:
-    """The smallest prime q >= 5 with q not dividing lc(p) and p mod q squarefree, by
-    sympy's squarefree decomposition (its is_sqf calls x^5+1 squarefree mod 5)."""
     q = 5
-    while p.lc % q == 0 or any(
-        mult > 1 for _, mult in sympy.Poly(to_sympy(p).as_expr(), X, modulus=q).sqf_list()[1]
-    ):
+    while not _is_good_prime(p, q):
         q = sympy.nextprime(q)
     return q
+
+
+def _modular_factor_count(p: IntPoly, q: int) -> int:
+    return len(sympy.Poly(to_sympy(p).as_expr(), X, modulus=q).factor_list()[1])
 
 
 @PROPERTY
@@ -194,10 +202,76 @@ def _smallest_good_prime(p: IntPoly) -> int:
 @example(parse_poly("5005*x+1"))
 @example(family_poly(7, 4, 6))
 @example(parse_poly("x^5+1"))  # its derivative vanishes mod 5: (x+1)^5
-def test_pick_prime_is_smallest_good_prime(p):
-    chosen = factor_module._pick_prime(p)
-    assert sympy.isprime(chosen)
-    assert chosen == _smallest_good_prime(p)
+def test_chosen_prime_is_good_and_splits_least(p):
+    choice = factor_module._choose_prime(p)
+    assert choice.tried[0] == _smallest_good_prime(p)
+    assert 1 <= len(choice.tried) <= factor_module.PRIME_TRIALS
+    assert list(choice.tried) == sorted(set(choice.tried))
+    assert all(sympy.isprime(q) and _is_good_prime(p, q) for q in choice.tried)
+    counts = {q: _modular_factor_count(p, q) for q in choice.tried}
+    assert choice.prime in counts
+    assert counts[choice.prime] == choice.count == min(counts.values())
+
+
+def _assert_matches_sympy(p: IntPoly) -> None:
+    result = factor(p)
+    assert result.product() == p
+    unit, content, bag = sympy_factorization(p)
+    assert (result.unit, result.content) == (unit, content)
+    assert {(f.coeffs, m) for f, m in result.factors} == bag
+
+
+class TestPrimeChoiceAndDegreeSets:
+    def test_x105_minus_1_is_the_cyclotomic_product(self):
+        # the first good prime gives 30 modular factors, more than the
+        # recombination ceiling; p = 17 gives 14
+        result = factor(parse_poly("x^105-1"))
+        cyclotomic = [sympy.Poly(sympy.cyclotomic_poly(d, X)) for d in sympy.divisors(105)]
+        expected = {IntPoly(reversed([int(c) for c in phi.all_coeffs()])) for phi in cyclotomic}
+        assert len(expected) == 8
+        assert {f for f, _ in result.factors} == expected
+        assert all(mult == 1 for _, mult in result.factors)
+        _assert_matches_sympy(parse_poly("x^105-1"))
+
+    def test_family_cases_against_sympy(self):
+        _assert_matches_sympy(parse_poly("x^60-3*x^30+1"))
+        _assert_matches_sympy(family_poly(12, 1, 20))
+
+    def test_irreducible_modulo_no_prime_goes_through_recombination(self):
+        # x^4-10*x^2+1 splits modulo every prime into linear or quadratic
+        # factors, so the degree sets always allow 2 and cannot prove it
+        f = parse_poly("x^4-10*x^2+1")
+        choice = factor_module._choose_prime(f)
+        assert choice.degrees >> 2 & 1 and choice.count >= 2
+        assert is_irreducible(f)
+
+    def test_degree_sets_prove_irreducibility_without_lifting(self, monkeypatch):
+        # x^20+2 (Eisenstein at 2) has modular factor degrees 2,2,4,4,4,4
+        # mod 7, 5,5,10 mod 11 and 4,4,4,4,4 mod 13: only 0 and 20 are
+        # subset sums of all three
+        f = parse_poly("x^20+2")
+        assert factor_module._choose_prime(f).tried == (7, 11, 13)
+
+        def no_lift(*args):
+            raise AssertionError("Hensel lifting ran on a proven irreducible")
+
+        monkeypatch.setattr(factor_module, "_hensel_lift_tree", no_lift)
+        assert is_irreducible(f)
+
+
+@PROPERTY
+@given(nonconstant, nonconstant)
+def test_products_agree_with_sympy(a, b):
+    _assert_matches_sympy(a * b)
+
+
+@PROPERTY
+@given(
+    st.integers(3, 20).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 2))),
+    st.integers(1, 12),
+)
+def test_family_factorizations_agree_with_sympy(nm, k):
+    _assert_matches_sympy(family_poly(*nm, k))
 
 
 class TestFactorCountCeiling:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from overlapkit import graphdir, ifs
+from overlapkit import cli, graphdir, ifs
 from overlapkit.errors import InvalidArgument, VertexExplosion
 from overlapkit.exactnum import surd_to_float
 from overlapkit.graphdir import (
@@ -305,3 +305,17 @@ class TestExactEigenvalueCheck:
         assert data["exact_beta_eigen"] is True
         assert data["iterations"] == result.iterations
         assert data["rho"].startswith("2.618")
+
+    def test_a_graph_call_builds_one_charpoly(self, monkeypatch, capsys):
+        calls = []
+        charpoly = graphdir.charpoly
+        monkeypatch.setattr(graphdir, "charpoly", lambda m: calls.append(m) or charpoly(m))
+        graphdir._charpoly.cache_clear()
+        assert cli.main(["graph", "--lambda", "1/4", "--b", "0,3/16,3/4"]) == 0
+        assert '"exact_beta_eigen": true' in capsys.readouterr().out
+        assert len(calls) == 1
+        # a list and a tuple of the same rows share the entry; a new matrix does not
+        assert verify_beta_eigen([[2, 1], [3, 2]], 4, 1)
+        assert spectral_radius(((2, 1), (3, 2))).rho > 3
+        assert not verify_beta_eigen([[1, 1], [1, 3]], 3, 1)
+        assert len(calls) == 3
