@@ -29,11 +29,11 @@ from .intpoly.roots import charpoly, largest_root
 
 _SPECTRAL_BITS = 128
 # build_graph refuses a closure that may need more vertices than this. A graph
-# call builds one O(V^4) Berkowitz charpoly; one in-process call on keep-touch
-# specs of distinct O/T words joined by G (2-core Xeon) took 0.05 s at V = 33
-# and 0.45-0.49 s at V = 54. With two charpolys per call it took 0.9-1.0 s at
-# V = 54 and 1.7-1.9 s at V = 64, so the ceiling has room to rise.
-MAX_VERTICES = 54
+# call builds one O(V^4) Berkowitz charpoly, nearly all of its time; whole
+# in-process calls on keep-touch specs of distinct O/T words joined by G
+# (2-core Xeon, host speed swinging about 1.5x) took 0.25-0.50 s at V = 54,
+# 0.38-0.66 s at V = 60, 0.48-0.84 s at V = 64 and 0.68-1.11 s at V = 70.
+MAX_VERTICES = 64
 
 
 class Policy(str, Enum):
@@ -209,9 +209,9 @@ def spectral_radius(matrix) -> SpectralResult:
 
     By Perron-Frobenius rho(A) is an eigenvalue, in [0, max row sum], and
     every eigenvalue z has |z| <= rho, so Re z < rho unless z = rho. So for
-    the squarefree part s of det(x*I - A), x >= rho iff no Taylor
-    coefficient of s at x is negative: above rho each factor of s(x + t)
-    has positive coefficients, and below it t = rho - x > 0 is a root.
+    s = det(x*I - A), x >= rho iff no Taylor coefficient of s at x is
+    negative: above rho each factor of s(x + t), repeated or not, has
+    positive coefficients, and below it t = rho - x > 0 is a root.
     `iterations` counts the bisection steps (one test each) to width 2^-128.
     """
     n = len(matrix)

@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from ..errors import ConsistencyError, InvalidArgument, TooManyModularFactors
-from .poly import IntPoly, exact_div, gcd_poly
+from .poly import IntPoly, _add, _convolve, _power, exact_div, gcd_poly
 
 MAX_MODULAR_FACTORS = 24
 # _choose_prime tries more primes than the first only when it gives more than
@@ -36,7 +36,9 @@ PRIME_TRIALS = 5
 FEW_MODULAR_FACTORS = 4
 
 # -- arithmetic in (Z/p)[x], and in (Z/p^j)[x] for Hensel lifting: plain ------
-# ascending int lists, no trailing zeros. Mod p^j only the coefficients prime
+# ascending int lists, no trailing zeros. Sums, products and powers reduce the
+# integer list core's results mod q; only the division, by an inverse of the
+# leading coefficient, is this ring's own. Mod p^j only the coefficients prime
 # to p are invertible, so there _gf_divmod only divides by monic polynomials
 # and _gf_monic only scales a leading coefficient prime to p.
 
@@ -48,30 +50,15 @@ def _trim(a: list[int]) -> list[int]:
 
 
 def _gf_add(a: list[int], b: list[int], p: int) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _trim(out)
+    return _trim([c % p for c in _add(a, b)])
 
 
 def _gf_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _trim(out)
+    return _trim([c % p for c in _add(a, [-v for v in b])])
 
 
 def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim([c % p for c in out])
+    return _trim([c % p for c in _convolve(a, b)])
 
 
 def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -80,9 +67,7 @@ def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
     rem = list(a)
     dlen = len(b)
     inv = pow(b[-1], -1, p)
-    if len(rem) < dlen:
-        return [], _trim(rem)
-    quot = [0] * (len(rem) - dlen + 1)
+    quot = [0] * max(0, len(rem) - dlen + 1)
     for top in range(len(rem) - 1, dlen - 2, -1):
         c = rem[top] % p
         if c:
@@ -116,14 +101,7 @@ def _gf_deriv(a: list[int], p: int) -> list[int]:
 
 
 def _gf_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    out = [1]
-    acc = _gf_mod(base, mod, p)
-    while e:
-        if e & 1:
-            out = _gf_mod(_gf_mul(out, acc, p), mod, p)
-        acc = _gf_mod(_gf_mul(acc, acc, p), mod, p)
-        e >>= 1
-    return out
+    return _power(_gf_mod(base, mod, p), e, lambda a, b: _gf_mod(_gf_mul(a, b, p), mod, p), [1])
 
 
 def _gf_eea(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
@@ -285,9 +263,16 @@ class Factorization:
 
 
 def _mignotte_bound(f: IntPoly) -> int:
-    """Coefficient bound for any integer factor of f, scaled by |lc(f)|."""
+    """Coefficient bound for every candidate `_factor_squarefree` rebuilds.
+
+    A candidate is lc(cur) times monic lifts, of degree e <= deg(cur) // 2
+    <= deg(f) // 2 (the cofactor is an exact quotient, never rebuilt). As a
+    factor it is (lc(cur) / lc(g)) * g for a factor g of cur, hence of f, and
+    |lc(cur)| <= |lc(f)|. Mignotte's bound gives ||g||_inf <= 2^e * ||f||_2,
+    and ||f||_2 <= sqrt(deg f + 1) * ||f||_inf.
+    """
     d = f.degree
-    return (math.isqrt(d + 1) + 1) * (1 << d) * f.max_norm() * abs(f.lc)
+    return (math.isqrt(d + 1) + 1) * (1 << d // 2) * f.max_norm() * abs(f.lc)
 
 
 def _good_primes(f: IntPoly) -> Iterator[tuple[int, list[int]]]:

@@ -3,12 +3,17 @@
 Coefficients are stored ascending (index = degree of the term), with no
 trailing zeros; the zero polynomial is the empty tuple. Everything is exact:
 division helpers either return an integer-coefficient result or refuse.
+
+Sum, product, long division and powering are one kernel each on ascending
+coefficient lists (`_add`, `_convolve`, `_divide`, `_power`), shared by
+`IntPoly`, the parser, `roots.charpoly` and the factorizer's (Z/q)[x]
+arithmetic; their results are untrimmed, and each caller normalizes them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..errors import (
     DivisorZero,
@@ -17,6 +22,64 @@ from ..errors import (
     ResourceLimitError,
     UnsupportedExponent,
 )
+
+# -- the list core ----------------------------------------------------------------
+
+
+def _add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficient sum."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The schoolbook product, skipping the zero coefficients of a."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _divide(rem: list[int], b: Sequence[int]) -> Optional[list[int]]:
+    """Integer long division of rem by b (nonzero leading coefficient), in place.
+
+    Returns the quotient and leaves the remainder in rem[: len(b) - 1], or
+    returns None at the first quotient digit that is not an integer.
+    """
+    dlen = len(b)
+    lead = b[-1]
+    quot = [0] * max(0, len(rem) - dlen + 1)
+    for top in range(len(rem) - 1, dlen - 2, -1):
+        q, r = divmod(rem[top], lead)
+        if r:
+            return None
+        if q:
+            pos = top - (dlen - 1)
+            quot[pos] = q
+            for j, dc in enumerate(b):
+                rem[pos + j] -= q * dc
+    return quot
+
+
+def _power(base, e: int, mul: Callable, one):
+    """base^e for e >= 0 by right-to-left square and multiply: mul(result, base)
+    at each set bit, then mul(base, base) unless no bit is left."""
+    out = one
+    while True:
+        if e & 1:
+            out = mul(out, base)
+        e >>= 1
+        if not e:
+            return out
+        base = mul(base, base)
 
 
 class IntPoly:
@@ -94,13 +157,7 @@ class IntPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly(_add(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
@@ -117,34 +174,17 @@ class IntPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, IntPoly):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly(_convolve(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "IntPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise InvalidArgument(f"polynomial power needs a nonnegative integer, got {exponent!r}")
-        out = IntPoly.one()
-        base = self
-        e = exponent
-        while True:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if not e:
-                return out
-            base = base * base
+        return IntPoly(_power(self.coeffs, exponent, _convolve, [1]))
 
     @staticmethod
     def _coerce(other) -> Optional["IntPoly"]:
@@ -252,38 +292,10 @@ def exact_div(dividend: IntPoly, divisor: IntPoly) -> Optional[IntPoly]:
     if divisor.is_zero:
         raise DivisorZero("polynomial division by zero")
     rem = list(dividend.coeffs)
-    dlen = len(divisor.coeffs)
-    lead = divisor.lc
-    quot = [0] * max(0, len(rem) - dlen + 1)
-    for top in range(len(rem) - 1, dlen - 2, -1):
-        q, r = divmod(rem[top], lead)
-        if r:
-            return None
-        if q:
-            pos = top - (dlen - 1)
-            quot[pos] = q
-            for j, dc in enumerate(divisor.coeffs):
-                rem[pos + j] -= q * dc
-    if any(rem[: dlen - 1]):
+    quot = _divide(rem, divisor.coeffs)
+    if quot is None or any(rem[: divisor.degree]):
         return None
     return IntPoly(quot)
-
-
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder of lc(b)^(deg a - deg b + 1) * a by b."""
-    rem = list(a.coeffs)
-    dlen = len(b.coeffs)
-    lead = b.lc
-    for top in range(len(rem) - 1, dlen - 2, -1):
-        head = rem[top]
-        for i in range(len(rem)):
-            rem[i] *= lead
-        if head:
-            pos = top - (dlen - 1)
-            for j, dc in enumerate(b.coeffs):
-                rem[pos + j] -= head * dc
-        rem = rem[:top]
-    return IntPoly(rem)
 
 
 def gcd_poly(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -298,8 +310,10 @@ def gcd_poly(a: IntPoly, b: IntPoly) -> IntPoly:
     if p.degree < q.degree:
         p, q = q, p
     while not q.is_zero:
-        r = _pseudo_rem(p, q)
-        p, q = q, r.monic_positive() if not r.is_zero else r
+        # the pseudo-remainder: lc(q)^(deg p - deg q + 1) * p divides by q in Z
+        rem = _convolve((q.lc ** (p.degree - q.degree + 1),), p.coeffs)
+        _divide(rem, q.coeffs)
+        p, q = q, IntPoly(rem[: q.degree]).monic_positive()
     return p.monic_positive()
 
 
@@ -432,14 +446,7 @@ class _Parser:
             raise UnsupportedExponent(f"exponent must be nonnegative, got {e}", position=op_pos)
         _check_size(max(e, base.degree * e), base.norm1().bit_length() * e, op_pos)
         # square and multiply as IntPoly.__pow__ does, charging every product
-        result = IntPoly.one()
-        while e:
-            if e & 1:
-                result = self._product(result, base, op_pos)
-            e >>= 1
-            if e:
-                base = self._product(base, base, op_pos)
-        return result
+        return _power(base, e, lambda a, b: self._product(a, b, op_pos), IntPoly.one())
 
     def _product(self, a: IntPoly, b: IntPoly, op_pos: int) -> IntPoly:
         size = a.max_norm().bit_length() * b.max_norm().bit_length()

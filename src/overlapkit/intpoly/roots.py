@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import InvalidArgument
-from .poly import IntPoly, exact_div, gcd_poly
+from .poly import IntPoly, _convolve
 
 
 def charpoly(matrix: Sequence[Sequence[int]]) -> IntPoly:
@@ -19,7 +19,8 @@ def charpoly(matrix: Sequence[Sequence[int]]) -> IntPoly:
 
     Growing the trailing block B by a diagonal entry a, row R and column C
     multiplies the descending coefficients by the lower-triangular Toeplitz
-    matrix with first column 1, -a, -R*C, -R*B*C, -R*B^2*C, ...
+    matrix with first column 1, -a, -R*C, -R*B*C, -R*B^2*C, ...: a
+    convolution with that column, truncated to one more coefficient.
     """
     size = len(matrix)
     if size == 0 or any(len(row) != size for row in matrix):
@@ -31,10 +32,7 @@ def charpoly(matrix: Sequence[Sequence[int]]) -> IntPoly:
         for _ in range(size - k - 1):
             toeplitz.append(-sum(r * c for r, c in zip(row, col)))
             col = [sum(b * c for b, c in zip(r[k + 1 :], col)) for r in matrix[k + 1 :]]
-        vec = [
-            sum(toeplitz[i - j] * v for j, v in enumerate(vec[: i + 1]))
-            for i in range(len(vec) + 1)
-        ]
+        vec = _convolve(toeplitz, vec)[: len(vec) + 1]
     return IntPoly(reversed(vec))
 
 
@@ -58,19 +56,21 @@ def largest_root(poly: IntPoly, lo: int, hi: int, bits: int) -> tuple[Fraction, 
     r of a Perron polynomial poly: every other complex root z has Re z < r,
     as for det(x*I - A) with A >= 0 (Perron-Frobenius).
 
-    Let s be the squarefree part of poly with positive leading coefficient;
-    s(x + t) is lc(s) times the product of t + (x - z) over its roots z. For
+    Let s be poly with positive leading coefficient; s(x + t) is lc(s) times
+    the product of t + (x - z) over its roots z, repeated ones included. For
     x > r every real factor, and every conjugate pair
     t^2 + 2*Re(x - z)*t + |x - z|^2, has positive coefficients, so all
-    Taylor coefficients of s at x are positive; at x = r the constant one is
-    0 and the others stay positive. For x < r, t = r - x > 0 is a root of
-    s(x + t), which a polynomial with nonnegative coefficients and positive
-    leading one cannot have. So x >= r iff no Taylor coefficient of s at x
-    is negative. The integers lo and hi must satisfy lo < r <= hi; bisection
-    keeps a < r <= b. Returns a, b and the number of bisection steps.
+    Taylor coefficients of s at x are positive; at x = r the factors
+    t + (x - r) become t, so the coefficients are nonnegative and the lowest
+    ones, as many as r's multiplicity, are 0. For x < r, t = r - x > 0 is a
+    root of s(x + t), which a polynomial with nonnegative coefficients and
+    positive leading one cannot have. So x >= r iff no Taylor coefficient of
+    s at x is negative. The integers lo and hi must satisfy lo < r <= hi;
+    bisection keeps a < r <= b. Returns a, b and the number of bisection
+    steps.
     """
-    # poly / gcd(poly, poly') has each root once; by Gauss's lemma it is integral
-    desc = exact_div(poly, gcd_poly(poly, poly.derivative())).monic_positive().coeffs[::-1]
+    # the root 0 kept once: the shifts run on a lower degree, and x^j keeps 0
+    desc = IntPoly(poly.coeffs[max(poly.trailing_zeros() - 1, 0) :]).monic_positive().coeffs[::-1]
     if _at_or_above(desc, lo, 0) or not _at_or_above(desc, hi, 0):
         raise InvalidArgument(f"the largest root of {poly.to_string()} is not in ({lo}, {hi}]")
     exp = steps = 0

@@ -33,7 +33,7 @@ from overlapkit.intpoly.factor import (
     _hensel_lift_tree,
     _hensel_step,
 )
-from overlapkit.intpoly.poly import exact_div
+from overlapkit.intpoly.poly import _add, _convolve, _divide, _power, exact_div, gcd_poly
 from overlapkit.numlab import box_count_dimension, cover, cylinder_growth
 from overlapkit.obstruction import Verdict, obstruction_verdict, sweep
 
@@ -246,7 +246,12 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(graphdir.verify_beta_eigen),
         inspect.getsource(roots),
         inspect.getsource(search),
+        inspect.getsource(_add),
+        inspect.getsource(_convolve),
+        inspect.getsource(_divide),
+        inspect.getsource(_power),
         inspect.getsource(exact_div),
+        inspect.getsource(gcd_poly),
         inspect.getsource(_hensel_step),
         inspect.getsource(_hensel_lift_tree),
         inspect.getsource(_choose_prime),
@@ -258,7 +263,12 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
     # integer polynomial arithmetic stays in Z and Z/q, and the cover kernel
     # and its box counting in Z, without rationals
     for function in (
+        _add,
+        _convolve,
+        _divide,
+        _power,
         exact_div,
+        gcd_poly,
         _hensel_step,
         _hensel_lift_tree,
         _choose_prime,
@@ -287,7 +297,8 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         f"classification, feasibility, generation, multiplicative dependence (without "
         f"integer factoring), the dust candidate check, "
         f"expansion, cover, integer cover kernel, box-counting cells, characteristic polynomial, "
-        f"real-root, exact division, Hensel lifting and recombination sources are free of "
+        f"real-root, the integer list core (sum, product, division, power), exact division, "
+        f"gcd, Hensel lifting and recombination sources are free of "
         f"floating-point operations and {expansions} re-expansions matched the "
         f"Fraction-offset expansion"
     )

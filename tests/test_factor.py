@@ -261,6 +261,10 @@ class TestPrimeChoiceAndDegreeSets:
 
 @PROPERTY
 @given(nonconstant, nonconstant)
+# two equal-degree factors with large coefficients: the first is rebuilt from
+# lifts at degree deg // 2, the largest degree the lifting bound covers
+@example(parse_poly("7*x^5+1000000*x^4-3*x+1000001"), parse_poly("5*x^5-999999*x^3+2*x^2-1000003"))
+@example(parse_poly("x^3+999999*x^2-999999*x+1"), parse_poly("x^3-999998*x^2-999998*x-1"))
 def test_products_agree_with_sympy(a, b):
     _assert_matches_sympy(a * b)
 

@@ -26,7 +26,13 @@ from overlapkit.intpoly import (
     moran_poly,
     parse_poly,
 )
-from overlapkit.intpoly.poly import MAX_COEFF_BITS, MAX_DEGREE, MAX_PARSE_WORK
+from overlapkit.intpoly.poly import (
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
+    MAX_PARSE_WORK,
+    _convolve,
+    _Parser,
+)
 
 X = sympy.Symbol("x")
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -168,12 +174,15 @@ non_monic = st.builds(
 
 
 @PROPERTY
-@given(polys, non_monic, st.booleans())
+@given(polys, non_monic | polys.filter(bool), st.booleans())
 # integral up to the last step, where 1 is left over: 2x^2 + 1 by 2x
 @example(IntPoly([1, 0, 2]), IntPoly([0, 2]), False)
 @example(IntPoly([5]), IntPoly([0, 3]), False)
 @example(IntPoly(), IntPoly([1, 3]), False)
 @example(IntPoly([6, 4, 2]), IntPoly([3, -2]), True)
+@example(IntPoly(), IntPoly([-3]), False)
+@example(IntPoly([5, 1]), IntPoly([2]), False)
+@example(IntPoly([1, 2, 1]), IntPoly([-1, -1]), True)
 def test_exact_div_matches_sympy_div(a, b, planted):
     dividend = a * b if planted else a
     quot, rem = sympy.Poly(list(reversed(dividend.coeffs)) or [0], X, domain="QQ").div(
@@ -185,6 +194,42 @@ def test_exact_div_matches_sympy_div(a, b, planted):
     assert exact_div(dividend, b) == expected
     if planted:
         assert expected == a
+
+
+def to_sympy(p: IntPoly) -> sympy.Poly:
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], X, domain="ZZ")
+
+
+def from_sympy(p: sympy.Poly) -> IntPoly:
+    return IntPoly([int(c) for c in reversed(p.all_coeffs())])
+
+
+# signed polynomials, the zero polynomial and constants included
+@PROPERTY
+@given(polys, polys)
+@example(IntPoly(), IntPoly([3, 1]))
+@example(IntPoly([-4]), IntPoly([0, 0, 5]))
+@example(IntPoly([0, 1, 0, -2]), IntPoly([7, 0, 0, 1]))
+def test_convolve_matches_sympy_product(a, b):
+    assert IntPoly(_convolve(a.coeffs, b.coeffs)) == from_sympy(to_sympy(a) * to_sympy(b))
+    assert a * b == b * a == IntPoly(_convolve(b.coeffs, a.coeffs))
+
+
+@PROPERTY
+@given(polys, polys, polys)
+@example(IntPoly(), IntPoly([-6]), IntPoly())
+@example(IntPoly([4]), IntPoly([6]), IntPoly())
+@example(IntPoly([-2, -2]), IntPoly([3, 0, -3]), IntPoly([1, 0, 1]))
+def test_gcd_poly_matches_sympy(a, b, common):
+    a, b = a * common, b * common
+    if a.is_zero and b.is_zero:
+        with pytest.raises(InvalidArgument):
+            gcd_poly(a, b)
+        return
+    _, expected = to_sympy(a).gcd(to_sympy(b)).primitive()
+    if expected.LC() < 0:
+        expected = -expected
+    assert gcd_poly(a, b) == from_sympy(expected)
 
 
 class TestGcd:
@@ -359,6 +404,20 @@ class TestParsing:
             with pytest.raises(ResourceLimitError) as info:
                 parse_poly(bad)
             assert info.value.details["ceiling"] == MAX_PARSE_WORK
+
+    def test_power_charges_the_same_products(self):
+        # right-to-left square and multiply: a product at each set bit of the
+        # exponent and a squaring between consecutive bits, each charged; a
+        # sparse base also pins the operand order of result * base
+        for base, e, work in [
+            ("(7x+8)", 512, 2_191_112),
+            ("(7x+8)", 511, 2_324_476),
+            ("(x+1)", 512, 154_977),
+            ("(x^8+1)", 63, 14_024),
+        ]:
+            parser = _Parser(f"{base}^{e}")
+            assert parser.parse() == parse_poly(base) ** e
+            assert parser.work == work
 
     def test_deep_nesting_is_a_resource_error(self):
         for bad in ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"]:

@@ -86,6 +86,19 @@ def test_beta_eigen_matches_sympy_remainder(case):
 @example([[0, 1], [1, 0]], 10)  # roots 1 and -1
 @example([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 10)  # two complex roots of modulus 1
 @example([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]], 10)  # a double Perron root
+@example([[0, 1, 0], [0, 0, 1], [0, 0, 0]], 10)  # nilpotent: x^3, rho = 0
+# a double Perron root, the golden ratio, beside a double zero root
+@example(
+    [
+        [1, 1, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0],
+        [0, 0, 1, 1, 0, 0],
+        [0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1],
+        [0, 0, 0, 0, 0, 0],
+    ],
+    10,
+)
 def test_largest_root_interval_holds_the_perron_root(matrix, bits):
     coeffs = sympy_charpoly(matrix)
     top = sp.real_roots(sp.Poly(list(reversed(coeffs)), X))[-1]
