@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -73,13 +72,12 @@ def _atomic_write(files: dict[str, str]) -> None:
             if os.path.isdir(path):  # os.replace would fail only after other targets were replaced
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             directory = os.path.dirname(os.path.abspath(path))
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".overlapkit-")
+            tmp = os.path.join(directory, f".overlapkit-{os.urandom(8).hex()}")
+            # created 0666 less the umask, the mode the replaced path keeps
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             temps.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 would survive the replace
         for tmp, path in zip(temps, files):
             os.replace(tmp, path)
     except BaseException as exc:
@@ -186,7 +184,7 @@ def _cmd_factor(args) -> dict:
         "input": poly.to_string(),
         "unit": fac.unit,
         "content": fac.content,
-        "factors": [f.to_string() for f, mult in fac.factors for _ in range(mult)],
+        "factors": fac.listed(),
         "irreducible": poly.degree >= 1 and fac.is_irreducible_shape,
     }
 
@@ -366,9 +364,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _join_dash_values(argv: Sequence[str]) -> list[str]:
+    """argv with each value that starts with a single '-' (but -h) joined to the
+    flag before it as --flag=value, since argparse would take it for an option.
+    Every flag but --help takes a value, and argparse accepts their prefixes."""
+    joined: list[str] = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        value = token.startswith("-") and not token.startswith("--") and token != "-h"
+        if value and flag.startswith("--") and "=" not in flag and not "--help".startswith(flag):
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
         args.precision_bits = _resolve_precision(args)
         args.files = {}
         payload = args.handler(args)

@@ -8,22 +8,7 @@ never bad user input.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, float, str)):
-        return value
-    return str(value)
 
 
 class OverlapKitError(Exception):
@@ -39,7 +24,11 @@ class OverlapKitError(Exception):
         return {
             "error": type(self).__name__,
             "message": str(self),
-            "details": _jsonable(self.details),
+            # every detail is one value: JSON scalars stay, the rest (a Fraction) prints as str
+            "details": {
+                key: value if value is None or isinstance(value, (int, float, str)) else str(value)
+                for key, value in self.details.items()
+            },
         }
 
 

@@ -9,6 +9,16 @@ Perron root must match the dominant root beta of x^2 - nx + m.
 Two regroupings are supported: cut-at-touch severs blocks at touching points
 (configurations degenerate to all-O runs), keep-touch severs only at strictly
 positive gaps.
+
+A closure's charpoly is x^(V-2-e) * (x-1)^e * (x^2 - n*x + m), e = 1 exactly
+for keep-touch and a T in the step word. By expand, configuration c's row is
+u + o_c*dO + t_c*dT (o_c, t_c its O and T letters; u the root's row; dO, dT
+the inner pieces plus the pieces of tail + head, of tail + T + head). So
+A = P*R, P's rows (1, o_v, t_v), and det(x*I - P*R) = x^(V-r) det(x*I - R*P),
+R*P counting each R row's pieces and their O and T letters: [[n-m, m],
+[n-1-m, m]] under cut-touch, whose configurations have no T, and under
+keep-touch [[g+1, m, t], [g, m, t], [g, m, t+1]] (g, t the word's G and T
+letters; [[g+1, m], [g, m]] if t = 0), of charpoly (x-1)*(x^2 - n*x + m).
 """
 
 from __future__ import annotations

@@ -147,19 +147,12 @@ class OverlapPattern:
 
 
 def validate(lam: Fraction, offsets: Sequence[Fraction]) -> tuple[SelfSimilarSpec, OverlapPattern]:
-    """Classify every step exactly and check class membership 1 <= m <= n-2."""
+    """Classify every step exactly and check class membership by check_class."""
     spec = SelfSimilarSpec(Fraction(lam), tuple(Fraction(b) for b in offsets))
     word = spec.step_kinds
     m = word.count(OVERLAP)
-    n = spec.n
-    if not 1 <= m <= n - 2:
-        raise NotInClass(
-            f"need 1 <= m <= n-2 exact overlaps, got m={m} with n={n} (pattern {word})",
-            n=n,
-            m=m,
-            pattern=word,
-        )
-    return spec, OverlapPattern(word=word, sizes=spec.steps, n=n, m=m)
+    check_class(spec.n, m, pattern=word)
+    return spec, OverlapPattern(word=word, sizes=spec.steps, n=spec.n, m=m)
 
 
 def feasibility_slack(n: int, m: int, lam: Fraction) -> Fraction:
@@ -183,9 +176,10 @@ def check_precision(bits: int) -> None:
         )
 
 
-def check_class(n: int, m: int) -> None:
+def check_class(n: int, m: int, **details) -> None:
     """Refuse (n, m) outside class A: 1 <= m <= n-2, with n and m at most
-    MAX_COEFF_BITS bits (the coefficient ceiling of x^(2k)-n*x^k+m)."""
+    MAX_COEFF_BITS bits (the coefficient ceiling of x^(2k)-n*x^k+m). `details`
+    (a spec's pattern, say) go into the NotInClass error beside n and m."""
     if max(abs(n), abs(m)).bit_length() > MAX_COEFF_BITS:
         raise ResourceLimitError(
             f"n and m must have at most {MAX_COEFF_BITS} bits, "
@@ -193,7 +187,7 @@ def check_class(n: int, m: int) -> None:
             ceiling=MAX_COEFF_BITS,
         )
     if not 1 <= m <= n - 2:
-        raise NotInClass(f"need 1 <= m <= n-2, got (n,m)=({n},{m})", n=n, m=m)
+        raise NotInClass(f"need 1 <= m <= n-2, got (n,m)=({n},{m})", n=n, m=m, **details)
 
 
 def check_feasible(n: int, m: int, lam: Fraction) -> Fraction:

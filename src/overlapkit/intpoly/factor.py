@@ -253,6 +253,10 @@ class Factorization:
             out = out * poly**mult
         return out
 
+    def listed(self) -> list[str]:
+        """The factors as text, each repeated by its multiplicity."""
+        return [poly.to_string() for poly, mult in self.factors for _ in range(mult)]
+
     @property
     def is_irreducible_shape(self) -> bool:
         return (

@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import DegenerateFit, InvalidArgument, NotInClass, TooDeep
 from .exactnum import format_rational
-from .ifs import SelfSimilarSpec, validate
+from .ifs import OVERLAP, SelfSimilarSpec, check_class
 
 DEFAULT_COVER_CEILING = 10**7
 
@@ -125,16 +125,13 @@ def cylinder_growth(spec: SelfSimilarSpec, max_depth: int) -> GrowthResult:
         slope = fit.slope
     else:
         slope = 0.0
+    n, m = spec.n, spec.step_kinds.count(OVERLAP)
     try:
-        _, pattern = validate(spec.lam, spec.offsets)
-        n, m = pattern.n, pattern.m
-        recurrence_ok: Optional[bool] = all(
-            counts[i + 2] == n * counts[i + 1] - m * counts[i]
-            for i in range(len(counts) - 2)
-        )
+        check_class(n, m)
     except NotInClass:
-        n = m = None
-        recurrence_ok = None
+        n = m = recurrence_ok = None
+    else:
+        recurrence_ok = all(c == n * b - m * a for a, b, c in zip(counts, counts[1:], counts[2:]))
     return GrowthResult(counts=counts, slope=slope, recurrence_ok=recurrence_ok, n=n, m=m)
 
 

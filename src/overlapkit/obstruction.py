@@ -22,11 +22,11 @@ from .ifs import DustIfsSpec, check_class, check_feasible
 from .intpoly import Factorization, IntPoly, factor, family_poly, gcd_poly, moran_poly
 from .intpoly.poly import MAX_DEGREE
 
-# up to k = 15 every in-class pair with n <= 20 gets its verdict within about
-# half a second; from k = 16 on, single factorizations (x^32-13x^16+1) take seconds
+# both ceilings bound a sweep, about the sum of its pairs' verdicts: obstruct-sweep
+# --nmax 20 took 0.7-0.9 s at kmax 8, 4.2-5.1 s at 15, 6.8 s at 16, 15 s at 20 and 30 s
+# at 24, while single k = 16 factorizations stay fast (x^32-20x^16+9, the slowest with
+# n <= 20, 0.13 s in-process; x^32-13x^16+1 0.3 s as a whole process; 2-core Xeon)
 MAX_KMAX = 15
-# a sweep costs about the sum of its pairs: up to n = 20 that is 0.7 s at the
-# default kmax 8 and 3-5 s at MAX_KMAX, growing by about 0.3 s with each extra n
 MAX_NMAX = 20
 
 
@@ -56,15 +56,7 @@ class ObstructionReport:
             "m": self.m,
             "kmax": self.kmax,
             "perfect_power": pp,
-            "reducible_ks": [
-                {
-                    "k": k,
-                    "factors": [
-                        f.to_string() for f, mult in fac.factors for _ in range(mult)
-                    ],
-                }
-                for k, fac in self.reducible_ks
-            ],
+            "reducible_ks": [{"k": k, "factors": fac.listed()} for k, fac in self.reducible_ks],
             "verdict": self.verdict.value,
         }
 

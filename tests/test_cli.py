@@ -113,10 +113,12 @@ class TestDimension:
 
     def test_infeasible_ratio_exits_1(self, capsys):
         code, out, err = run(capsys, "dimension", "--lambda", "2/5", "--n", "3", "--m", "1")
-        assert code == 1
-        payload = json.loads(err)
-        assert payload["error"] == "Infeasible"
-        assert "bound" in payload["details"]
+        assert (code, out) == (1, "")
+        # the Fraction lam prints as its str, the float bound as a JSON number
+        assert err == (
+            '{"details": {"bound": 0.38196601125010515, "lam": "2/5"}, "error": "Infeasible", '
+            '"message": "lambda = 2/5 exceeds the feasibility bound 1/beta for (n,m)=(3,1)"}\n'
+        )
 
 
 # one cheap valid call of every subcommand
@@ -264,6 +266,16 @@ class TestFactorAndObstruct:
         assert payload["error"] == "PolySyntaxError"
         assert "position" in payload["details"]
 
+    def test_flag_values_may_start_with_a_dash(self, capsys):
+        joined = run(capsys, "factor", "--poly=-x^2+1")
+        assert joined[0] == 0
+        assert run(capsys, "factor", "--poly", "-x^2+1") == joined
+        assert run(capsys, "factor", "--po", "-x^2+1") == joined  # argparse's prefix of --poly
+        assert run_json(capsys, "factor", "--poly", "-x")["factors"] == ["x"]
+        code, out, err = run(capsys, "factor", "--poly", "--format")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["message"] == "argument --poly: expected one argument"
+
     def test_obstruct_verdicts(self, capsys):
         met = run_json(capsys, "obstruct", "--n", "3", "--m", "1")
         assert met["verdict"] == "NecessaryConditionMet"
@@ -336,23 +348,30 @@ class TestFactorAndObstruct:
         assert run_json(capsys, "obstruct", "--n", str(n), "--m", "4", "--kmax", "2")["n"] == n
 
 
-# the other flags of each subcommand that takes (n, m)
+# each subcommand that checks the class, at (n, m) = (3, 2): given by --n and
+# --m, or by the offsets of three maps with two O steps
+_NM = ["--n", "3", "--m", "2"]
+_OO = ["--lambda", "1/2", "--b", "0,1/4,1/2"]
 _CLASS_ARGV = {
-    "obstruct": [],
-    "dust-check": ["--lambda", "1/4", "--ratios", "1/4,1/2"],
-    "dimension": ["--lambda", "1/4"],
-    "generate": ["--lambda", "1/4"],
-    "tail-search": ["--q", "1", "--max-degree", "6", "--coeff-bound", "2"],
+    "obstruct": _NM,
+    "dust-check": [*_NM, "--lambda", "1/4", "--ratios", "1/4,1/2"],
+    "dimension": [*_NM, "--lambda", "1/4"],
+    "generate": [*_NM, "--lambda", "1/4"],
+    "tail-search": [*_NM, "--q", "1", "--max-degree", "6", "--coeff-bound", "2"],
+    "validate": _OO,
+    "graph": _OO,
 }
 
 
 @pytest.mark.parametrize("command", sorted(_CLASS_ARGV))
 def test_out_of_class_is_the_same_error_everywhere(capsys, command):
-    code, out, err = run(capsys, command, "--n", "3", "--m", "2", *_CLASS_ARGV[command])
+    code, out, err = run(capsys, command, *_CLASS_ARGV[command])
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "NotInClass"
     assert payload["message"] == "need 1 <= m <= n-2, got (n,m)=(3,2)"
+    pattern = {"pattern": "OO"} if _CLASS_ARGV[command] is _OO else {}
+    assert payload["details"] == {"n": 3, "m": 2, **pattern}
 
 
 class TestDustCheckAndMoran:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import time
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from overlapkit.graphdir import (
     verify_beta_eigen,
 )
 from overlapkit.ifs import SelfSimilarSpec, _beta, generate
+from overlapkit.intpoly import IntPoly, family_poly
+from overlapkit.intpoly.roots import charpoly
 
 F = Fraction
 
@@ -118,6 +121,20 @@ def test_expand_matches_the_fraction_oracle(expand_oracle, spec, steps, policy):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(in_class_specs(), st.sampled_from(list(Policy)))
+@example(generate(4, 1, F(1, 8), "TGO"), Policy.KEEP_TOUCH)
+@example(generate(5, 1, F(1, 8), "GTGO"), Policy.CUT_AT_TOUCH)
+def test_charpoly_has_the_closed_form(spec, policy):
+    # x^(V-2-e) * (x-1)^e * (x^2 - n*x + m), e = 1 for a keep-touch T (graphdir's docstring)
+    graph = build_graph(spec, policy)
+    n, m = spec.n, spec.step_kinds.count("O")
+    e = int(policy is Policy.KEEP_TOUCH and "T" in spec.step_kinds)
+    x = IntPoly.x()
+    expected = x ** (len(graph.vertices) - 2 - e) * (x - 1) ** e * family_poly(n, m, 1)
+    assert charpoly(graph.adjacency) == expected
+
+
 class TestBuildGraph:
     def test_golden_graph(self):
         graph = build_graph(golden_spec(), Policy.CUT_AT_TOUCH)
@@ -191,6 +208,11 @@ class TestBuildGraph:
         assert time.perf_counter() - start < 1.0
         assert info.value.exit_code == 2
         assert info.value.details == {"ceiling": graphdir.MAX_VERTICES, "vertices": None}
+        assert json.dumps(info.value.to_json(), sort_keys=True) == (
+            f'{{"details": {{"ceiling": {graphdir.MAX_VERTICES}, "vertices": null}}, '
+            '"error": "VertexExplosion", "message": "the step word has no cut letter under '
+            'keep-touch, so the closure is infinite"}'
+        )
         assert build_graph(ALL_TOUCH, Policy.CUT_AT_TOUCH).adjacency == ((3,),)
 
     def test_many_distinct_pieces_are_refused_not_hung(self):

@@ -78,8 +78,11 @@ class TestSpecValidation:
         assert info.value.details["index"] == 1
 
     def test_gap_only_pattern_is_out_of_class(self):
-        with pytest.raises(NotInClass):
+        # check_class's error, with the spec's pattern among its details
+        with pytest.raises(NotInClass) as info:
             validate(F(1, 4), [F(0), F(1, 4), F(3, 4)])
+        assert str(info.value) == "need 1 <= m <= n-2, got (n,m)=(3,0)"
+        assert info.value.details == {"n": 3, "m": 0, "pattern": "TG"}
 
     def test_all_overlap_pattern_is_out_of_class(self):
         # m = n-1 exceeds n-2; lam = 1/2 makes two O steps reach 1-lam exactly

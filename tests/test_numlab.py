@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from overlapkit.errors import DegenerateFit, InvalidArgument, TooDeep
-from overlapkit.ifs import SelfSimilarSpec, generate
+from overlapkit.errors import DegenerateFit, InvalidArgument, NotInClass, TooDeep
+from overlapkit.ifs import SelfSimilarSpec, generate, validate
 from overlapkit.numlab import (
     CoverLevel,
     box_count_dimension,
@@ -168,6 +168,31 @@ class TestCylinderGrowth:
         assert result.n is None and result.m is None
         assert result.counts == (1, 2, 4, 8, 16, 32)
         assert abs(result.slope - math.log(2)) < 1e-9
+
+    @settings(max_examples=80, deadline=None)
+    @given(specs(), st.integers(0, 5))
+    @example(generate(4, 2, F(1, 7), "OGO"), 5)
+    @example(SelfSimilarSpec(F(1, 3), (F(0), F(1, 3), F(2, 3))), 3)
+    def test_classifies_the_spec_it_is_given(self, spec, depth):
+        # no second spec is built; n, m and recurrence_ok are validate's, None out of class
+        built = []
+        post_init = SelfSimilarSpec.__post_init__
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                SelfSimilarSpec, "__post_init__", lambda self: built.append(self) or post_init(self)
+            )
+            result = cylinder_growth(spec, depth)
+        assert built == []
+        try:
+            _, pattern = validate(spec.lam, spec.offsets)
+        except NotInClass:
+            assert (result.n, result.m, result.recurrence_ok) == (None, None, None)
+            return
+        counts, n, m = result.counts, pattern.n, pattern.m
+        recurrence = all(
+            counts[i + 2] == n * counts[i + 1] - m * counts[i] for i in range(len(counts) - 2)
+        )
+        assert (result.n, result.m, result.recurrence_ok) == (n, m, recurrence)
 
     def test_json_fields(self):
         data = cylinder_growth(golden_spec(), 3).to_json()
