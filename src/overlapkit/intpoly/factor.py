@@ -12,6 +12,13 @@ the intersection of these sums bounds the degrees a factor can have
 equal-degree split, lift or recombination runs. Otherwise f is split, lifted
 and recombined at the prime with the fewest modular factors.
 
+Modular factoring raises to p-th powers through the Frobenius matrix of the
+polynomial g being split (rows x^(p*i) mod g for i < deg g), so each
+p-th power mod g is one matrix-vector product: the distinct-degree split steps
+x^(p^d) with it, and the equal-degree split builds the norm
+a^(1+p+...+p^(d-1)) with it before one power by (p-1)/2 (Berlekamp, 1967;
+von zur Gathen and Shoup, Comput. Complexity 2, 1992).
+
 The recombination loop filters subsets by degree (subset degree sum at most
 half the remaining degree, and in the intersected degree set) while letting
 the subset size run over the full range, which keeps the search complete;
@@ -124,25 +131,68 @@ def _gf_eea(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], l
 # -- factorization in GF(p)[x] ---------------------------------------------------
 
 
+def _frobenius(g: list[int], p: int) -> list[list[int]]:
+    """The Frobenius matrix of a monic g: rows x^(p*i) mod g for i < deg g.
+
+    Row i + 1 is row i times x^p mod g, a shift by p and a reduction while p
+    is below deg g (the product skips the zero coefficients of x^p).
+    """
+    xp = _gf_powmod([0, 1], p, g, p)
+    rows = [[1]]
+    for _ in range(len(g) - 2):
+        rows.append(_gf_mod(_gf_mul(xp, rows[-1], p), g, p))
+    return rows
+
+
+def _frob_apply(a: list[int], rows: list[list[int]], p: int) -> list[int]:
+    """a^p mod g, for a reduced mod g, from g's Frobenius rows.
+
+    In GF(p)[x], (sum a_i x^i)^p = sum a_i x^(p*i): one matrix-vector product,
+    reduced mod p once at the end.
+    """
+    out = [0] * len(rows)
+    for c, row in zip(a, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return _trim([c % p for c in out])
+
+
 def _ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Distinct-degree split of a monic squarefree f: list of (product, degree)."""
+    """Distinct-degree split of a monic squarefree f: list of (product, degree).
+
+    h = x^(p^d) mod f steps through f's Frobenius matrix; a part of degree-d
+    factors is gcd(h - x, cur) for the cofactor cur that divides f.
+    """
     out: list[tuple[list[int], int]] = []
-    h = [0, 1]
+    rows = _frobenius(f, p)
+    h = _gf_mod([0, 1], f, p)
     cur = list(f)
     d = 0
     while len(cur) - 1 > 2 * d:
         d += 1
-        h = _gf_powmod(h, p, cur, p)
+        h = _frob_apply(h, rows, p)
         g = _gf_gcd(_gf_sub(h, [0, 1], p), cur, p)
         if len(g) > 1:
             out.append((g, d))
             cur, rem = _gf_divmod(cur, g, p)
             if rem:
                 raise ConsistencyError("distinct-degree split failed to divide")
-            h = _gf_mod(h, cur, p)
     if len(cur) > 1:
         out.append((cur, len(cur) - 1))
     return out
+
+
+def _cz_power(a: list[int], d: int, f: list[int], rows: list[list[int]], p: int) -> list[int]:
+    """a^((p^d-1)/2) mod f, for a reduced mod f and rows f's Frobenius matrix.
+
+    It is t^((p-1)/2) for the norm t = a^(1+p+...+p^(d-1)), built by d - 1
+    steps t <- t^p * a mod f.
+    """
+    t = a
+    for _ in range(d - 1):
+        t = _gf_mod(_gf_mul(_frob_apply(t, rows, p), a, p), f, p)
+    return _gf_powmod(t, (p - 1) // 2, f, p)
 
 
 def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
@@ -150,7 +200,7 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
     deg = len(f) - 1
     if deg == d:
         return [list(f)]
-    exponent = (p**d - 1) // 2
+    rows = _frobenius(f, p)
     while True:
         a = [rng.randrange(p) for _ in range(deg)]
         a = _trim(a)
@@ -160,7 +210,7 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
         if len(g) > 1:
             split = g
         else:
-            b = _gf_powmod(a, exponent, f, p)
+            b = _cz_power(a, d, f, rows, p)
             split = _gf_gcd(_gf_sub(b, [1], p), f, p)
             if len(split) <= 1 or len(split) == len(f):
                 continue

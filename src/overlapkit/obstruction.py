@@ -23,9 +23,10 @@ from .intpoly import Factorization, IntPoly, factor, family_poly, gcd_poly, mora
 from .intpoly.poly import MAX_DEGREE
 
 # both ceilings bound a sweep, about the sum of its pairs' verdicts: obstruct-sweep
-# --nmax 20 took 0.7-0.9 s at kmax 8, 4.2-5.1 s at 15, 6.8 s at 16, 15 s at 20 and 30 s
-# at 24, while single k = 16 factorizations stay fast (x^32-20x^16+9, the slowest with
-# n <= 20, 0.13 s in-process; x^32-13x^16+1 0.3 s as a whole process; 2-core Xeon)
+# --nmax 20 took 0.7 s at kmax 8 and 2.0-2.7 s at 15 as a whole process, and the same
+# sweep in-process 3.1 s at 16, 6.9 s at 20 and 11.8 s at 24, while single k = 16
+# factorizations stay fast (x^32-20x^16+9, the slowest with n <= 20, 0.04 s in-process;
+# x^32-13x^16+1 0.24 s as a whole process; 2-core Xeon)
 MAX_KMAX = 15
 MAX_NMAX = 20
 

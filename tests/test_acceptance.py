@@ -24,12 +24,18 @@ from overlapkit.intpoly import (
     family_poly,
     is_irreducible,
     nonneg_tail_search,
+    parse_poly,
     roots,
     search,
 )
 from overlapkit.intpoly.factor import (
     _choose_prime,
+    _cz_power,
+    _ddf,
+    _edf,
     _factor_squarefree,
+    _frob_apply,
+    _frobenius,
     _hensel_lift_tree,
     _hensel_step,
 )
@@ -104,6 +110,18 @@ def test_slow_family_exponents_factor_quickly():
         f"PASS family exponents: (12,1,20), (13,1,16) and (20,9,24) are irreducible "
         f"[{elapsed:.2f}s < 5s]"
     )
+
+
+def test_equal_degree_split_of_degree_40_factors_is_fast():
+    # modulo 19 it is two factors of degree 40, so each Cantor-Zassenhaus power
+    # is 39 Frobenius steps; a 170-bit square-and-multiply instead took 1.8-2.4 s
+    # on a 2-core Xeon, past this budget
+    start = time.monotonic()
+    f = parse_poly("x^80-7*x^40+4")
+    assert factor(f).product() == f
+    elapsed = time.monotonic() - start
+    assert elapsed < 1.0
+    print(f"PASS equal-degree split: x^80-7*x^40+4 factors [{elapsed:.2f}s < 1s]")
 
 
 def test_sweep_graphs_spectrally_consistent(sweep_specs):
@@ -252,6 +270,11 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(_power),
         inspect.getsource(exact_div),
         inspect.getsource(gcd_poly),
+        inspect.getsource(_frobenius),
+        inspect.getsource(_frob_apply),
+        inspect.getsource(_ddf),
+        inspect.getsource(_cz_power),
+        inspect.getsource(_edf),
         inspect.getsource(_hensel_step),
         inspect.getsource(_hensel_lift_tree),
         inspect.getsource(_choose_prime),
@@ -269,6 +292,11 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         _power,
         exact_div,
         gcd_poly,
+        _frobenius,
+        _frob_apply,
+        _ddf,
+        _cz_power,
+        _edf,
         _hensel_step,
         _hensel_lift_tree,
         _choose_prime,
@@ -298,7 +326,8 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         f"integer factoring), the dust candidate check, "
         f"expansion, cover, integer cover kernel, box-counting cells, characteristic polynomial, "
         f"real-root, the integer list core (sum, product, division, power), exact division, "
-        f"gcd, Hensel lifting and recombination sources are free of "
+        f"gcd, modular factoring (Frobenius matrix, distinct- and equal-degree splits), "
+        f"Hensel lifting and recombination sources are free of "
         f"floating-point operations and {expansions} re-expansions matched the "
         f"Fraction-offset expansion"
     )

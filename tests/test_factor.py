@@ -7,7 +7,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from overlapkit.errors import InvalidArgument, TooManyModularFactors
@@ -276,6 +276,41 @@ def test_products_agree_with_sympy(a, b):
 )
 def test_family_factorizations_agree_with_sympy(nm, k):
     _assert_matches_sympy(family_poly(*nm, k))
+
+
+@st.composite
+def monic_squarefree_mod_p(draw) -> tuple[int, list[int]]:
+    """(p, g): g monic and squarefree mod p, ascending coefficients in [0, p)."""
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    g = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=16)) + [1]
+    assume(factor_module._gf_gcd(g, factor_module._gf_deriv(g, p), p) == [1])
+    return p, g
+
+
+@PROPERTY
+@given(monic_squarefree_mod_p(), st.data())
+def test_frobenius_matrix_gives_the_plain_powers(pg, data):
+    p, g = pg
+    powmod = factor_module._gf_powmod
+    rows = factor_module._frobenius(g, p)
+    assert rows == [powmod([0, 1], p * i, g, p) for i in range(len(g) - 1)]
+    a = factor_module._trim(data.draw(st.lists(st.integers(0, p - 1), max_size=len(g) - 1)))
+    assert factor_module._frob_apply(a, rows, p) == powmod(a, p, g, p)
+    d = data.draw(st.integers(1, 8))
+    assert factor_module._cz_power(a, d, g, rows, p) == powmod(a, (p**d - 1) // 2, g, p)
+
+
+@PROPERTY
+@given(monic_squarefree_mod_p())
+# the Cantor-Zassenhaus split of x^80-7*x^40+4 mod 19 into two factors of degree 40
+@example((19, [4] + [0] * 39 + [19 - 7] + [0] * 39 + [1]))
+def test_modular_factors_match_sympy(pg):
+    p, f = pg
+    ours = factor_module._factor_mod_p(f, p, factor_module._ddf(f, p))
+    _, parts = sympy.Poly(list(reversed(f)), X, modulus=p).factor_list()
+    assert all(mult == 1 for _, mult in parts)
+    theirs = [[int(c) % p for c in reversed(fac.all_coeffs())] for fac, _ in parts]
+    assert sorted(ours) == sorted(theirs)
 
 
 class TestFactorCountCeiling:
