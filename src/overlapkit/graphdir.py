@@ -222,7 +222,9 @@ def spectral_radius(matrix) -> SpectralResult:
     s = det(x*I - A), x >= rho iff no Taylor coefficient of s at x is
     negative: above rho each factor of s(x + t), repeated or not, has
     positive coefficients, and below it t = rho - x > 0 is a root.
-    `iterations` counts the bisection steps (one test each) to width 2^-128.
+    `iterations` is the depth S of the dyadic grid on which the bracket of
+    width 2^-128 lies: the number of bisection steps that would reach it.
+    It is not a count of tests: Newton steps find the cell with a handful.
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):

@@ -2,7 +2,10 @@
 
 Every decision is the sign of an integer: `charpoly` is Berkowitz's
 division-free algorithm, and the largest real root of a Perron polynomial is
-bisected on dyadic points a/2^e, each tested by the signs of one Taylor shift.
+bracketed in the cell of bisection's dyadic grid that bisection would return.
+Newton steps from above on the squarefree part, rounded to that grid, find
+the cell in a few rounds; the signs of one Taylor shift per point certify
+its ends.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import InvalidArgument
-from .poly import IntPoly, _convolve
+from .poly import IntPoly, _convolve, exact_div, gcd_poly
 
 
 def charpoly(matrix: Sequence[Sequence[int]]) -> IntPoly:
@@ -56,29 +59,98 @@ def largest_root(poly: IntPoly, lo: int, hi: int, bits: int) -> tuple[Fraction, 
     r of a Perron polynomial poly: every other complex root z has Re z < r,
     as for det(x*I - A) with A >= 0 (Perron-Frobenius).
 
-    Let s be poly with positive leading coefficient; s(x + t) is lc(s) times
-    the product of t + (x - z) over its roots z, repeated ones included. For
-    x > r every real factor, and every conjugate pair
+    The test. Let s be poly with positive leading coefficient; s(x + t) is
+    lc(s) times the product of t + (x - z) over its roots z, repeated ones
+    included. For x > r every real factor, and every conjugate pair
     t^2 + 2*Re(x - z)*t + |x - z|^2, has positive coefficients, so all
     Taylor coefficients of s at x are positive; at x = r the factors
     t + (x - r) become t, so the coefficients are nonnegative and the lowest
     ones, as many as r's multiplicity, are 0. For x < r, t = r - x > 0 is a
     root of s(x + t), which a polynomial with nonnegative coefficients and
     positive leading one cannot have. So x >= r iff no Taylor coefficient of
-    s at x is negative. The integers lo and hi must satisfy lo < r <= hi;
-    bisection keeps a < r <= b. Returns a, b and the number of bisection
-    steps.
+    s at x is negative. For any s the points passing the test form a ray
+    [r*, oo): the Taylor coefficients at x + h are those at x shifted by
+    h >= 0, sums of products of nonnegative numbers. The integers lo and hi
+    must satisfy lo < r <= hi, checked by the test.
+
+    The grid. Bisecting (lo, hi] to width 2^-bits takes S steps, S the least
+    s with (hi - lo)*2^bits <= 2^s, and ends on the grid lo + j*(hi - lo)/2^S
+    in the cell (a, b] whose upper end b is the first grid point passing the
+    test. So S is computed, the cell is searched on the grid directly, and
+    a, b and S are returned exactly as bisection would return them.
+
+    Newton from above. Let f be the squarefree part of s, of degree d: r is
+    its simple largest root and its other roots keep Re z < r. For x > r,
+    f'/f(x) is the sum of 1/(x - z) over the roots of f: a real z < r adds a
+    term in (0, 1/(x - r)), a conjugate pair adds 2*Re(x - z)/|x - z|^2, in
+    (0, 2/(x - r)), and z = r adds 1/(x - r). So 1/(x - r) <= f'/f <= d/(x - r),
+    that is x - d*f/f' <= r <= x - f/f': the Newton step from above never
+    passes r and gains at least 1/d of the remaining distance x - r, and
+    converges quadratically near the simple root. Each round steps from the
+    upper end v of the grid bracket (u, v] holding b, on integers scaled by
+    2^S, and rounds both bounds outward to the grid: v falls to the first grid
+    point >= x - f/f', and u rises to the last one < x - d*f/f' if that is
+    higher. These moves are not tests; the bracket is one cell after a few
+    rounds.
+
+    The work bound. A round whose Newton step leaves more than half of (u, v]
+    also halves it by one test at its midpoint. So there are at most S
+    rounds, each with at most one test, and at most two tests at the end,
+    where the test has the final word on both ends of the cell: it passes at
+    b and fails at a. Should it ever disagree with Newton's bracket, which
+    cannot happen for a Perron polynomial, the rounds go on by halving what
+    the tests have certified, so the returned cell is bisection's for any
+    poly. Returns a, b and S.
     """
     # the root 0 kept once: the shifts run on a lower degree, and x^j keeps 0
-    desc = IntPoly(poly.coeffs[max(poly.trailing_zeros() - 1, 0) :]).monic_positive().coeffs[::-1]
+    stripped = IntPoly(poly.coeffs[max(poly.trailing_zeros() - 1, 0) :]).monic_positive()
+    desc = stripped.coeffs[::-1]
     if _at_or_above(desc, lo, 0) or not _at_or_above(desc, hi, 0):
         raise InvalidArgument(f"the largest root of {poly.to_string()} is not in ({lo}, {hi}]")
-    exp = steps = 0
-    while (hi - lo) << bits > 1 << exp:
-        lo, hi, exp, steps = 2 * lo, 2 * hi, exp + 1, steps + 1
-        mid = (lo + hi) // 2
-        if _at_or_above(desc, mid, exp):
-            hi = mid
-        else:
-            lo = mid
-    return Fraction(lo, 1 << exp), Fraction(hi, 1 << exp), steps
+    # grid point j is (base + j*width)/2^steps; the test fails at a, passes at b
+    width = hi - lo
+    steps = bits + (width - 1).bit_length()
+    base = lo << steps
+    squarefree = exact_div(stripped, gcd_poly(stripped, stripped.derivative())).monic_positive()
+    degree, scaled = squarefree.degree, [
+        c << (steps * i) for i, c in enumerate(reversed(squarefree.coeffs))
+    ]
+
+    def passes(j: int) -> bool:
+        return _at_or_above(desc, base + j * width, steps)
+
+    a, b = 0, 1 << steps
+    u, v, newton = a, b, True
+    while b - a > 1:
+        if v - u == 1:  # Newton's cell: the test certifies both ends
+            if v < b:
+                if passes(v):
+                    b = v
+                else:
+                    a = v
+            if a < u < b:
+                if passes(u):
+                    b = u
+                else:
+                    a = u
+            if (u, v) != (a, b):  # not a Perron polynomial: bisect
+                u, v, newton = a, b, False
+            continue
+        before = v - u
+        if newton:
+            # 2^(steps*d) f(x/2^steps) and its derivative at x = v's point
+            x, f, df = base + v * width, 0, 0
+            for c in scaled:
+                f, df = f * x + c, df * x + f
+            if f >= 0 and df > 0:
+                u = max(u, v - degree * f // (width * df) - 1)
+                v -= f // (width * df)
+            if f < 0 or df <= 0 or u >= v:  # not a Perron polynomial: bisect
+                u, v, newton = a, b, False
+        if 2 * (v - u) > before:
+            mid = (u + v) // 2
+            if passes(mid):
+                b = v = mid
+            else:
+                a = u = mid
+    return Fraction(base + a * width, 1 << steps), Fraction(base + b * width, 1 << steps), steps

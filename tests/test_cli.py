@@ -211,6 +211,32 @@ class TestGraph:
         data = run_json(capsys, "graph", "--lambda", "1/4", "--b", "0,3/16,3/4")
         assert data["spectral"]["rho"] == "2.61803398874989"
 
+    @pytest.mark.parametrize("policy", ["cut-touch", "keep-touch"])
+    def test_golden_graph_output_is_pinned(self, capsys, policy):
+        # every byte, iterations included: the bisection depth for width 2^-128
+        code, out, err = run(
+            capsys, "graph", "--lambda", "1/4", "--b", "0,3/16,3/4", "--policy", policy
+        )
+        assert code == 0 and err == ""
+        edges = [(0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 2, 1)]
+        assert out == json.dumps(
+            {
+                "adjacency": [[1, 1], [1, 2]],
+                "edges": [{"from": i, "mult": k, "to": j} for i, k, j in edges],
+                "m": 1,
+                "n": 3,
+                "policy": policy,
+                "spectral": {
+                    "exact_beta_eigen": True,
+                    "iterations": 130,
+                    "rho": "2.61803398874989",
+                },
+                "vertices": [{"id": 0, "k": 1, "steps": ""}, {"id": 1, "k": 2, "steps": "O"}],
+            },
+            indent=2,
+            sort_keys=True,
+        ) + "\n"
+
     def test_keep_touch_policy(self, capsys):
         data = run_json(
             capsys,

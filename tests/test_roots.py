@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overlapkit.errors import InvalidArgument
-from overlapkit.graphdir import spectral_radius, verify_beta_eigen
-from overlapkit.intpoly import IntPoly
-from overlapkit.intpoly.roots import charpoly, largest_root
+from overlapkit.graphdir import Policy, build_graph, spectral_radius, verify_beta_eigen
+from overlapkit.intpoly import IntPoly, roots
+from overlapkit.intpoly.roots import _at_or_above, charpoly, largest_root
 
 X = sp.Symbol("x")
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -48,6 +48,41 @@ def beta_cases(draw):
         for row in matrix[2:]:
             row[0] = row[1] = 0
     return matrix, a + d, a * d - b * c
+
+
+def golden_blocks(d: int) -> list[list[int]]:
+    """d copies of [[1, 1], [1, 0]] down the diagonal: the golden ratio d times."""
+    matrix = [[0] * (2 * d) for _ in range(2 * d)]
+    for k in range(0, 2 * d, 2):
+        matrix[k][k] = matrix[k][k + 1] = matrix[k + 1][k] = 1
+    return matrix
+
+
+def bisect(poly: IntPoly, lo: int, hi: int, bits: int) -> tuple[Fraction, Fraction, int]:
+    """largest_root's answer by plain bisection: one test per halving."""
+    desc = IntPoly(poly.coeffs[max(poly.trailing_zeros() - 1, 0) :]).monic_positive().coeffs[::-1]
+    exp = 0
+    while (hi - lo) << bits > 1 << exp:
+        lo, hi, exp = 2 * lo, 2 * hi, exp + 1
+        mid = (lo + hi) // 2
+        if _at_or_above(desc, mid, exp):
+            hi = mid
+        else:
+            lo = mid
+    return Fraction(lo, 1 << exp), Fraction(hi, 1 << exp), exp
+
+
+@pytest.fixture
+def tests_made(monkeypatch):
+    """The number of positivity tests made so far."""
+    made = [0]
+
+    def counted(*args):
+        made[0] += 1
+        return _at_or_above(*args)
+
+    monkeypatch.setattr(roots, "_at_or_above", counted)
+    return made
 
 
 def sympy_charpoly(matrix) -> list[int]:
@@ -109,6 +144,48 @@ def test_largest_root_interval_holds_the_perron_root(matrix, bits):
     assert top <= sp.Rational(hi.numerator, hi.denominator)
     if top == hi_bound:
         assert hi == hi_bound
+
+
+@PROPERTY
+@given(matrices(), st.integers(0, 256))
+@example([[2]], 10)  # hi exact
+@example([[0, 1, 0], [0, 0, 1], [0, 0, 0]], 10)  # nilpotent: x^3, rho = 0
+@example(golden_blocks(2), 10)  # a double Perron root
+@example(golden_blocks(3), 256)  # a triple Perron root
+@example([[10**40]], 256)  # hi exact, 2^133 above lo
+def test_largest_root_is_the_bisection_cell(matrix, bits):
+    poly = IntPoly(sympy_charpoly(matrix))
+    hi_bound = max(map(sum, matrix))
+    assert largest_root(poly, -1, hi_bound, bits) == bisect(poly, -1, hi_bound, bits)
+
+
+@PROPERTY
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=5), st.integers(1, 5), st.integers(0, 64))
+def test_any_polynomial_gets_the_bisection_cell(tail, lead, bits):
+    # roots, complex ones too, lie within Cauchy's bound, so the test fails
+    # at -bound and passes at bound; Newton's bracket may be wrong off Perron
+    poly = IntPoly([*tail, lead])
+    bound = 1 + max(map(abs, tail))
+    assert largest_root(poly, -bound, bound, bits) == bisect(poly, -bound, bound, bits)
+
+
+def test_a_graph_takes_a_few_tests(sweep_specs, tests_made):
+    # bisection makes S >= 129 tests per graph at 128 bits, plus two on the bracket
+    for _, _, _, spec in sweep_specs:
+        for policy in Policy:
+            matrix = build_graph(spec, policy).adjacency
+            before = tests_made[0]
+            spectral_radius(matrix)
+            assert tests_made[0] - before <= 12, matrix
+
+
+def test_a_repeated_root_converges_quadratically(tests_made):
+    # bisection makes steps + 2 = 132 tests; Newton on (x^2-x-1)^2 itself, not
+    # on its squarefree part, only halves the distance to r per step and ends
+    # in 13
+    lo, hi, steps = largest_root(IntPoly([-1, -1, 1]) ** 2, -1, 2, 128)
+    assert steps == 130 and hi - lo == Fraction(3, 2**130)
+    assert tests_made[0] <= 8
 
 
 def test_charpoly_validation():
