@@ -134,13 +134,11 @@ def _gf_eea(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], l
 def _frobenius(g: list[int], p: int) -> list[list[int]]:
     """The Frobenius matrix of a monic g: rows x^(p*i) mod g for i < deg g.
 
-    Row i + 1 is row i times x^p mod g, a shift by p and a reduction while p
-    is below deg g (the product skips the zero coefficients of x^p).
+    Row i + 1 is x^p times row i: one shift by p and one reduction mod g.
     """
-    xp = _gf_powmod([0, 1], p, g, p)
     rows = [[1]]
     for _ in range(len(g) - 2):
-        rows.append(_gf_mod(_gf_mul(xp, rows[-1], p), g, p))
+        rows.append(_gf_mod([0] * p + rows[-1], g, p))
     return rows
 
 
@@ -415,8 +413,6 @@ def _must_div(a: IntPoly, b: IntPoly) -> IntPoly:
 
 def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree f, positive lc, f(0) != 0."""
-    if f.degree == 1:
-        return [f]
     p, fp, parts, count, degrees, _ = _choose_prime(f)
     if degrees == 1 | 1 << f.degree:
         return [f]
@@ -434,26 +430,22 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
     q = p**target
     lifted = _hensel_lift_tree(p, list(f.coeffs), modular, target)
 
-    remaining = list(range(len(lifted)))
-    sizes = {i: len(lifted[i]) - 1 for i in remaining}
     cur = f
     found: list[IntPoly] = []
     s = 1
-    while s < len(remaining):
-        hit = False
-        for combo in combinations(remaining, s):
-            total = sum(sizes[i] for i in combo)
+    while s < len(lifted):
+        for combo in combinations(range(len(lifted)), s):
+            total = sum(len(lifted[i]) - 1 for i in combo)
             if total > cur.degree // 2 or not degrees >> total & 1:
                 continue
-            lead = cur.lc
             # Cheap veto on the constant coefficient before a full product.
-            c0 = lead
+            c0 = cur.lc
             for i in combo:
                 c0 = c0 * lifted[i][0] % q
             c0 = c0 - q if c0 > q // 2 else c0
-            if c0 == 0 or (lead * cur[0]) % c0 != 0:
+            if c0 == 0 or (cur.lc * cur[0]) % c0 != 0:
                 continue
-            cand = [lead]
+            cand = [cur.lc]
             for i in combo:
                 cand = _gf_mul(cand, lifted[i], q)
             cand = IntPoly([c - q if c > q // 2 else c for c in cand]).primitive_part()
@@ -462,10 +454,9 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
                 continue
             found.append(cand if cand.lc > 0 else -cand)
             cur = quot
-            remaining = [i for i in remaining if i not in combo]
-            hit = True
+            lifted = [g for i, g in enumerate(lifted) if i not in combo]
             break
-        if not hit:
+        else:
             s += 1
     if cur.degree > 0:
         # Quotients of positive-lc primitives keep a positive lc.

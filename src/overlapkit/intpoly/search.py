@@ -18,6 +18,7 @@ from enum import Enum
 
 from .. import ifs  # as a module: ifs itself imports intpoly.poly
 from ..errors import InvalidArgument
+from ..exactnum import format_rational
 from .poly import IntPoly
 
 
@@ -54,7 +55,9 @@ def nonneg_tail_search(
         raise InvalidArgument(f"q must be >= 1, got {q}")
     ifs.check_class(n, m)
     if max_degree < 2 * q:
-        raise InvalidArgument(f"max_degree must be >= 2q = {2 * q}, got {max_degree}")
+        raise InvalidArgument(
+            f"max_degree must be >= 2q = {format_rational(2 * q)}, got {max_degree}"
+        )
     if coeff_bound < 0:
         raise InvalidArgument(f"coeff_bound must be >= 0, got {coeff_bound}")
     x_q = "x" if q == 1 else f"x^{q}"

@@ -233,7 +233,7 @@ def dust_candidate_check(n: int, m: int, lam: Fraction, dust: DustIfsSpec) -> Eq
         degree = max(2 * k, scaled[-1])
         if degree > MAX_DEGREE:
             raise ResourceLimitError(
-                f"dust-check polynomials of degree {degree} exceed {MAX_DEGREE}",
+                f"dust-check polynomials of degree {format_rational(degree)} exceed {MAX_DEGREE}",
                 ceiling=MAX_DEGREE,
             )
         pbar = family_poly(n, m, k)

@@ -632,6 +632,11 @@ _LONG_NUMBER_ARGV = [
     ["validate", "--lambda", f"1/{_Q}", "--b", f"0,1/{2 * _Q},{_Q - 1}/{_Q}"],
     ["render", "--lambda", f"1/{_Q}", "--b", f"0,{_Q - 1}/{_Q}", "--depth", "2",
      "--svg", "c.svg", "--csv", "c.csv"],
+    # error messages: 2q past the limit, and the exponents' lcm k (about 8,000 digits)
+    ["tail-search", "--q", "9" * 4300, "--n", "3", "--m", "1", "--max-degree", "1",
+     "--coeff-bound", "0"],
+    ["dust-check", "--n", "3", "--m", "1", "--lambda", "1/4",
+     "--exponents", f"1/{10**4000 + 1},1/{10**3999 + 3}"],
 ]
 
 
@@ -640,6 +645,7 @@ def test_numbers_past_the_digit_limit_exit_2_and_write_nothing(capsys, tmp_path,
     argv = [str(tmp_path / arg) if arg in ("c.svg", "c.csv") else arg for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
+    assert "Traceback" not in err
     payload = json.loads(err)
     assert payload["error"] == "ResourceLimitError"
     assert payload["details"]["ceiling"] == sys.get_int_max_str_digits()

@@ -265,6 +265,10 @@ class TestPrimeChoiceAndDegreeSets:
 # lifts at degree deg // 2, the largest degree the lifting bound covers
 @example(parse_poly("7*x^5+1000000*x^4-3*x+1000001"), parse_poly("5*x^5-999999*x^3+2*x^2-1000003"))
 @example(parse_poly("x^3+999999*x^2-999999*x+1"), parse_poly("x^3-999998*x^2-999998*x-1"))
+# mod 5 the product is three linear factors and a quartic, with every degree
+# allowed: the cubic is three of the four, so recombination must reach s = 3,
+# past half the modular factors (the degree filter hides the quartic)
+@example(parse_poly("x^3-3*x^2-x-2"), parse_poly("x^4-2*x-1"))
 def test_products_agree_with_sympy(a, b):
     _assert_matches_sympy(a * b)
 
