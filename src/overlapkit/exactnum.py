@@ -12,11 +12,12 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple, Optional, Union
-
-import mpmath
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .errors import InvalidArgument, NonPositiveDiscriminant, ResourceLimitError
+
+if TYPE_CHECKING:
+    import mpmath
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -50,6 +51,8 @@ def format_rational(value: Rationalish) -> str:
 
 def _fraction_to_mpf(value: Fraction) -> mpmath.mpf:
     # Rounds at the caller's working precision; callers add guard bits.
+    import mpmath
+
     return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
 
 
@@ -180,6 +183,8 @@ def quad_roots(n: int, m: int):
 def surd_to_float(x: QuadSurd, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:
     """Binary approximation of x, absolute error below 2^(2 - precision_bits)
     at unit scale (guard bits grow with the magnitude of the components)."""
+    import mpmath
+
     if precision_bits < 53:
         raise InvalidArgument(f"precision_bits must be >= 53, got {precision_bits}")
     mag = max(abs(x.a), abs(x.b) * (isqrt(x.D) + 1), Fraction(1))

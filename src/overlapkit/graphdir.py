@@ -27,15 +27,16 @@ import functools
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
-
-import mpmath
+from typing import TYPE_CHECKING, Optional
 
 from .errors import InvalidArgument, VertexExplosion
 from .exactnum import RationalRoots, quad_roots
 from .ifs import GAP, OVERLAP, TOUCH, SelfSimilarSpec
 from .intpoly import IntPoly, exact_div, family_poly
 from .intpoly.roots import charpoly, largest_root
+
+if TYPE_CHECKING:
+    import mpmath
 
 _SPECTRAL_BITS = 128
 # build_graph refuses a closure that may need more vertices than this. A graph
@@ -226,6 +227,8 @@ def spectral_radius(matrix) -> SpectralResult:
     width 2^-128 lies: the number of bisection steps that would reach it.
     It is not a count of tests: Newton steps find the cell with a handful.
     """
+    import mpmath
+
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise InvalidArgument("adjacency matrix must be square and nonempty")

@@ -13,9 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import mpmath
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     BadBoundary,
@@ -35,6 +33,9 @@ from .exactnum import (
     surd_to_float,
 )
 from .intpoly.poly import MAX_COEFF_BITS
+
+if TYPE_CHECKING:
+    import mpmath
 
 OVERLAP, TOUCH, GAP = "O", "T", "G"
 
@@ -273,6 +274,8 @@ def _random_pattern(n: int, m: int, rng: random.Random) -> str:
 
 def format_dimension(s: mpmath.mpf, precision_bits: int) -> str:
     """s to the significant digits that precision_bits carries (3 per 10 bits, at least 17)."""
+    import mpmath
+
     return mpmath.nstr(s, max(17, precision_bits * 3 // 10))
 
 
@@ -304,6 +307,8 @@ def dimension(
     n: int, m: int, lam: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> DimensionResult:
     """dim_H = log(beta) / -log(lambda) for the class member, beta carried exactly."""
+    import mpmath
+
     check_precision(precision_bits)
     lam = check_feasible(n, m, lam)
     beta = _beta(n, m)
@@ -376,6 +381,8 @@ def _log_rational(x: Fraction) -> mpmath.mpf:
     |log x| >= 1 - x >= 1/den, so the bits of the denominator cover the
     cancellation when x is close to 1.
     """
+    import mpmath
+
     with mpmath.extraprec(x.denominator.bit_length()):
         return mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
 
@@ -398,6 +405,8 @@ def moran_dimension(dust: DustIfsSpec, precision_bits: int = DEFAULT_PRECISION_B
     the steps by more than eps, they stop at that noise instead, the guard
     bits double and Newton resumes from s.
     """
+    import mpmath
+
     check_precision(precision_bits)
     bits = precision_bits
     s, iterations, guard = mpmath.mpf(0), 0, _GUARD_BITS

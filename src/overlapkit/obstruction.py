@@ -4,8 +4,10 @@ For E in class A(lambda,n,m), Lipschitz equivalence to a dust-like
 self-similar set forces x^(2k) - n*x^k + m to be reducible over the integers
 for some k >= 2, which in turn forces m to be a perfect power. The verdicts
 here report that necessary condition only; they never claim an equivalence
-exists. Capelli's theorem leaves only a few k where the family can split
-(see `obstruction_verdict`); only those, and k = 1 as a check, are factored.
+exists. By Capelli's theorem the family splits at k iff beta is a p-th power
+in Q(sqrt(n^2-4m)) for a prime p dividing k; an integer test finds those
+primes for every k at once (see `obstruction_verdict`), and only the k that
+split are factored.
 """
 
 from __future__ import annotations
@@ -13,20 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Optional
+from math import isqrt, lcm
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ConsistencyError, InvalidArgument, ResourceLimitError
-from .exactnum import format_rational, is_perfect_power, multiplicative_dependence
+from .exactnum import format_rational, integer_root, is_perfect_power, multiplicative_dependence
 from .ifs import DustIfsSpec, check_class, check_feasible
 from .intpoly import Factorization, IntPoly, factor, family_poly, gcd_poly, moran_poly
 from .intpoly.poly import MAX_DEGREE
 
-# both ceilings bound a sweep, about the sum of its pairs' verdicts: obstruct-sweep
-# --nmax 20 took 0.7 s at kmax 8 and 2.0-2.7 s at 15 as a whole process, and the same
-# sweep in-process 3.1 s at 16, 6.9 s at 20 and 11.8 s at 24, while single k = 16
-# factorizations stay fast (x^32-20x^16+9, the slowest with n <= 20, 0.04 s in-process;
-# x^32-13x^16+1 0.24 s as a whole process; 2-core Xeon)
+# a verdict factors only the k that split, so a sweep is cheap: obstruct-sweep
+# --nmax 20 takes 0.27 s at kmax 8 and 0.51 s at 15 as a whole process, and the same
+# sweep 1.4 s in-process at 24. kmax is held by the factorizer on large splitting n:
+# with m = 1 and the 1880-bit n = g^4 + g'^4, g a unit of 470-bit trace, a verdict
+# takes 0.33 s as a whole process at kmax 15 and 12.8 s in-process at 16, nearly all
+# of it factoring x^32-n*x^16+1 over 12 modular factors (2-core Xeon)
 MAX_KMAX = 15
 MAX_NMAX = 20
 
@@ -37,14 +40,25 @@ class Verdict(str, Enum):
     NECESSARY_CONDITION_OPEN = "NecessaryConditionOpen"
 
 
+class SplitPrime(NamedTuple):
+    """beta = gamma^p in O_K, gamma > 1 the larger root of x^2 - trace*x + norm."""
+
+    p: int
+    trace: int
+    norm: int
+
+
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Perfect-power status of m plus the reducible exponents found."""
+    """Perfect-power status of m, the primes p making beta a p-th power
+    (the family splits at k iff one divides k) and the reducible exponents
+    up to kmax with their factorizations."""
 
     n: int
     m: int
     kmax: int
     perfect_power: Optional[tuple[int, int]]
+    split_primes: tuple[SplitPrime, ...]
     reducible_ks: tuple[tuple[int, Factorization], ...]
     verdict: Verdict
 
@@ -57,6 +71,7 @@ class ObstructionReport:
             "m": self.m,
             "kmax": self.kmax,
             "perfect_power": pp,
+            "split_primes": [root._asdict() for root in self.split_primes],
             "reducible_ks": [{"k": k, "factors": fac.listed()} for k, fac in self.reducible_ks],
             "verdict": self.verdict.value,
         }
@@ -69,40 +84,106 @@ def _check_kmax(kmax: int) -> None:
         raise ResourceLimitError(f"kmax must be <= {MAX_KMAX}, got {kmax}", ceiling=MAX_KMAX)
 
 
+def split_primes(n: int, m: int, e: int) -> tuple[SplitPrime, ...]:
+    """Every prime p with beta a p-th power in O_K, for an in-class (n, m)
+    with m = a^e, e largest, each with the root's trace and norm. Integers
+    only; the proof is in `obstruction_verdict`."""
+    if m > 1:
+        candidates = [p for p in range(2, e + 1) if e % p == 0]
+    else:
+        candidates, p, fib, fib_next = [], 2, 2, 3  # fib, fib_next = F(p+1), F(p+2)
+        while fib < n:
+            candidates.append(p)
+            p, fib, fib_next = p + 1, fib_next, fib + fib_next
+    found = []
+    for p in candidates:
+        if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            continue
+        r = integer_root(m, p)
+        for norm in (r, -r) if p == 2 else (r,):
+            for trace in range(integer_root(n - 1, p) - 1, integer_root(n, p) + 2):
+                if 1 - trace + norm < 0 < 1 + trace + norm and _power_sum_is(n, trace, norm, p):
+                    found.append(SplitPrime(p, trace, norm))
+    return tuple(found)
+
+
+def _power_sum_is(n: int, trace: int, norm: int, p: int) -> bool:
+    """t_p == n for t_0 = 2, t_1 = trace, t_j = trace*t_(j-1) - norm*t_(j-2),
+    along p's binary prefixes j by t_(2j) = t_j^2 - 2*norm^j and
+    t_(2j+1) = t_j*t_(j+1) - trace*norm^j; False once a t_j passes n + 1."""
+    t, t_next, power = 2, trace, 1  # t_j, t_(j+1), norm^j at j = 0
+    for bit in bin(p)[2:]:
+        if bit == "1":
+            t, t_next = t * t_next - trace * power, t_next * t_next - 2 * norm * power
+            power *= power * norm
+        else:
+            t, t_next = t * t - 2 * power, t * t_next - trace * power
+            power *= power
+        if t > n + 1:
+            return False
+    return t == n
+
+
 def obstruction_verdict(n: int, m: int, kmax: int = 8) -> ObstructionReport:
     """Verdict for (n, m): Obstructed when m is not a perfect power, else
     NecessaryConditionMet if some x^(2k)-n*x^k+m with 2 <= k <= kmax is
     reducible and NecessaryConditionOpen otherwise.
 
-    Open is inherently inconclusive: reducibility may first appear beyond
-    kmax. Only the k where Capelli's theorem allows a split are factored. In
-    class, n^2-4m lies strictly between (n-2)^2 and n^2 with the parity of n,
-    so it is no square, and x^2-n*x+m has roots beta > beta' > 0 in the real
-    field K = Q(sqrt(n^2-4m)). As [Q(beta^(1/k)):Q] = 2*[K(beta^(1/k)):K],
-    x^(2k)-n*x^k+m is irreducible over Q iff x^k-beta is over K. By Capelli
-    that fails only if beta = gamma^p with gamma in K and p a prime dividing
-    k (beta = -4*gamma^4 with 4 | k would make beta negative). gamma is an
-    algebraic integer, so m = N(beta) = N(gamma)^p is a p-th power. So no k
-    splits when m is not a perfect power, and for m = a^e (e largest) a k
-    can split only if gcd(k, e) > 1. The k = 1 member never splits either;
-    for a perfect power m it is still factored, as a check of the
-    discriminant argument.
+    `split_primes` decides every k at once: the family splits at k iff a
+    listed prime divides k. So Open with no split primes holds at every
+    kmax, and only the k in 2..kmax that split are factored, each
+    factorization being the certificate.
+
+    Capelli. In class, n^2-4m lies strictly between (n-2)^2 and n^2 with the
+    parity of n, so it is no square, and x^2-n*x+m has roots n-1 < beta < n
+    and 0 < beta' < 1 in the real field K = Q(sqrt(n^2-4m)). As
+    [Q(beta^(1/k)):Q] = 2*[K(beta^(1/k)):K], x^(2k)-n*x^k+m is irreducible
+    over Q iff x^k-beta is over K. By Capelli (Schinzel, Polynomials with
+    special regard to reducibility, 2000) that fails iff beta = gamma^p with
+    gamma in K and p a prime dividing k (beta = -4*gamma^4 with 4 | k would
+    make beta negative). gamma is an algebraic integer, so m = N(beta) =
+    N(gamma)^p: p divides e for m = a^e, e largest, and N(gamma) = a^(e/p),
+    or -a^(e/p) when p = 2. The k = 1 member never splits.
+
+    The trace window. Take gamma > 1 (negate it if p = 2 and gamma < 0).
+    Its conjugate has gamma'^p = beta', so |gamma'| < 1, and gamma^p = beta
+    lies in (n-1, n). The trace T = gamma + gamma' is an integer in
+    (gamma-1, gamma+1), so iroot(n-1, p) - 1 <= T <= iroot(n, p) + 1, and
+    x^2-T*x+N, N = N(gamma), is negative at 1 and positive at -1.
+    Conversely, let g > 1 > |g'| be the roots of such an x^2-T*x+N with
+    N^p = m and power sum t_p = n, where t_j = g^j + g'^j (t_0 = 2,
+    t_1 = T, t_j = T*t_(j-1) - N*t_(j-2)). Then g^p and g'^p have sum n and
+    product m, so they are beta and beta'; g is irrational, K = Q(g), and
+    beta = g^p in O_K. So each listed (p, T, N) certifies a split at every
+    multiple of p, and a prime missing from the list splits no k.
+
+    The Fibonacci bound. For m = 1 gamma is a unit > 1, so T >= 1 when
+    N = -1 and T >= 3 when N = 1, and gamma >= (1+sqrt(5))/2 = phi. As
+    phi^p = F(p)*phi + F(p-1) > F(p+1), only the primes with F(p+1) < n
+    can have phi^p <= beta < n. For a 2048-bit n that is about 420 primes,
+    each with a window of about three traces.
+
+    The cut-off. As g > 1 > |g'|, |t_j - g^j| < 1. If t_j > n + 1 for some
+    j <= p, then g^p >= g^j > n + 1 and t_p > g^p - 1 > n, so that trace
+    is rejected at once. `_power_sum_is` reaches t_p through the binary
+    prefixes of p, so every product it takes has operands below about
+    (n+2)*g.
     """
     _check_kmax(kmax)
     check_class(n, m)
     pp = is_perfect_power(m)
+    roots = () if pp is None else split_primes(n, m, pp[1])
     reducible: list[tuple[int, Factorization]] = []
-    for k in range(1, kmax + 1):
-        if pp is None or (k > 1 and m > 1 and gcd(k, pp[1]) == 1):
+    for k in range(2, kmax + 1):
+        if not any(k % root.p == 0 for root in roots):
             continue
         fac = factor(family_poly(n, m, k))
         if fac.is_irreducible_shape:
-            continue
-        if k == 1:
             raise ConsistencyError(
-                f"x^2-{n}x+{m} factored although its discriminant cannot be square",
+                f"x^{2 * k}-{n}x^{k}+{m} did not factor although beta is a p-th power",
                 n=n,
                 m=m,
+                k=k,
             )
         reducible.append((k, fac))
     if pp is None:
@@ -116,6 +197,7 @@ def obstruction_verdict(n: int, m: int, kmax: int = 8) -> ObstructionReport:
         m=m,
         kmax=kmax,
         perfect_power=pp,
+        split_primes=roots,
         reducible_ks=tuple(reducible),
         verdict=verdict,
     )

@@ -250,6 +250,8 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(exactnum.QuadSurd.__init__),
         inspect.getsource(exactnum.QuadSurd.__eq__),
         inspect.getsource(obstruction_verdict),
+        inspect.getsource(obstruction.split_primes),
+        inspect.getsource(obstruction._power_sum_is),
         inspect.getsource(ifs.check_feasible),
         inspect.getsource(ifs.SelfSimilarSpec.__post_init__),
         inspect.getsource(ifs.classify_steps),

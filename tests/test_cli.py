@@ -370,8 +370,14 @@ class TestFactorAndObstruct:
             payload = json.loads(err)
             assert payload["error"] == "ResourceLimitError"
             assert payload["details"]["ceiling"] == MAX_COEFF_BITS
+        # the largest n is decided fast at the largest kmax, for m = 1 too,
+        # where about 420 primes are candidates
         n = 2**MAX_COEFF_BITS - 1
-        assert run_json(capsys, "obstruct", "--n", str(n), "--m", "4", "--kmax", "2")["n"] == n
+        for m in ("1", "4"):
+            start = time.perf_counter()
+            data = run_json(capsys, "obstruct", "--n", str(n), "--m", m, "--kmax", str(MAX_KMAX))
+            assert time.perf_counter() - start < 1
+            assert data["n"] == n and data["split_primes"] == [], m
 
 
 # each subcommand that checks the class, at (n, m) = (3, 2): given by --n and
@@ -754,6 +760,14 @@ class TestHarness:
         assert [code for code, _, _ in fresh] == [1, 0, 0, 0]
         assert in_process[2][1] != in_process[3][1]
 
+    def test_import_loads_no_mpmath(self):
+        # mpmath is imported by the functions that print or bracket a float,
+        # so the package and its command line start without it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = "import sys, overlapkit, overlapkit.cli; sys.exit('mpmath' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_entry_point_maps_the_exit_code(self):
         code, out, _ = _fresh_run("obstruct", "--n", "3", "--m", "1", "--kmax", "2")
         assert code == 0 and json.loads(out)["verdict"] == "NecessaryConditionMet"
@@ -828,7 +842,7 @@ _FLAG_VALUES = {
     "--q": st.integers(-1, 3).map(str),
     "--depth": st.integers(-2, 8).map(str),
     "--grid-levels": st.integers(-2, 8).map(str),
-    "--kmax": st.integers(-2, 16).map(str),
+    "--kmax": st.integers(-2, MAX_KMAX + 1).map(str),
     "--nmax": st.integers(-2, 7).map(str),
     "--max-degree": st.integers(-1, 7).map(str),
     "--coeff-bound": st.integers(-1, 3).map(str),

@@ -18,9 +18,11 @@ from overlapkit.intpoly import IntPoly, factor, family_poly, gcd_poly, is_irredu
 from overlapkit.obstruction import (
     Conclusion,
     RuledOutReason,
+    SplitPrime,
     Verdict,
     dust_candidate_check,
     obstruction_verdict,
+    split_primes,
     sweep,
 )
 
@@ -40,6 +42,19 @@ def split_allowed(m: int, k: int) -> bool:
 
 def in_class_pair(nmax: int):
     return st.integers(3, nmax).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 2)))
+
+
+def perfect_power_pair(nmax: int):
+    """In-class (n, m) with m = a^e, e >= 2."""
+    powers = sorted({a**e for a in range(1, nmax) for e in range(2, 7) if a**e <= nmax - 2})
+    return st.sampled_from(powers).flatmap(
+        lambda m: st.tuples(st.integers(m + 2, nmax), st.just(m))
+    )
+
+
+def pair_split_primes(n: int, m: int) -> tuple[SplitPrime, ...]:
+    pp = is_perfect_power(m)
+    return () if pp is None else split_primes(n, m, pp[1])
 
 
 class TestVerdicts:
@@ -95,10 +110,13 @@ class TestVerdicts:
         assert data["perfect_power"] == {"a": 1, "i": 2}
         assert data["verdict"] == "NecessaryConditionMet"
         assert data["reducible_ks"][0] == {"k": 2, "factors": ["x^2-x-1", "x^2+x-1"]}
+        # beta = phi^2, phi the root of x^2-x-1
+        assert data["split_primes"] == [{"p": 2, "trace": 1, "norm": -1}]
+        assert obstruction_verdict(4, 2).to_json()["split_primes"] == []
 
-    def test_verdict_factors_k1_and_where_a_split_is_possible(self, monkeypatch):
-        # k = 1 as a check of the discriminant argument, and for k >= 2 only
-        # the k where Capelli's divisor rule allows a split
+    def test_verdict_factors_only_the_k_that_split(self, monkeypatch):
+        # the factored k are exactly the reducible ones: none for a perfect
+        # power m whose beta is no p-th power, and no k = 1 check
         asked: list[int] = []
 
         def recorder(poly: IntPoly):
@@ -106,16 +124,18 @@ class TestVerdicts:
             return factor(poly)
 
         monkeypatch.setattr(obstruction, "factor", recorder)
-        expected = {
-            (10, 8): [1, 3, 6],
-            (9, 4): [1, 2, 4, 6, 8],
-            (7, 5): [],
-            (3, 1): list(range(1, 9)),
-        }
+        expected = {(10, 8): [], (9, 4): [], (7, 5): [], (3, 1): [2, 4, 6, 8], (18, 1): [2, 3, 4, 6, 8]}
         for (n, m), ks in expected.items():
             asked.clear()
-            obstruction_verdict(n, m, kmax=8)
-            assert asked == ks, (n, m)
+            report = obstruction_verdict(n, m, kmax=8)
+            assert asked == ks == [k for k, _ in report.reducible_ks], (n, m)
+
+    def test_never_split_pairs_are_open_at_every_kmax(self):
+        for n, m in ((16, 9), (6, 4), (4, 1), (10, 8)):
+            for kmax in (2, 8, 15):
+                report = obstruction_verdict(n, m, kmax)
+                assert report.split_primes == () and report.reducible_ks == ()
+                assert report.verdict is Verdict.NECESSARY_CONDITION_OPEN
 
     def test_sweep_is_sorted_and_filterable(self):
         reports = sweep([5, 4, 3])
@@ -129,6 +149,61 @@ class TestVerdicts:
         ]
         odd_only = [(r.n, r.m) for r in sweep(range(3, 8)) if r.m % 2 == 1]
         assert odd_only == [(3, 1), (4, 1), (5, 1), (5, 3), (6, 1), (6, 3), (7, 1), (7, 3), (7, 5)]
+
+
+class TestSplitPrimes:
+    def test_the_splitting_pairs_through_n_20(self):
+        # the 12 pairs whose beta is a p-th power; (18,1) has beta = phi^6
+        expected = {
+            (3, 1): [(2, 1, -1)],
+            (6, 1): [(2, 2, -1)],
+            (7, 1): [(2, 3, 1)],
+            (8, 4): [(2, 2, -2)],
+            (11, 1): [(2, 3, -1)],
+            (12, 4): [(2, 4, 2)],
+            (13, 4): [(2, 3, -2)],
+            (14, 1): [(2, 4, 1)],
+            (15, 9): [(2, 3, -3)],
+            (18, 1): [(2, 4, -1), (3, 3, 1)],
+            (19, 9): [(2, 5, 3)],
+            (20, 4): [(2, 4, -2)],
+        }
+        found = {}
+        for n in range(3, 21):
+            for m in range(1, n - 1):
+                roots = pair_split_primes(n, m)
+                if roots:
+                    found[(n, m)] = [tuple(root) for root in roots]
+        assert found == expected
+
+    def test_large_n(self):
+        # beta = gamma^2 with gamma = (t + sqrt(t^2-4))/2, so n = t^2 - 2; one
+        # off that, no prime works, and a 2048-bit m = 1 tries about 420
+        t = 2**1023
+        assert split_primes(t * t - 2, 1, 2) == (SplitPrime(2, t, 1),)
+        assert split_primes(t * t - 1, 1, 2) == ()
+        assert split_primes(2**2048 - 1, 1, 2) == ()
+        # m = 2^3 and gamma the root of x^2-t*x+2: gamma^3 + gamma'^3 = t^3 - 6t
+        t = 2**600
+        assert split_primes(t**3 - 6 * t, 8, 3) == (SplitPrime(3, t, 2),)
+        assert split_primes(t**3 - 6 * t + 1, 8, 3) == ()
+
+    @settings(max_examples=150, deadline=None)
+    @given(in_class_pair(60) | perfect_power_pair(60), st.integers(1, 12))
+    @example((18, 1), 6)  # beta = phi^6: p = 2 and p = 3
+    @example((7, 1), 4)  # beta = phi^4, found as (phi^2)^2
+    @example((16, 9), 12)  # 9 = 3^2, but beta is no square
+    @example((40, 8), 3)  # (x^2-4x+2)(x^4+4x^3+14x^2+8x+4)
+    def test_split_primes_agree_with_factor_and_sympy(self, pair, k):
+        n, m = pair
+        roots = pair_split_primes(n, m)
+        splits = any(k % root.p == 0 for root in roots)
+        assert splits == (not factor(family_poly(n, m, k)).is_irreducible_shape), (n, m, k)
+        _, factors = sp.factor_list(X ** (2 * k) - n * X**k + m)
+        assert splits == (len(factors) > 1 or factors[0][1] > 1), (n, m, k)
+        for p, trace, norm in roots:
+            gamma = (trace + sp.sqrt(trace**2 - 4 * norm)) / 2
+            assert sp.expand(sp.minimal_polynomial(gamma**p, X) - (X**2 - n * X + m)) == 0
 
 
 class TestDustCandidateCheck:
