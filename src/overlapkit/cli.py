@@ -161,7 +161,7 @@ def _cmd_generate(args) -> dict:
 def _cmd_graph(args) -> dict:
     spec, pattern = validate(args.lam, args.b)
     gs = build_graph(spec, Policy(args.policy))
-    spectral = spectral_radius(gs.adjacency)
+    spectral = spectral_radius(gs.adjacency, args.precision_bits)
     spectral = spectral.with_beta_check(
         verify_beta_eigen(gs.adjacency, pattern.n, pattern.m)
     )

@@ -30,15 +30,14 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InvalidArgument, VertexExplosion
-from .exactnum import RationalRoots, quad_roots
-from .ifs import GAP, OVERLAP, TOUCH, SelfSimilarSpec
+from .exactnum import DEFAULT_PRECISION_BITS, RationalRoots, _fraction_to_mpf, quad_roots
+from .ifs import GAP, OVERLAP, TOUCH, SelfSimilarSpec, check_precision, format_dimension
 from .intpoly import IntPoly, exact_div, family_poly
 from .intpoly.roots import charpoly, largest_root
 
 if TYPE_CHECKING:
     import mpmath
 
-_SPECTRAL_BITS = 128
 # build_graph refuses a closure that may need more vertices than this. A graph
 # call builds one O(V^4) Berkowitz charpoly, nearly all of its time; whole
 # in-process calls on keep-touch specs of distinct O/T words joined by G
@@ -195,6 +194,7 @@ def build_graph(spec: SelfSimilarSpec, policy: Policy = Policy.CUT_AT_TOUCH) -> 
 class SpectralResult:
     rho: mpmath.mpf
     iterations: int
+    precision_bits: int
     exact_beta_eigen: Optional[bool] = None
 
     def with_beta_check(self, value: bool) -> "SpectralResult":
@@ -202,7 +202,7 @@ class SpectralResult:
 
     def to_json(self) -> dict:
         return {
-            "rho": str(self.rho),
+            "rho": format_dimension(self.rho, self.precision_bits),
             "iterations": self.iterations,
             "exact_beta_eigen": self.exact_beta_eigen,
         }
@@ -215,7 +215,7 @@ def _charpoly(matrix: tuple[tuple[int, ...], ...]) -> IntPoly:
     return charpoly(matrix)
 
 
-def spectral_radius(matrix) -> SpectralResult:
+def spectral_radius(matrix, precision_bits: int = DEFAULT_PRECISION_BITS) -> SpectralResult:
     """Perron root of a nonnegative integer matrix, bracketed exactly.
 
     By Perron-Frobenius rho(A) is an eigenvalue, in [0, max row sum], and
@@ -224,21 +224,23 @@ def spectral_radius(matrix) -> SpectralResult:
     negative: above rho each factor of s(x + t), repeated or not, has
     positive coefficients, and below it t = rho - x > 0 is a root.
     `iterations` is the depth S of the dyadic grid on which the bracket of
-    width 2^-128 lies: the number of bisection steps that would reach it.
-    It is not a count of tests: Newton steps find the cell with a handful.
+    width 2^-precision_bits lies: the number of bisection steps that would
+    reach it. It is not a count of tests: Newton steps find the cell with a
+    handful. rho is the bracket's upper end, rounded to precision_bits.
     """
     import mpmath
 
+    check_precision(precision_bits)
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise InvalidArgument("adjacency matrix must be square and nonempty")
     if any(c < 0 for row in matrix for c in row):
         raise InvalidArgument("adjacency matrix must be nonnegative")
     cp = _charpoly(tuple(map(tuple, matrix)))
-    _, hi, steps = largest_root(cp, -1, max(map(sum, matrix)), _SPECTRAL_BITS)
-    with mpmath.workprec(_SPECTRAL_BITS):
-        rho = mpmath.mpf(hi.numerator) / hi.denominator
-    return SpectralResult(rho=rho, iterations=steps)
+    _, hi, steps = largest_root(cp, -1, max(map(sum, matrix)), precision_bits)
+    with mpmath.workprec(precision_bits):
+        rho = _fraction_to_mpf(hi)
+    return SpectralResult(rho=rho, iterations=steps, precision_bits=precision_bits)
 
 
 def verify_beta_eigen(matrix, n: int, m: int) -> bool:

@@ -27,6 +27,7 @@ from .errors import (
 from .exactnum import (
     DEFAULT_PRECISION_BITS,
     QuadSurd,
+    _fraction_to_mpf,
     format_rational,
     parse_rational,
     quad_roots,
@@ -57,6 +58,11 @@ MAX_GUARD_BITS = 4096
 # almost all the weight: 75 steps for 1 - 10^-30 beside 1/2, about 700 for
 # 1 - 10^-300 beside 1/2
 MAX_MORAN_STEPS = 200
+# largest maps * precision_bits of moran_dimension: each Newton step takes one
+# exp per map at the working precision. In-process on ordinary ratios (16-17
+# steps; 2-core Xeon) 48 maps took 0.9-1.4 s at 4096 bits, 195 maps 0.3-0.5 s
+# at 1024 and 1562 maps 0.4-0.5 s at 128
+MAX_MORAN_MAP_BITS = 200_000
 
 
 def classify_steps(steps: Sequence[Fraction], lam: Fraction) -> list[Optional[str]]:
@@ -273,7 +279,8 @@ def _random_pattern(n: int, m: int, rng: random.Random) -> str:
 
 
 def format_dimension(s: mpmath.mpf, precision_bits: int) -> str:
-    """s to the significant digits that precision_bits carries (3 per 10 bits, at least 17)."""
+    """s (a dimension, or graph's rho) to the significant digits that
+    precision_bits carries (3 per 10 bits, at least 17)."""
     import mpmath
 
     return mpmath.nstr(s, max(17, precision_bits * 3 // 10))
@@ -314,7 +321,7 @@ def dimension(
     beta = _beta(n, m)
     with mpmath.workprec(precision_bits + 16):
         beta_f = surd_to_float(beta, precision_bits + 16)
-        lam_f = mpmath.mpf(lam.numerator) / mpmath.mpf(lam.denominator)
+        lam_f = _fraction_to_mpf(lam)
         s = mpmath.log(beta_f) / (-mpmath.log(lam_f))
     with mpmath.workprec(precision_bits):
         s = +s
@@ -408,6 +415,12 @@ def moran_dimension(dust: DustIfsSpec, precision_bits: int = DEFAULT_PRECISION_B
     import mpmath
 
     check_precision(precision_bits)
+    maps = len(dust.exponents if dust.ratios is None else dust.ratios)
+    if maps * precision_bits > MAX_MORAN_MAP_BITS:
+        raise ResourceLimitError(
+            f"{maps} maps at {precision_bits} bits exceed {MAX_MORAN_MAP_BITS} map-bits",
+            ceiling=MAX_MORAN_MAP_BITS,
+        )
     bits = precision_bits
     s, iterations, guard = mpmath.mpf(0), 0, _GUARD_BITS
     while True:

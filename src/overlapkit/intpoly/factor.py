@@ -478,21 +478,18 @@ def factor(p: IntPoly) -> Factorization:
     work = p if unit == 1 else -p
     content = work.content()
     work = work.primitive_part()
-    bag: dict[tuple[int, ...], int] = {}
+    # x's power is split off first and Yun's parts are pairwise coprime, so
+    # no irreducible factor occurs twice
+    factors: list[tuple[IntPoly, int]] = []
     e = work.trailing_zeros()
     if e:
-        bag[(0, 1)] = e
+        factors.append((IntPoly.x(), e))
         work = IntPoly(work.coeffs[e:])
     if work.degree >= 1:
         for part, mult in _yun_squarefree(work):
-            for irr in _factor_squarefree(part):
-                key = irr.coeffs
-                bag[key] = bag.get(key, 0) + mult
-    factors = tuple(
-        (IntPoly(coeffs), mult)
-        for coeffs, mult in sorted(bag.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    )
-    return Factorization(unit=unit, content=content, factors=factors)
+            factors += [(irr, mult) for irr in _factor_squarefree(part)]
+    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return Factorization(unit=unit, content=content, factors=tuple(factors))
 
 
 def is_irreducible(p: IntPoly) -> bool:

@@ -206,14 +206,47 @@ class TestGraph:
         assert abs(float(data["spectral"]["rho"]) - (3 + math.sqrt(5)) / 2) < 1e-10
 
     def test_printed_rho_digits_are_correct(self, capsys):
-        # (3+sqrt(5))/2 = 2.6180339887498948..., so the 15-digit rendering
-        # must round up to ...989
+        # (3+sqrt(5))/2 = 2.61803398874989484820458683436563811772030917...,
+        # so the 38 digits of the default 128 bits must round up to ...1177
         data = run_json(capsys, "graph", "--lambda", "1/4", "--b", "0,3/16,3/4")
-        assert data["spectral"]["rho"] == "2.61803398874989"
+        assert data["spectral"]["rho"] == "2.6180339887498948482045868343656381177"
+
+    @pytest.mark.parametrize("bits", [80, 128, 1024, 4096])
+    @pytest.mark.parametrize(
+        "n, m, policy, argv",
+        [
+            (3, 1, "cut-touch", ["--lambda", "1/4", "--b", "0,3/16,3/4"]),
+            (4, 1, "keep-touch", ["--lambda", "1/5", "--b", "0,4/25,9/25,4/5"]),
+        ],
+    )
+    def test_rho_carries_the_digits_of_its_precision(self, capsys, bits, n, m, policy, argv):
+        sympy = pytest.importorskip("sympy")
+        data = run_json(capsys, "graph", *argv, "--policy", policy, "--precision-bits", str(bits))
+        rho = data["spectral"]["rho"]
+        digits = max(17, bits * 3 // 10)
+        assert len(rho.replace(".", "")) == digits
+        assert rho == str(sympy.N((n + sympy.sqrt(n * n - 4 * m)) / 2, digits))
+
+    def test_rho_reads_the_precision_env_and_the_flag_beats_it(self, capsys, monkeypatch):
+        argv = ["graph", "--lambda", "1/4", "--b", "0,3/16,3/4"]
+        monkeypatch.setenv("OVERLAPKIT_PRECISION_BITS", "256")
+        from_env = run_json(capsys, *argv)["spectral"]
+        assert len(from_env["rho"].replace(".", "")) == 76 and from_env["iterations"] == 258
+        from_flag = run_json(capsys, *argv, "--precision-bits", "96")["spectral"]
+        assert from_flag == {
+            "exact_beta_eigen": True,
+            "iterations": 98,
+            "rho": "2.618033988749894848204586834",
+        }
+        monkeypatch.setenv("OVERLAPKIT_PRECISION_BITS", str(MAX_PRECISION_BITS + 1))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["details"]["ceiling"] == MAX_PRECISION_BITS
 
     @pytest.mark.parametrize("policy", ["cut-touch", "keep-touch"])
     def test_golden_graph_output_is_pinned(self, capsys, policy):
         # every byte, iterations included: the bisection depth for width 2^-128
+        # at the default precision, and rho to the 38 digits that 128 bits carry
         code, out, err = run(
             capsys, "graph", "--lambda", "1/4", "--b", "0,3/16,3/4", "--policy", policy
         )
@@ -229,7 +262,7 @@ class TestGraph:
                 "spectral": {
                     "exact_beta_eigen": True,
                     "iterations": 130,
-                    "rho": "2.61803398874989",
+                    "rho": "2.6180339887498948482045868343656381177",
                 },
                 "vertices": [{"id": 0, "k": 1, "steps": ""}, {"id": 1, "k": 2, "steps": "O"}],
             },
@@ -530,6 +563,17 @@ class TestDustCheckAndMoran:
         digits = moran["s"].replace("0.", "", 1)
         assert len(digits) >= 55
         assert digits[:55] == dim["s"].replace("0.", "", 1)[:55]
+
+
+    def test_moran_map_ceiling_exits_2(self, capsys):
+        maps = ifs.MAX_MORAN_MAP_BITS // 128 + 1
+        code, out, err = run(capsys, "moran", "--ratios", ",".join(["1/1001"] * maps))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "details": {"ceiling": ifs.MAX_MORAN_MAP_BITS},
+            "error": "ResourceLimitError",
+            "message": f"{maps} maps at 128 bits exceed {ifs.MAX_MORAN_MAP_BITS} map-bits",
+        }
 
 
 class TestTailSearch:

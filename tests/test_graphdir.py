@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overlapkit import cli, graphdir, ifs
-from overlapkit.errors import InvalidArgument, VertexExplosion
+from overlapkit.errors import InvalidArgument, ResourceLimitError, VertexExplosion
 from overlapkit.exactnum import surd_to_float
 from overlapkit.graphdir import (
     Configuration,
@@ -267,6 +267,23 @@ class TestSpectral:
         rho = spectral_radius([[1, 1], [1, 2]]).rho
         with mpmath.workprec(128):
             assert abs(rho - (3 + mpmath.sqrt(5)) / 2) < mpmath.mpf(2) ** -120
+
+    @pytest.mark.parametrize("bits", [80, 1024, ifs.MAX_PRECISION_BITS])
+    def test_golden_rho_is_exact_to_its_precision(self, bits):
+        result = spectral_radius([[1, 1], [1, 2]], bits)
+        assert result.precision_bits == bits and result.iterations == bits + 2
+        with mpmath.workprec(bits + 16):
+            assert abs(result.rho - (3 + mpmath.sqrt(5)) / 2) < mpmath.mpf(2) ** (2 - bits)
+
+    @pytest.mark.parametrize(
+        "bits, error", [(79, InvalidArgument), (ifs.MAX_PRECISION_BITS + 1, ResourceLimitError)]
+    )
+    def test_refuses_the_precisions_dimension_refuses(self, bits, error):
+        with pytest.raises(error) as spectral:
+            spectral_radius([[1, 1], [1, 2]], bits)
+        with pytest.raises(error) as dimension:
+            ifs.dimension(3, 1, F(1, 4), bits)
+        assert spectral.value.to_json() == dimension.value.to_json()
 
     def test_reducible_matrix_takes_component_max(self):
         matrix = [[2, 1], [0, 3]]

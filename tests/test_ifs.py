@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -24,6 +25,7 @@ from overlapkit.errors import (
 from overlapkit.exactnum import QuadSurd, surd_to_float
 from overlapkit.ifs import (
     GAP,
+    MAX_MORAN_MAP_BITS,
     MAX_PRECISION_BITS,
     MIN_PRECISION_BITS,
     OVERLAP,
@@ -359,6 +361,24 @@ class TestMoran:
         dust = DustIfsSpec.from_ratios([1 - F(1, 10**300), F(1, 2)])
         with pytest.raises(ResourceLimitError):
             moran_dimension(dust, 128)
+
+    def test_map_ceiling(self):
+        # at the top precision the most maps the ceiling allows finish in
+        # about a second, and one more is refused before any logarithm
+        maps = MAX_MORAN_MAP_BITS // MAX_PRECISION_BITS
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as info:
+            moran_dimension(DustIfsSpec.from_ratios([F(1, 1001)] * (maps + 1)), MAX_PRECISION_BITS)
+        assert time.perf_counter() - start < 0.1
+        assert info.value.exit_code == 2
+        assert info.value.details == {"ceiling": MAX_MORAN_MAP_BITS}
+        start = time.perf_counter()
+        root = moran_dimension(DustIfsSpec.from_ratios([F(1, 1001)] * maps), MAX_PRECISION_BITS)
+        assert time.perf_counter() - start < 3
+        # maps copies of 1/1001 give s = log(maps) / log(1001)
+        with mpmath.workprec(MAX_PRECISION_BITS + 16):
+            exact = mpmath.log(maps) / mpmath.log(1001)
+            assert abs(root.s - exact) < mpmath.ldexp(1, 8 - MAX_PRECISION_BITS)
 
     def test_dust_spec_validation(self):
         with pytest.raises(InvalidArgument):
