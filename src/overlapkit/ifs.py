@@ -48,21 +48,20 @@ MAX_PRECISION_BITS = 4096
 # n = 30000 with lambda = 1/60000 it returns in about a second (1.1 MB of JSON)
 MAX_GENERATE_N = 30_000
 
-# working bits above precision_bits for the Moran equation: 32 to start, up
-# to 4096 where the equation is flat at its root (ratios 1 - 10^-30 and 1/2
-# need 128)
+# working bits above precision_bits for the Moran equation to start with;
+# they double where the equation is flat at its root (ratios 1 - 10^-30 and
+# 1/2 need 128)
 _GUARD_BITS = 32
-MAX_GUARD_BITS = 4096
-# Newton's method from s = 0 takes 8-20 steps on ordinary ratios. It creeps
-# (by 1/log 2 per step for 1/2) only when one ratio close to 1 ends up with
-# almost all the weight: 75 steps for 1 - 10^-30 beside 1/2, about 700 for
-# 1 - 10^-300 beside 1/2
-MAX_MORAN_STEPS = 200
-# largest maps * precision_bits of moran_dimension: each Newton step takes one
-# exp per map at the working precision. In-process on ordinary ratios (16-17
-# steps; 2-core Xeon) 48 maps took 0.9-1.4 s at 4096 bits, 195 maps 0.3-0.5 s
-# at 1024 and 1562 maps 0.4-0.5 s at 128
-MAX_MORAN_MAP_BITS = 200_000
+# work budget of one moran_dimension call. Each evaluation of its t terms at
+# w working bits is charged t * (8 + w^2 / 2^15) before it runs: a Newton
+# step or a certifying f once, the logs twice (a log costs about two exps) at
+# w plus the bits of the largest denominator. A unit is 1-2 us in-process
+# (pure-Python mpmath, 2 vCPUs); the costliest calls admitted took 0.61 s
+# (3571 ratios 1/1001 at 128 bits), 0.84 s (649 at 1024), 0.73 s (54 at 4096)
+# and, at the largest k admitted for (1 - 10^-k, 1/2), 1.02 s (k = 779 at
+# 128 bits, guard 4096), 0.91 s (878 at 1024, guard 4096) and 0.95 s (226 at
+# 4096, guard 1024)
+MAX_MORAN_WORK = 600_000
 
 
 def classify_steps(steps: Sequence[Fraction], lam: Fraction) -> list[Optional[str]]:
@@ -410,50 +409,51 @@ def moran_dimension(dust: DustIfsSpec, precision_bits: int = DEFAULT_PRECISION_B
     as printed digits are significant digits), and f(s - eps) > 0 > f(s + eps)
     certifies the result. Where f is so flat at the root that rounding moves
     the steps by more than eps, they stop at that noise instead, the guard
-    bits double and Newton resumes from s.
+    bits double, the logs are taken again and Newton resumes from s. Every
+    evaluation of the t terms is charged to MAX_MORAN_WORK before it runs, and
+    past that budget the call raises ResourceLimitError.
     """
     import mpmath
 
     check_precision(precision_bits)
+    bits, guard, work = precision_bits, _GUARD_BITS, 0
     maps = len(dust.exponents if dust.ratios is None else dust.ratios)
-    if maps * precision_bits > MAX_MORAN_MAP_BITS:
-        raise ResourceLimitError(
-            f"{maps} maps at {precision_bits} bits exceed {MAX_MORAN_MAP_BITS} map-bits",
-            ceiling=MAX_MORAN_MAP_BITS,
-        )
-    bits = precision_bits
-    s, iterations, guard = mpmath.mpf(0), 0, _GUARD_BITS
+    # a log of p/q runs at q's bits above the working precision
+    log_bits = max(x.denominator.bit_length() for x in dust.ratios or (dust.base,))
+
+    def charge(w: int, evaluations: int = 1) -> None:
+        nonlocal work
+        work += evaluations * maps * (8 + (w * w >> 15))
+        if work > MAX_MORAN_WORK:
+            raise ResourceLimitError(
+                f"the Moran root to {bits} bits needs more than {MAX_MORAN_WORK} units of work",
+                ceiling=MAX_MORAN_WORK,
+            )
+
+    def f(s: mpmath.mpf) -> mpmath.mpf:
+        charge(bits + guard)
+        return mpmath.fsum(mpmath.exp(s * log) for log in logs) - 1
+
+    s, iterations, logs = mpmath.mpf(0), 0, None
     while True:
         with mpmath.workprec(bits + guard):
-            logs = dust.log_ratios()
-
-            def f(s: mpmath.mpf) -> mpmath.mpf:
-                return mpmath.fsum(mpmath.exp(s * log) for log in logs) - 1
-
-            while True:
-                if iterations == MAX_MORAN_STEPS:
-                    raise ResourceLimitError(
-                        f"the Moran root needs more than {MAX_MORAN_STEPS} Newton steps",
-                        ceiling=MAX_MORAN_STEPS,
-                    )
-                terms = [mpmath.exp(s * log) for log in logs]
-                slope = -mpmath.fdot(terms, logs)
-                step = (mpmath.fsum(terms) - 1) / slope
-                s += step
-                iterations += 1
-                eps = mpmath.ldexp(max(1, s), -bits)
-                # f carries about len(logs) rounding errors of 2^-(bits + guard)
-                if abs(step) < max(eps, mpmath.ldexp(len(logs), 2 - bits - guard) / slope):
+            if logs is None:
+                charge(bits + guard + log_bits, 2)
+                logs = dust.log_ratios()
+                continue
+            charge(bits + guard)
+            terms = [mpmath.exp(s * log) for log in logs]
+            slope = -mpmath.fdot(terms, logs)
+            step = (mpmath.fsum(terms) - 1) / slope
+            s += step
+            iterations += 1
+            eps = mpmath.ldexp(max(1, s), -bits)
+            # f carries about `maps` rounding errors of 2^-(bits + guard)
+            if abs(step) < max(eps, mpmath.ldexp(maps, 2 - bits - guard) / slope):
+                if f(s - eps) > 0 > f(s + eps):
+                    residual = abs(f(s))
                     break
-            if f(s - eps) > 0 > f(s + eps):
-                residual = abs(f(s))
-                break
-        guard *= 2
-        if guard > MAX_GUARD_BITS:
-            raise ResourceLimitError(
-                f"the Moran root cannot be certified to {bits} bits "
-                f"with {MAX_GUARD_BITS} guard bits",
-                ceiling=MAX_GUARD_BITS,
-            )
+                guard *= 2
+                logs = None
     with mpmath.workprec(bits):
         return MoranRoot(s=+s, residual=+residual, iterations=iterations)

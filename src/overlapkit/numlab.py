@@ -75,23 +75,29 @@ def _numerator_levels(spec: SelfSimilarSpec, depth: int) -> Iterator[tuple[list[
         a_power *= a
 
 
+def _cover_level(
+    spec: SelfSimilarSpec, level: int, numerators: list[int], denominator: int
+) -> CoverLevel:
+    return CoverLevel(
+        depth=level,
+        offsets=tuple(Fraction(n, denominator) for n in numerators),
+        length=spec.lam**level,
+    )
+
+
 def cover_levels(spec: SelfSimilarSpec, depth: int) -> list[CoverLevel]:
     """Covers at every depth 0..depth (each level refines the previous one)."""
     return [
-        CoverLevel(
-            depth=level,
-            offsets=tuple(Fraction(n, denominator) for n in numerators),
-            length=spec.lam**level,
-        )
-        for level, (numerators, denominator) in enumerate(
-            _numerator_levels(spec, depth)
-        )
+        _cover_level(spec, level, *numerators_over)
+        for level, numerators_over in enumerate(_numerator_levels(spec, depth))
     ]
 
 
 def cover(spec: SelfSimilarSpec, depth: int) -> CoverLevel:
     """Exact offsets of the depth-L cylinders with coincident ones merged."""
-    return cover_levels(spec, depth)[-1]
+    for numerators, denominator in _numerator_levels(spec, depth):
+        pass  # only the deepest level is needed
+    return _cover_level(spec, depth, numerators, denominator)
 
 
 @dataclass(frozen=True)

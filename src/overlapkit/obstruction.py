@@ -12,6 +12,7 @@ split are factored.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -32,6 +33,13 @@ from .intpoly.poly import MAX_DEGREE
 # of it factoring x^32-n*x^16+1 over 12 modular factors (2-core Xeon)
 MAX_KMAX = 15
 MAX_NMAX = 20
+# largest degree^2 * bits of dust-check's gcd, where bits are those of n plus
+# those of the Moran polynomial's largest coefficient (its most repeated
+# exponent). Its primitive remainder sequence takes about (degree^2 * bits)^1.5
+# steps: in-process (2 vCPUs) the slowest of six random exponent sets at the
+# ceiling took 1.04 s (degree 456, 4-bit n), 1.03 s (248, 16 bits), 1.16 s
+# (90, 128 bits), 0.75 s (44, 512 bits) and 0.73 s (22, 2048 bits)
+MAX_GCD_WORK = 1_048_576
 
 
 class Verdict(str, Enum):
@@ -302,7 +310,7 @@ def dust_candidate_check(n: int, m: int, lam: Fraction, dust: DustIfsSpec) -> Eq
     beta^(1/k) < n as its only real root above 1 (the other root of
     x^2-n*x+m lies in (0, 1)). So g > 0 on [n, oo), and its only possible
     root in (1, n) is simple: g holds beta^(1/k) iff g(1) < 0. Degrees above
-    MAX_DEGREE are refused unbuilt.
+    MAX_DEGREE, and gcds past MAX_GCD_WORK, are refused unbuilt.
     """
     lam = check_feasible(n, m, lam)
     exponents = _lambda_exponents(lam, dust)
@@ -317,6 +325,13 @@ def dust_candidate_check(n: int, m: int, lam: Fraction, dust: DustIfsSpec) -> Eq
             raise ResourceLimitError(
                 f"dust-check polynomials of degree {format_rational(degree)} exceed {MAX_DEGREE}",
                 ceiling=MAX_DEGREE,
+            )
+        bits = n.bit_length() + max(Counter(scaled).values()).bit_length()
+        if degree * degree * bits > MAX_GCD_WORK:
+            raise ResourceLimitError(
+                f"the dust-check gcd at degree {degree} over {bits}-bit coefficients "
+                f"exceeds {MAX_GCD_WORK} degree^2 * bits",
+                ceiling=MAX_GCD_WORK,
             )
         pbar = family_poly(n, m, k)
         qbar = moran_poly(scaled)

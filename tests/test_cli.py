@@ -21,7 +21,7 @@ from overlapkit import cli, graphdir, ifs
 from overlapkit.cli import main
 from overlapkit.ifs import MAX_PRECISION_BITS
 from overlapkit.intpoly.poly import MAX_COEFF_BITS, MAX_DEGREE
-from overlapkit.obstruction import MAX_KMAX, MAX_NMAX
+from overlapkit.obstruction import MAX_GCD_WORK, MAX_KMAX, MAX_NMAX
 
 
 # the first primes above 2^61+12345 and 2^62+999
@@ -500,6 +500,42 @@ class TestDustCheckAndMoran:
                 "--exponents", exponents,
             )
 
+    def test_dust_check_gcd_ceiling_exits_2(self, capsys):
+        # k = 256 over a 2048-bit n: both polynomials have degree 512, inside
+        # MAX_DEGREE, but their gcd would run for minutes
+        n = 2**2048 - 1
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "dust-check", "--n", str(n), "--m", "1", "--lambda", f"1/{2**2049}",
+            "--exponents", "255/256,1/256,2",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert json.loads(err)["details"] == {"ceiling": MAX_GCD_WORK}
+        # degree 90 over a 128-bit n is just inside the ceiling, a 129-bit n past it
+        exponents = "52/45,22/15,47/45,2/5,1/45,2"
+        start = time.perf_counter()
+        data = run_json(
+            capsys,
+            "dust-check", "--n", str(2**128 - 1), "--m", "1", "--lambda", f"1/{2**129}",
+            "--exponents", exponents,
+        )
+        assert time.perf_counter() - start < 3
+        assert (data["k"], data["reason"]) == (45, "DimensionMismatch")
+        code, out, err = run(
+            capsys,
+            "dust-check", "--n", str(2**129 - 1), "--m", "1", "--lambda", f"1/{2**130}",
+            "--exponents", exponents,
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "details": {"ceiling": MAX_GCD_WORK},
+            "error": "ResourceLimitError",
+            "message": "the dust-check gcd at degree 90 over 130-bit coefficients "
+            f"exceeds {MAX_GCD_WORK} degree^2 * bits",
+        }
+
     def test_dust_check_never_factors_the_ratios(self, capsys):
         # 1/(P*Q) for two primes above 2^61 and 2^62, beyond any factoring budget
         data = run_json(
@@ -564,15 +600,41 @@ class TestDustCheckAndMoran:
         assert len(digits) >= 55
         assert digits[:55] == dim["s"].replace("0.", "", 1)[:55]
 
+    def test_moran_json_is_pinned(self, capsys):
+        # whole outputs, byte for byte; the second root takes 75 Newton steps
+        # through two guard doublings
+        near_one = "999999999999999999999999999999/1000000000000000000000000000000"
+        for ratios, expected in (
+            (
+                "1/2,1/4",
+                '{\n  "dust": {\n    "ratios": [\n      "1/2",\n      "1/4"\n    ]\n  },\n'
+                '  "iterations": 8,\n  "residual": "0.0",\n'
+                '  "s": "0.69424191363061730173879026689859522346"\n}\n',
+            ),
+            (
+                f"{near_one},1/2",
+                f'{{\n  "dust": {{\n    "ratios": [\n      "{near_one}",\n      "1/2"\n    ]\n  }},\n'
+                '  "iterations": 75,\n  "residual": "0.0",\n'
+                '  "s": "93.116872153585032825706656971418601034"\n}\n',
+            ),
+        ):
+            assert run(capsys, "moran", "--ratios", ratios) == (0, expected, "")
 
-    def test_moran_map_ceiling_exits_2(self, capsys):
-        maps = ifs.MAX_MORAN_MAP_BITS // 128 + 1
-        code, out, err = run(capsys, "moran", "--ratios", ",".join(["1/1001"] * maps))
+    def test_moran_work_budget_exits_2(self, capsys):
+        # one ratio near 1 makes Newton creep beside 46 small ones at the top
+        # precision: refused within the budget, not after 179 steps
+        ratios = [f"{10**70 - 1}/{10**70}", "1/2"] + [f"1/{10**6 + i}" for i in range(46)]
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "moran", "--ratios", ",".join(ratios), "--precision-bits", "4096"
+        )
+        assert time.perf_counter() - start < 3
         assert (code, out) == (2, "")
         assert json.loads(err) == {
-            "details": {"ceiling": ifs.MAX_MORAN_MAP_BITS},
+            "details": {"ceiling": ifs.MAX_MORAN_WORK},
             "error": "ResourceLimitError",
-            "message": f"{maps} maps at 128 bits exceed {ifs.MAX_MORAN_MAP_BITS} map-bits",
+            "message": f"the Moran root to 4096 bits needs more than {ifs.MAX_MORAN_WORK} "
+            "units of work",
         }
 
 

@@ -25,7 +25,7 @@ from overlapkit.errors import (
 from overlapkit.exactnum import QuadSurd, surd_to_float
 from overlapkit.ifs import (
     GAP,
-    MAX_MORAN_MAP_BITS,
+    MAX_MORAN_WORK,
     MAX_PRECISION_BITS,
     MIN_PRECISION_BITS,
     OVERLAP,
@@ -343,10 +343,12 @@ class TestMoran:
     def test_flat_root_gets_more_guard_bits(self):
         # at these roots the ratio close to 1 carries all but a sliver of the
         # weight, so 32 guard bits cannot certify them and more are taken;
-        # at (1 - 10^-14, 1/5) the steps at 332 bits circle in rounding noise
+        # at (1 - 10^-14, 1/5) the steps at 332 bits circle in rounding noise,
+        # and (1 - 10^-300, 1/2) creeps up to its root in 691 Newton steps
         for near_one, other, bits, start in (
             (1 - F(1, 10**30), F(1, 2), 128, 93),
             (1 - F(1, 10**14), F(1, 5), 300, 18),
+            (1 - F(1, 10**300), F(1, 2), 128, 987),
         ):
             root = moran_dimension(DustIfsSpec.from_ratios([near_one, other]), bits)
             with mpmath.workprec(bits + 1000):
@@ -357,27 +359,33 @@ class TestMoran:
                 assert abs(root.s / exact - 1) < mpmath.ldexp(1, 8 - bits)
 
     def test_creeping_newton_is_a_resource_error(self):
-        # Newton's steps from 0 grow s by 1/log 2 each, about 700 of them
-        dust = DustIfsSpec.from_ratios([1 - F(1, 10**300), F(1, 2)])
-        with pytest.raises(ResourceLimitError):
-            moran_dimension(dust, 128)
-
-    def test_map_ceiling(self):
-        # at the top precision the most maps the ceiling allows finish in
-        # about a second, and one more is refused before any logarithm
-        maps = MAX_MORAN_MAP_BITS // MAX_PRECISION_BITS
+        # Newton's steps from 0 grow s by about 1/log 2 each toward a root
+        # near 3310, and as f = sum r_j^s - 1 cancels the guard bits double
+        # with s (4096 by s = 2175), so the budget ends the call
+        dust = DustIfsSpec.from_ratios([1 - F(1, 10**1000), F(1, 2)])
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError) as info:
-            moran_dimension(DustIfsSpec.from_ratios([F(1, 1001)] * (maps + 1)), MAX_PRECISION_BITS)
-        assert time.perf_counter() - start < 0.1
-        assert info.value.exit_code == 2
-        assert info.value.details == {"ceiling": MAX_MORAN_MAP_BITS}
-        start = time.perf_counter()
-        root = moran_dimension(DustIfsSpec.from_ratios([F(1, 1001)] * maps), MAX_PRECISION_BITS)
+            moran_dimension(dust, 128)
         assert time.perf_counter() - start < 3
-        # maps copies of 1/1001 give s = log(maps) / log(1001)
+        assert info.value.details == {"ceiling": MAX_MORAN_WORK}
+
+    def test_work_budget(self, monkeypatch):
+        # at the top precision 54 ratios 1/1001 are the most the budget admits
+        # (16 Newton steps); 600 are refused at the logs, before any is taken
+        with monkeypatch.context() as patched:
+            patched.setattr(ifs, "_log_rational", None)
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError) as info:
+                moran_dimension(DustIfsSpec.from_ratios([F(1, 1001)] * 600), MAX_PRECISION_BITS)
+            assert time.perf_counter() - start < 0.1
+        assert info.value.exit_code == 2
+        assert info.value.details == {"ceiling": MAX_MORAN_WORK}
+        start = time.perf_counter()
+        root = moran_dimension(DustIfsSpec.from_ratios([F(1, 1001)] * 54), MAX_PRECISION_BITS)
+        assert time.perf_counter() - start < 3
+        # 54 copies of 1/1001 give s = log(54) / log(1001)
         with mpmath.workprec(MAX_PRECISION_BITS + 16):
-            exact = mpmath.log(maps) / mpmath.log(1001)
+            exact = mpmath.log(54) / mpmath.log(1001)
             assert abs(root.s - exact) < mpmath.ldexp(1, 8 - MAX_PRECISION_BITS)
 
     def test_dust_spec_validation(self):

@@ -86,6 +86,7 @@ class TestCover:
             assert list(level.offsets) == brute_cover(spec, depth)
             assert level.length == spec.lam**depth
             assert level.depth == depth
+        assert cover_levels(spec, 4) == [cover(spec, depth) for depth in range(5)]
 
     def test_brute_force_on_other_patterns(self):
         for spec in (generate(4, 1, F(1, 5), "OTG"), generate(4, 2, F(1, 7), "OGO")):
