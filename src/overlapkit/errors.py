@@ -66,10 +66,6 @@ class DivisorZero(InputError):
     pass
 
 
-class TooManyModularFactors(ResourceLimitError):
-    pass
-
-
 class NotMonotone(InputError):
     pass
 

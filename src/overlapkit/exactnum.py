@@ -156,13 +156,8 @@ class RationalRoots(NamedTuple):
     smaller: Fraction
 
 
-def quad_roots(n: int, m: int):
-    """Both roots of x^2 - n*x + m, exactly.
-
-    Returns a (dominant, conjugate) QuadSurd pair when the discriminant is
-    not a perfect square, a RationalRoots pair when it is, and raises
-    NonPositiveDiscriminant when n^2 - 4m <= 0.
-    """
+def _discriminant(n: int, m: int) -> int:
+    """n^2 - 4m for positive n and m, raising NonPositiveDiscriminant when it is <= 0."""
     if n < 1 or m < 1:
         raise InvalidArgument(f"coefficients must be positive, got (n,m)=({n},{m})")
     disc = n * n - 4 * m
@@ -173,6 +168,17 @@ def quad_roots(n: int, m: int):
             m=m,
             discriminant=disc,
         )
+    return disc
+
+
+def quad_roots(n: int, m: int):
+    """Both roots of x^2 - n*x + m, exactly.
+
+    Returns a (dominant, conjugate) QuadSurd pair when the discriminant is
+    not a perfect square, a RationalRoots pair when it is, and raises
+    NonPositiveDiscriminant when n^2 - 4m <= 0.
+    """
+    disc = _discriminant(n, m)
     t = isqrt(disc)
     if t * t == disc:
         return RationalRoots(Fraction(n + t, 2), Fraction(n - t, 2))

@@ -30,7 +30,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InvalidArgument, VertexExplosion
-from .exactnum import DEFAULT_PRECISION_BITS, RationalRoots, _fraction_to_mpf, quad_roots
+from .exactnum import DEFAULT_PRECISION_BITS, _discriminant, _fraction_to_mpf, is_square
 from .ifs import GAP, OVERLAP, TOUCH, SelfSimilarSpec, check_precision, format_dimension
 from .intpoly import IntPoly, exact_div, family_poly
 from .intpoly.roots import charpoly, largest_root
@@ -247,7 +247,7 @@ def verify_beta_eigen(matrix, n: int, m: int) -> bool:
     """Whether beta is an eigenvalue of A, decided exactly: x^2 - n*x + m is
     irreducible when its discriminant is not a square, so beta is a root of
     det(x*I - A) exactly when x^2 - n*x + m divides it."""
-    if isinstance(quad_roots(n, m), RationalRoots):
+    if is_square(_discriminant(n, m)):
         raise InvalidArgument(f"x^2-{n}x+{m} has a square discriminant; beta is not a surd")
     return exact_div(_charpoly(tuple(map(tuple, matrix))), family_poly(n, m, 1)) is not None
 

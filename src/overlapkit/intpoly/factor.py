@@ -22,7 +22,10 @@ von zur Gathen and Shoup, Comput. Complexity 2, 1992).
 The recombination loop filters subsets by degree (subset degree sum at most
 half the remaining degree, and in the intersected degree set) while letting
 the subset size run over the full range, which keeps the search complete;
-trial division over the integers is the only acceptance test.
+a candidate past Mignotte's bound is never divided, and trial division over
+the integers is the only acceptance test. Every stage is charged to one
+budget, MAX_FACTOR_WORK, before it runs, and past it the call raises
+ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -31,12 +34,28 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from ..errors import ConsistencyError, InvalidArgument, TooManyModularFactors
+from ..errors import ConsistencyError, InvalidArgument, ResourceLimitError
 from .poly import IntPoly, _add, _convolve, _power, exact_div, gcd_poly
 
-MAX_MODULAR_FACTORS = 24
+# work budget of one factor call, charged before each stage runs, in units of
+# about one coefficient product of the pure-Python loops (25-90 ns
+# in-process, 2 vCPUs). For f of degree D: a Frobenius matrix mod p of a
+# degree-g polynomial costs p * (g+1)^2; each step of a distinct-degree split
+# (D+1) * (D+1 + the cofactor's length); each equal-degree attempt into
+# degree-d factors of a degree-g part 4 * (d + bits of p) * g^2; the Hensel
+# lift 8 * D^2 * (bits of target) * (bits of factor count - 1) * weight, with
+# weight = 1 + b^2/2^20 for the b bits of p^target; each recombination
+# subset of size k (96 + 8k) * weight; and each trial division by a
+# candidate of degree e 4 * e * c * (1 + c * m^2/2^21), for the cofactor's
+# degree c and the m bits of Mignotte's bound. The costliest calls admitted
+# took 0.83 s (x^220+x+1), 0.52 s ((x-1)(x-2)...(x-104)), 0.33 s (the
+# degree-32 Swinnerton-Dyer polynomial) and 0.44 s (x^32-n*x^16+1, ten n of
+# 1877-2040 bits), while x^400+x+1, (x+1)^512+1 and the degree-64
+# Swinnerton-Dyer polynomial were refused after 0.83, 0.15 and 0.70 s
+MAX_FACTOR_WORK = 16_000_000
+Charge = Callable[[int], None]  # spends units of MAX_FACTOR_WORK
 # _choose_prime tries more primes than the first only when it gives more than
 # FEW_MODULAR_FACTORS modular factors, and then at most PRIME_TRIALS in all.
 PRIME_TRIALS = 5
@@ -131,11 +150,12 @@ def _gf_eea(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], l
 # -- factorization in GF(p)[x] ---------------------------------------------------
 
 
-def _frobenius(g: list[int], p: int) -> list[list[int]]:
+def _frobenius(g: list[int], p: int, charge: Charge) -> list[list[int]]:
     """The Frobenius matrix of a monic g: rows x^(p*i) mod g for i < deg g.
 
     Row i + 1 is x^p times row i: one shift by p and one reduction mod g.
     """
+    charge(p * len(g) ** 2)
     rows = [[1]]
     for _ in range(len(g) - 2):
         rows.append(_gf_mod([0] * p + rows[-1], g, p))
@@ -156,19 +176,20 @@ def _frob_apply(a: list[int], rows: list[list[int]], p: int) -> list[int]:
     return _trim([c % p for c in out])
 
 
-def _ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
+def _ddf(f: list[int], p: int, charge: Charge) -> list[tuple[list[int], int]]:
     """Distinct-degree split of a monic squarefree f: list of (product, degree).
 
     h = x^(p^d) mod f steps through f's Frobenius matrix; a part of degree-d
     factors is gcd(h - x, cur) for the cofactor cur that divides f.
     """
     out: list[tuple[list[int], int]] = []
-    rows = _frobenius(f, p)
+    rows = _frobenius(f, p, charge)
     h = _gf_mod([0, 1], f, p)
     cur = list(f)
     d = 0
     while len(cur) - 1 > 2 * d:
         d += 1
+        charge(len(f) * (len(f) + len(cur)))
         h = _frob_apply(h, rows, p)
         g = _gf_gcd(_gf_sub(h, [0, 1], p), cur, p)
         if len(g) > 1:
@@ -193,13 +214,14 @@ def _cz_power(a: list[int], d: int, f: list[int], rows: list[list[int]], p: int)
     return _gf_powmod(t, (p - 1) // 2, f, p)
 
 
-def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+def _edf(f: list[int], d: int, p: int, rng: random.Random, charge: Charge) -> list[list[int]]:
     """Cantor-Zassenhaus equal-degree split of monic squarefree f into degree-d parts."""
     deg = len(f) - 1
     if deg == d:
         return [list(f)]
-    rows = _frobenius(f, p)
+    rows = _frobenius(f, p, charge)
     while True:
+        charge(4 * (d + p.bit_length()) * deg * deg)
         a = [rng.randrange(p) for _ in range(deg)]
         a = _trim(a)
         if len(a) < 2:
@@ -215,18 +237,18 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
         quot, rem = _gf_divmod(f, split, p)
         if rem:
             raise ConsistencyError("equal-degree split failed to divide")
-        return _edf(split, d, p, rng) + _edf(quot, d, p, rng)
+        return _edf(split, d, p, rng, charge) + _edf(quot, d, p, rng, charge)
 
 
 def _factor_mod_p(
-    f: list[int], p: int, parts: list[tuple[list[int], int]]
+    f: list[int], p: int, parts: list[tuple[list[int], int]], charge: Charge
 ) -> list[list[int]]:
     """All monic irreducible factors of a monic squarefree f in GF(p)[x], given
     its distinct-degree split."""
     rng = random.Random(0xC0FFEE ^ p ^ len(f))
     out: list[list[int]] = []
     for part, d in parts:
-        out.extend(_edf(part, d, p, rng))
+        out.extend(_edf(part, d, p, rng, charge))
     out.sort(key=lambda g: (len(g), tuple(reversed(g))))
     return out
 
@@ -350,7 +372,7 @@ class PrimeChoice(NamedTuple):
     tried: tuple[int, ...]
 
 
-def _choose_prime(f: IntPoly) -> PrimeChoice:
+def _choose_prime(f: IntPoly, charge: Charge) -> PrimeChoice:
     """Distinct-degree factor f modulo good primes; keep the fewest-factor one.
 
     A factor of f over Z is, modulo each good prime, a product of some of the
@@ -364,7 +386,7 @@ def _choose_prime(f: IntPoly) -> PrimeChoice:
     degrees = -1  # every degree, before the first prime
     splits: list[tuple[int, int, list[int], list[tuple[list[int], int]]]] = []
     for p, fp in _good_primes(f):
-        parts = _ddf(fp, p)
+        parts = _ddf(fp, p, charge)
         sums, count = 1, 0
         for part, d in parts:
             for _ in range((len(part) - 1) // d):
@@ -411,23 +433,19 @@ def _must_div(a: IntPoly, b: IntPoly) -> IntPoly:
     return q
 
 
-def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
+def _factor_squarefree(f: IntPoly, charge: Charge) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree f, positive lc, f(0) != 0."""
-    p, fp, parts, count, degrees, _ = _choose_prime(f)
+    p, fp, parts, count, degrees, _ = _choose_prime(f, charge)
     if degrees == 1 | 1 << f.degree:
         return [f]
-    if count > MAX_MODULAR_FACTORS:
-        raise TooManyModularFactors(
-            f"{count} modular factors exceed the recombination ceiling",
-            count=count,
-            ceiling=MAX_MODULAR_FACTORS,
-        )
-    modular = _factor_mod_p(fp, p, parts)
-    bound = 2 * _mignotte_bound(f) + 1
+    modular = _factor_mod_p(fp, p, parts, charge)
+    bound = _mignotte_bound(f)
     target = 1
-    while p**target < bound:
+    while p**target <= 2 * bound:
         target *= 2
     q = p**target
+    weight = 1 + (q.bit_length() ** 2 >> 20)
+    charge(8 * f.degree**2 * target.bit_length() * (count - 1).bit_length() * weight)
     lifted = _hensel_lift_tree(p, list(f.coeffs), modular, target)
 
     cur = f
@@ -435,6 +453,7 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
     s = 1
     while s < len(lifted):
         for combo in combinations(range(len(lifted)), s):
+            charge((96 + 8 * s) * weight)
             total = sum(len(lifted[i]) - 1 for i in combo)
             if total > cur.degree // 2 or not degrees >> total & 1:
                 continue
@@ -448,7 +467,13 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
             cand = [cur.lc]
             for i in combo:
                 cand = _gf_mul(cand, lifted[i], q)
-            cand = IntPoly([c - q if c > q // 2 else c for c in cand]).primitive_part()
+            cand = [c - q if c > q // 2 else c for c in cand]
+            # a factor's multiple never exceeds the bound, and dividing by a
+            # candidate that does would grow the quotient by q's bits a step
+            if max(map(abs, cand)) > bound:
+                continue
+            charge(4 * total * cur.degree * (1 + (cur.degree * bound.bit_length() ** 2 >> 21)))
+            cand = IntPoly(cand).primitive_part()
             quot = exact_div(cur, cand)
             if quot is None:
                 continue
@@ -471,6 +496,7 @@ def factor(p: IntPoly) -> Factorization:
 
     Factors carry positive leading coefficients and are sorted by degree then
     coefficients; the unit is the sign and the content the coefficient gcd.
+    Past MAX_FACTOR_WORK units of work it raises ResourceLimitError.
     """
     if p.is_zero:
         raise InvalidArgument("cannot factor the zero polynomial")
@@ -478,6 +504,15 @@ def factor(p: IntPoly) -> Factorization:
     work = p if unit == 1 else -p
     content = work.content()
     work = work.primitive_part()
+    spent = 0
+
+    def charge(units: int) -> None:
+        nonlocal spent
+        spent += units
+        if spent > MAX_FACTOR_WORK:
+            message = f"factoring needs more than {MAX_FACTOR_WORK} units of work"
+            raise ResourceLimitError(message, ceiling=MAX_FACTOR_WORK)
+
     # x's power is split off first and Yun's parts are pairwise coprime, so
     # no irreducible factor occurs twice
     factors: list[tuple[IntPoly, int]] = []
@@ -487,7 +522,7 @@ def factor(p: IntPoly) -> Factorization:
         work = IntPoly(work.coeffs[e:])
     if work.degree >= 1:
         for part, mult in _yun_squarefree(work):
-            factors += [(irr, mult) for irr in _factor_squarefree(part)]
+            factors += [(irr, mult) for irr in _factor_squarefree(part, charge)]
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return Factorization(unit=unit, content=content, factors=tuple(factors))
 

@@ -23,14 +23,13 @@ from .errors import ConsistencyError, InvalidArgument, ResourceLimitError
 from .exactnum import format_rational, integer_root, is_perfect_power, multiplicative_dependence
 from .ifs import DustIfsSpec, check_class, check_feasible
 from .intpoly import Factorization, IntPoly, factor, family_poly, gcd_poly, moran_poly
-from .intpoly.poly import MAX_DEGREE
 
 # a verdict factors only the k that split, so a sweep is cheap: obstruct-sweep
 # --nmax 20 takes 0.27 s at kmax 8 and 0.51 s at 15 as a whole process, and the same
-# sweep 1.4 s in-process at 24. kmax is held by the factorizer on large splitting n:
-# with m = 1 and the 1880-bit n = g^4 + g'^4, g a unit of 470-bit trace, a verdict
-# takes 0.33 s as a whole process at kmax 15 and 12.8 s in-process at 16, nearly all
-# of it factoring x^32-n*x^16+1 over 12 modular factors (2-core Xeon)
+# sweep 1.4 s in-process at 24. With m = 1 and the 1880-bit n = g^4 + g'^4, g a
+# unit of 470-bit trace, a verdict takes 0.15 s in-process at kmax 15, 0.23 s at 16
+# and 0.32 s at 24 (2-core Xeon), and each of its factor calls is held by
+# intpoly.factor.MAX_FACTOR_WORK
 MAX_KMAX = 15
 MAX_NMAX = 20
 # largest degree^2 * bits of dust-check's gcd, where bits are those of n plus
@@ -309,8 +308,8 @@ def dust_candidate_check(n: int, m: int, lam: Fraction, dust: DustIfsSpec) -> Eq
     x^(2k)-n*x^k+m, which is squarefree, is 1-n+m < 0 at 1, and has
     beta^(1/k) < n as its only real root above 1 (the other root of
     x^2-n*x+m lies in (0, 1)). So g > 0 on [n, oo), and its only possible
-    root in (1, n) is simple: g holds beta^(1/k) iff g(1) < 0. Degrees above
-    MAX_DEGREE, and gcds past MAX_GCD_WORK, are refused unbuilt.
+    root in (1, n) is simple: g holds beta^(1/k) iff g(1) < 0. Gcds past
+    MAX_GCD_WORK are refused unbuilt.
     """
     lam = check_feasible(n, m, lam)
     exponents = _lambda_exponents(lam, dust)
@@ -321,16 +320,11 @@ def dust_candidate_check(n: int, m: int, lam: Fraction, dust: DustIfsSpec) -> Eq
         k = lcm(*(e.denominator for e in exponents))
         scaled = tuple(sorted(int(e * k) for e in exponents))
         degree = max(2 * k, scaled[-1])
-        if degree > MAX_DEGREE:
-            raise ResourceLimitError(
-                f"dust-check polynomials of degree {format_rational(degree)} exceed {MAX_DEGREE}",
-                ceiling=MAX_DEGREE,
-            )
         bits = n.bit_length() + max(Counter(scaled).values()).bit_length()
         if degree * degree * bits > MAX_GCD_WORK:
             raise ResourceLimitError(
-                f"the dust-check gcd at degree {degree} over {bits}-bit coefficients "
-                f"exceeds {MAX_GCD_WORK} degree^2 * bits",
+                f"the dust-check gcd at degree {format_rational(degree)} over {bits}-bit "
+                f"coefficients exceeds {MAX_GCD_WORK} degree^2 * bits",
                 ceiling=MAX_GCD_WORK,
             )
         pbar = family_poly(n, m, k)

@@ -15,6 +15,7 @@ from fractions import Fraction
 import mpmath
 
 from overlapkit import exactnum, graphdir, ifs, numlab, obstruction
+from overlapkit.errors import ResourceLimitError
 from overlapkit.exactnum import is_perfect_power, surd_to_float
 from overlapkit.graphdir import Policy, build_graph, expand, spectral_radius, verify_beta_eigen
 from overlapkit.ifs import DustIfsSpec, dimension, generate, moran_dimension, validate
@@ -30,6 +31,7 @@ from overlapkit.intpoly import (
     search,
 )
 from overlapkit.intpoly.factor import (
+    MAX_FACTOR_WORK,
     _choose_prime,
     _cz_power,
     _ddf,
@@ -146,7 +148,7 @@ def test_recombination_heavy_irreducible_is_fast():
     # took 7.7-11.5 s on a 2-core Xeon, with it 0.22-0.39 s
     f = swinnerton_dyer((2, 3, 5, 7, 11))
     assert f.degree == 32 and f.coeffs[-3:] == (-448, 0, 1)
-    choice = _choose_prime(f)
+    choice = _choose_prime(f, lambda units: None)
     assert (choice.count, choice.tried) == (16, (19, 23, 29, 31, 37))
     start = time.monotonic()
     assert factor(f).factors == ((f, 1),)
@@ -155,6 +157,26 @@ def test_recombination_heavy_irreducible_is_fast():
     print(
         f"PASS recombination: the degree-32 Swinnerton-Dyer polynomial, 16 modular "
         f"factors at each of 5 primes, is irreducible [{elapsed:.2f}s < 3s]"
+    )
+
+
+def test_recombination_past_the_budget_is_refused_within_about_a_second():
+    # sqrt 2 ... sqrt 13: degree 64, 131-bit coefficients and 32 modular
+    # factors, so about 2^31 subsets; the factor budget stops the search
+    f = swinnerton_dyer((2, 3, 5, 7, 11, 13))
+    assert f.degree == 64 and max(abs(c) for c in f.coeffs).bit_length() == 131
+    start = time.monotonic()
+    try:
+        factor(f)
+    except ResourceLimitError as exc:
+        assert exc.details == {"ceiling": MAX_FACTOR_WORK}
+    else:
+        raise AssertionError("the degree-64 Swinnerton-Dyer polynomial was factored")
+    elapsed = time.monotonic() - start
+    assert elapsed < 3.0
+    print(
+        f"PASS factor budget: the degree-64 Swinnerton-Dyer polynomial, 32 modular "
+        f"factors, is refused with exit 2 [{elapsed:.2f}s < 3s]"
     )
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from overlapkit import cli, graphdir, ifs
 from overlapkit.cli import main
 from overlapkit.ifs import MAX_PRECISION_BITS
+from overlapkit.intpoly.factor import MAX_FACTOR_WORK
 from overlapkit.intpoly.poly import MAX_COEFF_BITS, MAX_DEGREE
 from overlapkit.obstruction import MAX_GCD_WORK, MAX_KMAX, MAX_NMAX
 
@@ -377,6 +378,8 @@ class TestFactorAndObstruct:
             (["factor", "--poly", "x^99999999"], MAX_DEGREE),
             (["factor", "--poly", "(x+1)^3000"], MAX_DEGREE),
             (["obstruct-sweep", "--nmax", "100000"], MAX_NMAX),
+            # inside the parse ceilings, but its factoring would take seconds
+            (["factor", "--poly", "(x+1)^512+1"], MAX_FACTOR_WORK),
         ):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "", argv
@@ -484,7 +487,8 @@ class TestDustCheckAndMoran:
         assert json.loads(err)["error"] == "InvalidArgument"
 
     def test_dust_check_degree_ceiling_exits_2(self, capsys):
-        # a largest exponent of 100000, and k = lcm(255, 256) = 65280
+        # a largest exponent of 100000, and k = lcm(255, 256) = 65280: the gcd
+        # ceiling refuses every degree from 592 on, whatever the coefficients
         for exponents in ("1,100000", "1/255,1/256,2"):
             code, out, err = run(
                 capsys,
@@ -492,7 +496,17 @@ class TestDustCheckAndMoran:
                 "--exponents", exponents,
             )
             assert code == 2 and out == ""
-            assert json.loads(err)["details"]["ceiling"] == MAX_DEGREE
+            assert json.loads(err)["details"]["ceiling"] == MAX_GCD_WORK
+        # k = lcm(2, 3, 5, ..., 10099) has more digits than the interpreter
+        # prints, and the refusal still ends in exit 2, not a traceback
+        primes = [p for p in range(2, 10100) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        code, out, err = run(
+            capsys,
+            "dust-check", "--n", "3", "--m", "1", "--lambda", "1/4",
+            "--exponents", ",".join(f"1/{p}" for p in primes),
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ResourceLimitError"
         for exponents in ("1,512", "1/256,1"):
             run_json(
                 capsys,
@@ -501,8 +515,8 @@ class TestDustCheckAndMoran:
             )
 
     def test_dust_check_gcd_ceiling_exits_2(self, capsys):
-        # k = 256 over a 2048-bit n: both polynomials have degree 512, inside
-        # MAX_DEGREE, but their gcd would run for minutes
+        # k = 256 over a 2048-bit n: both polynomials have degree 512, and
+        # their gcd would run for minutes
         n = 2**2048 - 1
         start = time.perf_counter()
         code, out, err = run(

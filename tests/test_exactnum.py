@@ -80,6 +80,18 @@ class TestQuadSurd:
         assert QuadSurd(1, 1, 2) != QuadSurd(0, 1, 2)
 
 
+class TestIsSquare:
+    def test_squares_and_their_neighbours(self):
+        for r in [0, 1, 2, 3, 10**6 + 3, 2**64 + 1, 3**400]:
+            assert is_square(r * r)
+            if r > 1:
+                assert not is_square(r * r - 1) and not is_square(r * r + 1)
+
+    def test_negatives_are_not_squares(self):
+        for n in (-1, -4, -(2**100)):
+            assert not is_square(n)
+
+
 class TestQuadRoots:
     def test_golden_pair(self):
         beta, conj = quad_roots(3, 1)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import importlib
 import random
+import time
 
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from overlapkit.errors import InvalidArgument, TooManyModularFactors
+from overlapkit.errors import InvalidArgument, ResourceLimitError
 from overlapkit.intpoly import IntPoly, factor, family_poly, is_irreducible, parse_poly
 
 # the package re-exports the function factor under the module's name
@@ -18,6 +19,10 @@ factor_module = importlib.import_module("overlapkit.intpoly.factor")
 
 X = sympy.Symbol("x")
 PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def free(units: int) -> None:
+    """A charge that never runs out, for calling the factorizer's stages alone."""
 
 
 def to_sympy(p: IntPoly):
@@ -203,7 +208,7 @@ def _modular_factor_count(p: IntPoly, q: int) -> int:
 @example(family_poly(7, 4, 6))
 @example(parse_poly("x^5+1"))  # its derivative vanishes mod 5: (x+1)^5
 def test_chosen_prime_is_good_and_splits_least(p):
-    choice = factor_module._choose_prime(p)
+    choice = factor_module._choose_prime(p, free)
     assert choice.tried[0] == _smallest_good_prime(p)
     assert 1 <= len(choice.tried) <= factor_module.PRIME_TRIALS
     assert list(choice.tried) == sorted(set(choice.tried))
@@ -223,8 +228,7 @@ def _assert_matches_sympy(p: IntPoly) -> None:
 
 class TestPrimeChoiceAndDegreeSets:
     def test_x105_minus_1_is_the_cyclotomic_product(self):
-        # the first good prime gives 30 modular factors, more than the
-        # recombination ceiling; p = 17 gives 14
+        # the first good prime gives 30 modular factors; p = 17 gives 14
         result = factor(parse_poly("x^105-1"))
         cyclotomic = [sympy.Poly(sympy.cyclotomic_poly(d, X)) for d in sympy.divisors(105)]
         expected = {IntPoly(reversed([int(c) for c in phi.all_coeffs()])) for phi in cyclotomic}
@@ -241,7 +245,7 @@ class TestPrimeChoiceAndDegreeSets:
         # x^4-10*x^2+1 splits modulo every prime into linear or quadratic
         # factors, so the degree sets always allow 2 and cannot prove it
         f = parse_poly("x^4-10*x^2+1")
-        choice = factor_module._choose_prime(f)
+        choice = factor_module._choose_prime(f, free)
         assert choice.degrees >> 2 & 1 and choice.count >= 2
         assert is_irreducible(f)
 
@@ -250,7 +254,7 @@ class TestPrimeChoiceAndDegreeSets:
         # mod 7, 5,5,10 mod 11 and 4,4,4,4,4 mod 13: only 0 and 20 are
         # subset sums of all three
         f = parse_poly("x^20+2")
-        assert factor_module._choose_prime(f).tried == (7, 11, 13)
+        assert factor_module._choose_prime(f, free).tried == (7, 11, 13)
 
         def no_lift(*args):
             raise AssertionError("Hensel lifting ran on a proven irreducible")
@@ -296,7 +300,7 @@ def monic_squarefree_mod_p(draw) -> tuple[int, list[int]]:
 def test_frobenius_matrix_gives_the_plain_powers(pg, data):
     p, g = pg
     powmod = factor_module._gf_powmod
-    rows = factor_module._frobenius(g, p)
+    rows = factor_module._frobenius(g, p, free)
     assert rows == [powmod([0, 1], p * i, g, p) for i in range(len(g) - 1)]
     a = factor_module._trim(data.draw(st.lists(st.integers(0, p - 1), max_size=len(g) - 1)))
     assert factor_module._frob_apply(a, rows, p) == powmod(a, p, g, p)
@@ -310,28 +314,67 @@ def test_frobenius_matrix_gives_the_plain_powers(pg, data):
 @example((19, [4] + [0] * 39 + [19 - 7] + [0] * 39 + [1]))
 def test_modular_factors_match_sympy(pg):
     p, f = pg
-    ours = factor_module._factor_mod_p(f, p, factor_module._ddf(f, p))
+    ours = factor_module._factor_mod_p(f, p, factor_module._ddf(f, p, free), free)
     _, parts = sympy.Poly(list(reversed(f)), X, modulus=p).factor_list()
     assert all(mult == 1 for _, mult in parts)
     theirs = [[int(c) % p for c in reversed(fac.all_coeffs())] for fac, _ in parts]
     assert sorted(ours) == sorted(theirs)
 
 
-class TestFactorCountCeiling:
-    def test_many_modular_factors_is_a_resource_error(self, monkeypatch):
-        p = IntPoly.one()
-        for i in range(1, 7):
-            p = p * IntPoly([-i, 1])
-        monkeypatch.setattr(factor_module, "MAX_MODULAR_FACTORS", 3)
-        with pytest.raises(TooManyModularFactors):
-            factor(p)
-        # the exit-code class marks it as a resource limit, not wrong input
-        assert TooManyModularFactors("x").exit_code == 2
+def linear_product(count: int) -> IntPoly:
+    """(x-1)(x-2)...(x-count)."""
+    p = IntPoly.one()
+    for i in range(1, count + 1):
+        p = p * IntPoly([-i, 1])
+    return p
 
-    def test_default_ceiling_passes_normal_inputs(self):
-        p = IntPoly.one()
-        for i in range(1, 13):
-            p = p * IntPoly([-i, 1])
+
+class TestFactorWorkBudget:
+    def test_past_the_budget_is_a_resource_error(self, monkeypatch):
+        monkeypatch.setattr(factor_module, "MAX_FACTOR_WORK", 1000)
+        with pytest.raises(ResourceLimitError) as info:
+            factor(linear_product(6))
+        assert info.value.details == {"ceiling": 1000}
+        # the exit-code class marks it as a resource limit, not wrong input
+        assert info.value.exit_code == 2
+
+    @pytest.mark.parametrize("count", [12, 30, 40])
+    def test_many_true_factors_are_factored(self, count):
+        # 30 and 40 modular factors: a count ceiling of 24 refused both
+        p = linear_product(count)
         result = factor(p)
-        assert len(result.factors) == 12
+        assert [f.coeffs for f, _ in result.factors] == [(-i, 1) for i in range(count, 0, -1)]
         assert result.product() == p
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["high degree", "many true factors", "huge coefficients"],
+    )
+    def test_costliest_admitted_calls_end_within_3_s(self, shape):
+        # the costliest admitted call of each shape took 0.83, 0.52 and
+        # 0.2 s in-process; the Swinnerton-Dyer shape is timed in
+        # test_acceptance.py
+        if shape == "high degree":
+            f = parse_poly("x^220+x+1")
+        elif shape == "many true factors":
+            f = linear_product(104)
+        else:
+            # x^32 - n*x^16 + 1 for the 1880-bit n = g^4 + g'^4, g a unit
+            # of 470-bit trace t: 12 modular factors at the chosen prime
+            t = random.Random(1).getrandbits(470) | 1 << 469
+            n = (t * t - 2) ** 2 - 2
+            f = IntPoly([1] + [0] * 15 + [-n] + [0] * 15 + [1])
+        start = time.monotonic()
+        assert factor(f).product() == f
+        assert time.monotonic() - start < 3.0
+
+    @pytest.mark.parametrize("text", ["(x+1)^512+1", "x^400+x+1"])
+    def test_slow_inputs_are_refused_within_about_a_second(self, text):
+        # each took several seconds to factor (12-16 s and 4.3-4.5 s
+        # in-process), though with only 2 and 4 modular factors
+        f = parse_poly(text)
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError) as info:
+            factor(f)
+        assert time.monotonic() - start < 3.0
+        assert info.value.details == {"ceiling": factor_module.MAX_FACTOR_WORK}

@@ -13,8 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overlapkit import cli, graphdir, ifs
-from overlapkit.errors import InvalidArgument, ResourceLimitError, VertexExplosion
-from overlapkit.exactnum import surd_to_float
+from overlapkit.errors import (
+    InvalidArgument,
+    NonPositiveDiscriminant,
+    ResourceLimitError,
+    VertexExplosion,
+)
+from overlapkit.exactnum import quad_roots, surd_to_float
 from overlapkit.graphdir import (
     Configuration,
     GraphSystem,
@@ -331,6 +336,20 @@ class TestExactEigenvalueCheck:
     def test_rational_discriminant_rejected(self):
         with pytest.raises(InvalidArgument):
             verify_beta_eigen([[1, 1], [1, 2]], 5, 4)
+
+    def test_invalid_pairs_raise_as_quad_roots_does(self):
+        for n, m, error in (
+            (2, 1, NonPositiveDiscriminant),
+            (1, 1, NonPositiveDiscriminant),
+            (0, 1, InvalidArgument),
+            (3, 0, InvalidArgument),
+        ):
+            with pytest.raises(error) as ours:
+                verify_beta_eigen([[1, 1], [1, 2]], n, m)
+            with pytest.raises(error) as theirs:
+                quad_roots(n, m)
+            assert type(ours.value) is type(theirs.value)
+            assert (str(ours.value), ours.value.details) == (str(theirs.value), theirs.value.details)
 
     def test_sweep_exact_eigen(self, sweep_specs):
         for n, m, lam, spec in sweep_specs[:25]:
