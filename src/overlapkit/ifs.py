@@ -27,10 +27,10 @@ from .errors import (
 from .exactnum import (
     DEFAULT_PRECISION_BITS,
     QuadSurd,
+    _discriminant,
     _fraction_to_mpf,
     format_rational,
     parse_rational,
-    quad_roots,
     surd_to_float,
 )
 from .intpoly.poly import MAX_COEFF_BITS
@@ -209,8 +209,9 @@ def check_feasible(n: int, m: int, lam: Fraction) -> Fraction:
 
 
 def _beta(n: int, m: int) -> QuadSurd:
+    """The dominant root (n + sqrt(n^2-4m))/2 of x^2 - n*x + m, alone."""
     # in class, (n-2)^2 < n^2-4m < n^2 with the parity of n^2: never a square
-    return quad_roots(n, m)[0]
+    return QuadSurd(Fraction(n, 2), Fraction(1, 2), _discriminant(n, m))
 
 
 def _infeasible(n: int, m: int, lam: Fraction) -> Infeasible:

@@ -1,6 +1,10 @@
-"""Complete factorization over the integers: Yun squarefree split, modular
+"""Complete factorization over the integers: the squarefree kernel, modular
 factorization at a chosen small prime, quadratic Hensel lifting, and
 Zassenhaus subset recombination.
+
+With g = gcd(f, f'), the kernel f / g has every irreducible factor of f once,
+and g each one its multiplicity less one times. Only the kernel is factored;
+each factor's multiplicity is 1 plus the number of times it divides g.
 
 The prime is chosen from distinct-degree factorizations alone. Modulo the
 first good prime (p >= 5, not dividing lc(f), f mod p squarefree) f splits
@@ -37,23 +41,28 @@ from itertools import combinations
 from typing import Callable, Iterator, NamedTuple
 
 from ..errors import ConsistencyError, InvalidArgument, ResourceLimitError
-from .poly import IntPoly, _add, _convolve, _power, exact_div, gcd_poly
+from .poly import IntPoly, _add, _convolve, _gcd, _power, exact_div
 
 # work budget of one factor call, charged before each stage runs, in units of
 # about one coefficient product of the pure-Python loops (25-90 ns
-# in-process, 2 vCPUs). For f of degree D: a Frobenius matrix mod p of a
-# degree-g polynomial costs p * (g+1)^2; each step of a distinct-degree split
-# (D+1) * (D+1 + the cofactor's length); each equal-degree attempt into
-# degree-d factors of a degree-g part 4 * (d + bits of p) * g^2; the Hensel
-# lift 8 * D^2 * (bits of target) * (bits of factor count - 1) * weight, with
-# weight = 1 + b^2/2^20 for the b bits of p^target; each recombination
-# subset of size k (96 + 8k) * weight; and each trial division by a
-# candidate of degree e 4 * e * c * (1 + c * m^2/2^21), for the cofactor's
-# degree c and the m bits of Mignotte's bound. The costliest calls admitted
-# took 0.83 s (x^220+x+1), 0.52 s ((x-1)(x-2)...(x-104)), 0.33 s (the
-# degree-32 Swinnerton-Dyer polynomial) and 0.44 s (x^32-n*x^16+1, ten n of
-# 1877-2040 bits), while x^400+x+1, (x+1)^512+1 and the degree-64
-# Swinnerton-Dyer polynomial were refused after 0.83, 0.15 and 0.70 s
+# in-process, 2 vCPUs). For f of degree D: each pseudo-division of the
+# remainder sequence of gcd(f, f') as poly._gcd weighs it; each candidate
+# prime's squarefree test (D+1)^2; a Frobenius matrix mod p of a degree-g
+# polynomial p * (g+1)^2 (built for the distinct-degree split at each prime
+# tried, and for equal-degree splits into factors of degree above 1); each
+# step of a distinct-degree split (D+1) * (D+1 + the cofactor's length); each
+# equal-degree attempt into degree-d factors of a degree-g part
+# 4 * (d + bits of p) * g^2; the Hensel lift 8 * D^2 * (bits of target) *
+# (bits of factor count - 1) * weight, with weight = 1 + b^2/2^20 for the b
+# bits of p^target; each recombination subset of size k (96 + 8k) * weight;
+# and each trial division by a candidate of degree e 4 * e * c * (1 + c *
+# m^2/2^21), for the cofactor's degree c and the m bits of Mignotte's bound.
+# The costliest calls admitted took 1.05 s (x^220+x+1), 0.42-0.70 s
+# ((x-1)(x-2)...(x-104)), 0.50-0.72 s ((x-1)...(x-111), the most linear
+# factors), 0.24-0.35 s (the degree-32 Swinnerton-Dyer polynomial) and
+# 0.15-0.21 s (x^32-n*x^16+1 for an 1880-bit n), while x^400+x+1,
+# (x+1)^512+1 and the degree-64 Swinnerton-Dyer polynomial were refused after
+# 0.96, 0.13-0.20 and 0.62-0.84 s
 MAX_FACTOR_WORK = 16_000_000
 Charge = Callable[[int], None]  # spends units of MAX_FACTOR_WORK
 # _choose_prime tries more primes than the first only when it gives more than
@@ -219,7 +228,8 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random, charge: Charge) -> li
     deg = len(f) - 1
     if deg == d:
         return [list(f)]
-    rows = _frobenius(f, p, charge)
+    # _cz_power steps through the Frobenius matrix only for d > 1
+    rows = _frobenius(f, p, charge) if d > 1 else []
     while True:
         charge(4 * (d + p.bit_length()) * deg * deg)
         a = [rng.randrange(p) for _ in range(deg)]
@@ -349,12 +359,14 @@ def _mignotte_bound(f: IntPoly) -> int:
     return (math.isqrt(d + 1) + 1) * (1 << d // 2) * f.max_norm() * abs(f.lc)
 
 
-def _good_primes(f: IntPoly) -> Iterator[tuple[int, list[int]]]:
+def _good_primes(f: IntPoly, charge: Charge) -> Iterator[tuple[int, list[int]]]:
     """Primes p >= 5 not dividing lc(f) with f mod p squarefree, in increasing
-    order, each with f mod p made monic."""
+    order, each with f mod p made monic. Each candidate's squarefree test
+    is charged (deg f + 1)^2 before its gcd."""
     p = 5
     while True:
         if all(p % d for d in range(3, math.isqrt(p) + 1, 2)) and f.lc % p != 0:
+            charge((f.degree + 1) ** 2)
             fp = _gf_monic(_trim([c % p for c in f.coeffs]), p)
             if len(_gf_gcd(fp, _gf_deriv(fp, p), p)) == 1:
                 yield p, fp
@@ -385,7 +397,7 @@ def _choose_prime(f: IntPoly, charge: Charge) -> PrimeChoice:
     irreducible = 1 | 1 << f.degree
     degrees = -1  # every degree, before the first prime
     splits: list[tuple[int, int, list[int], list[tuple[list[int], int]]]] = []
-    for p, fp in _good_primes(f):
+    for p, fp in _good_primes(f, charge):
         parts = _ddf(fp, p, charge)
         sums, count = 1, 0
         for part, d in parts:
@@ -402,35 +414,6 @@ def _choose_prime(f: IntPoly, charge: Charge) -> PrimeChoice:
             break
     count, p, fp, parts = min(splits, key=lambda split: split[0])
     return PrimeChoice(p, fp, parts, count, degrees, tuple(split[1] for split in splits))
-
-
-def _yun_squarefree(f: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Squarefree decomposition of a primitive f with positive leading coefficient."""
-    deriv = f.derivative()
-    g = gcd_poly(f, deriv)
-    if g.degree == 0:
-        return [(f, 1)]
-    b = _must_div(f, g)
-    c = _must_div(deriv, g)
-    d = c - b.derivative()
-    out: list[tuple[IntPoly, int]] = []
-    i = 1
-    while b.degree > 0:
-        a = gcd_poly(b, d)
-        if a.degree > 0:
-            out.append((a, i))
-        b = _must_div(b, a)
-        c = _must_div(d, a)
-        d = c - b.derivative()
-        i += 1
-    return out
-
-
-def _must_div(a: IntPoly, b: IntPoly) -> IntPoly:
-    q = exact_div(a, b)
-    if q is None:
-        raise ConsistencyError("exact division failed inside squarefree split")
-    return q
 
 
 def _factor_squarefree(f: IntPoly, charge: Charge) -> list[IntPoly]:
@@ -513,16 +496,23 @@ def factor(p: IntPoly) -> Factorization:
             message = f"factoring needs more than {MAX_FACTOR_WORK} units of work"
             raise ResourceLimitError(message, ceiling=MAX_FACTOR_WORK)
 
-    # x's power is split off first and Yun's parts are pairwise coprime, so
-    # no irreducible factor occurs twice
     factors: list[tuple[IntPoly, int]] = []
     e = work.trailing_zeros()
     if e:
         factors.append((IntPoly.x(), e))
         work = IntPoly(work.coeffs[e:])
     if work.degree >= 1:
-        for part, mult in _yun_squarefree(work):
-            factors += [(irr, mult) for irr in _factor_squarefree(part, charge)]
+        g = _gcd(work, work.derivative(), charge)
+        kernel = exact_div(work, g)
+        if kernel is None:
+            raise ConsistencyError("the squarefree kernel is not an exact quotient")
+        for irr in _factor_squarefree(kernel, charge):
+            mult = 1
+            while (quot := exact_div(g, irr)) is not None:
+                g, mult = quot, mult + 1
+            factors.append((irr, mult))
+        if g.degree > 0:
+            raise ConsistencyError("multiplicities left a nonconstant part of gcd(f, f')")
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return Factorization(unit=unit, content=content, factors=tuple(factors))
 

@@ -42,7 +42,7 @@ from overlapkit.intpoly.factor import (
     _hensel_lift_tree,
     _hensel_step,
 )
-from overlapkit.intpoly.poly import _add, _convolve, _divide, _power, exact_div, gcd_poly
+from overlapkit.intpoly.poly import _add, _convolve, _divide, _gcd, _power, exact_div, gcd_poly
 from overlapkit.numlab import box_count_dimension, cover, cylinder_growth
 from overlapkit.obstruction import Verdict, obstruction_verdict, sweep
 
@@ -328,6 +328,8 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(_power),
         inspect.getsource(exact_div),
         inspect.getsource(gcd_poly),
+        inspect.getsource(_gcd),
+        inspect.getsource(factor),
         inspect.getsource(_frobenius),
         inspect.getsource(_frob_apply),
         inspect.getsource(_ddf),
@@ -350,6 +352,8 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         _power,
         exact_div,
         gcd_poly,
+        _gcd,
+        factor,
         _frobenius,
         _frob_apply,
         _ddf,
@@ -384,7 +388,8 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         f"integer factoring), the dust candidate check, "
         f"expansion, cover, integer cover kernel, box-counting cells, characteristic polynomial, "
         f"real-root, the integer list core (sum, product, division, power), exact division, "
-        f"gcd, modular factoring (Frobenius matrix, distinct- and equal-degree splits), "
+        f"gcd (charged or not), the squarefree kernel, "
+        f"modular factoring (Frobenius matrix, distinct- and equal-degree splits), "
         f"Hensel lifting and recombination sources are free of "
         f"floating-point operations and {expansions} re-expansions matched the "
         f"Fraction-offset expansion"

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -318,6 +319,23 @@ class TestFactorAndObstruct:
         assert run_json(capsys, "factor", "--poly", "x^2-x-1")["irreducible"] is True
         data = run_json(capsys, "factor", "--poly", "(x+1)^2(x-1)")
         assert data["factors"] == ["x-1", "x+1", "x+1"]
+
+    @pytest.mark.parametrize("degree, bits", [(60, 600), (100, 300)])
+    def test_dense_factor_gcd_exits_2_within_3_s(self, capsys, degree, bits):
+        # the remainder sequence of gcd(f, f') alone ran 16-27 s on these
+        # shapes before its pseudo-divisions were charged to the budget
+        rng = random.Random(degree)
+        coeffs = [rng.getrandbits(bits) - (1 << bits - 1) for _ in range(degree)]
+        text = "+".join(f"({c})*x^{i}" for i, c in enumerate(coeffs)) + f"+x^{degree}"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "factor", "--poly", text)
+        assert time.perf_counter() - start < 3
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "details": {"ceiling": 16_000_000},
+            "error": "ResourceLimitError",
+            "message": "factoring needs more than 16000000 units of work",
+        }
 
     def test_factor_syntax_error(self, capsys):
         code, out, err = run(capsys, "factor", "--poly", "x^")

@@ -346,18 +346,36 @@ class TestFactorWorkBudget:
         assert [f.coeffs for f, _ in result.factors] == [(-i, 1) for i in range(count, 0, -1)]
         assert result.product() == p
 
+    def test_linear_factors_build_one_frobenius_matrix_per_prime_tried(self, monkeypatch):
+        # the equal-degree split into linear factors steps no p-th power, so
+        # only the distinct-degree split at each prime tried builds a matrix
+        f = linear_product(40)
+        tried = factor_module._choose_prime(f, free).tried
+        frobenius, built = factor_module._frobenius, []
+
+        def counted(g, p, charge):
+            built.append(p)
+            return frobenius(g, p, charge)
+
+        monkeypatch.setattr(factor_module, "_frobenius", counted)
+        assert factor(f).product() == f
+        assert built == list(tried)
+
     @pytest.mark.parametrize(
         "shape",
-        ["high degree", "many true factors", "huge coefficients"],
+        ["high degree", "many true factors", "most true factors", "huge coefficients"],
     )
     def test_costliest_admitted_calls_end_within_3_s(self, shape):
-        # the costliest admitted call of each shape took 0.83, 0.52 and
-        # 0.2 s in-process; the Swinnerton-Dyer shape is timed in
-        # test_acceptance.py
+        # the costliest admitted call of each shape took 1.05, 0.42-0.70,
+        # 0.50-0.72 and 0.15-0.21 s in-process; the Swinnerton-Dyer shape is
+        # timed in test_acceptance.py
         if shape == "high degree":
             f = parse_poly("x^220+x+1")
         elif shape == "many true factors":
             f = linear_product(104)
+        elif shape == "most true factors":
+            # the largest count admitted: (x-1)...(x-112) is refused
+            f = linear_product(111)
         else:
             # x^32 - n*x^16 + 1 for the 1880-bit n = g^4 + g'^4, g a unit
             # of 470-bit trace t: 12 modular factors at the chosen prime

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from overlapkit import ifs
+from overlapkit import exactnum, ifs
 from overlapkit.errors import (
     BadBoundary,
     Infeasible,
@@ -22,7 +22,7 @@ from overlapkit.errors import (
     NotMonotone,
     ResourceLimitError,
 )
-from overlapkit.exactnum import QuadSurd, surd_to_float
+from overlapkit.exactnum import QuadSurd, quad_roots, surd_to_float
 from overlapkit.ifs import (
     GAP,
     MAX_MORAN_WORK,
@@ -183,6 +183,20 @@ class TestDimension:
         s_text = result.to_json()["s"]
         assert s_text.startswith("0.69424191363061730173879026689859522346")
         assert result.to_json()["beta"] == {"a": "3/2", "b": "1/2", "D": 5}
+
+    def test_one_dimension_call_splits_the_radicand_once(self, monkeypatch):
+        # beta alone is built, not its conjugate beside it
+        split, calls = exactnum._squarefree_split, []
+
+        def counted(D):
+            calls.append(D)
+            return split(D)
+
+        monkeypatch.setattr(exactnum, "_squarefree_split", counted)
+        n = 2**2047 + 12345
+        result = dimension(n, 1, F(1, n))
+        assert calls == [n * n - 4]
+        assert result.beta == quad_roots(n, 1)[0]
 
     def test_dimension_monotone_in_ratio(self):
         values = [dimension(3, 1, lam).s for lam in (F(1, 10), F(1, 5), F(1, 4), F(38, 100))]
