@@ -39,8 +39,13 @@ from overlapkit.intpoly.factor import (
     _factor_squarefree,
     _frob_apply,
     _frobenius,
+    _gf_mul,
+    _gf_reducer,
     _hensel_lift_tree,
     _hensel_step,
+    _pack,
+    _slot,
+    _unpack,
 )
 from overlapkit.intpoly.poly import _add, _convolve, _divide, _gcd, _power, exact_div, gcd_poly
 from overlapkit.numlab import box_count_dimension, cover, cylinder_growth
@@ -330,6 +335,11 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(gcd_poly),
         inspect.getsource(_gcd),
         inspect.getsource(factor),
+        inspect.getsource(_slot),
+        inspect.getsource(_pack),
+        inspect.getsource(_unpack),
+        inspect.getsource(_gf_mul),
+        inspect.getsource(_gf_reducer),
         inspect.getsource(_frobenius),
         inspect.getsource(_frob_apply),
         inspect.getsource(_ddf),
@@ -354,6 +364,11 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         gcd_poly,
         _gcd,
         factor,
+        _slot,
+        _pack,
+        _unpack,
+        _gf_mul,
+        _gf_reducer,
         _frobenius,
         _frob_apply,
         _ddf,

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from overlapkit.errors import InvalidArgument, ResourceLimitError
 from overlapkit.intpoly import IntPoly, factor, family_poly, is_irreducible, parse_poly
+from overlapkit.intpoly.poly import _convolve, _power
 
 # the package re-exports the function factor under the module's name
 factor_module = importlib.import_module("overlapkit.intpoly.factor")
@@ -295,17 +296,133 @@ def monic_squarefree_mod_p(draw) -> tuple[int, list[int]]:
     return p, g
 
 
+def schoolbook_mul(u: list[int], v: list[int], p: int) -> list[int]:
+    """The product mod p by the integer list core's schoolbook loop."""
+    return factor_module._trim([c % p for c in _convolve(u, v)])
+
+
+def schoolbook_powmod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
+    """a^e mod g by square and multiply, each product schoolbook and reduced by
+    long division: independent of the packed kernels."""
+    mod = factor_module._gf_mod
+    return _power(mod(a, g, p), e, lambda u, v: mod(schoolbook_mul(u, v, p), g, p), [1])
+
+
+def assert_frobenius_powers(g: list[int], p: int, a: list[int], d: int) -> None:
+    rows = factor_module._frobenius(g, p, free)
+    assert rows == [schoolbook_powmod([0, 1], p * i, g, p) for i in range(len(g) - 1)]
+    assert factor_module._frob_apply(a, rows, p) == schoolbook_powmod(a, p, g, p)
+    assert factor_module._cz_power(a, d, g, rows, p) == schoolbook_powmod(a, (p**d - 1) // 2, g, p)
+
+
 @PROPERTY
 @given(monic_squarefree_mod_p(), st.data())
 def test_frobenius_matrix_gives_the_plain_powers(pg, data):
     p, g = pg
-    powmod = factor_module._gf_powmod
-    rows = factor_module._frobenius(g, p, free)
-    assert rows == [powmod([0, 1], p * i, g, p) for i in range(len(g) - 1)]
     a = factor_module._trim(data.draw(st.lists(st.integers(0, p - 1), max_size=len(g) - 1)))
-    assert factor_module._frob_apply(a, rows, p) == powmod(a, p, g, p)
-    d = data.draw(st.integers(1, 8))
-    assert factor_module._cz_power(a, d, g, rows, p) == powmod(a, (p**d - 1) // 2, g, p)
+    assert_frobenius_powers(g, p, a, data.draw(st.integers(1, 8)))
+
+
+@pytest.mark.parametrize(
+    "p, g",
+    [
+        # dense moduli, reduced through the table; at 65537 a row's reducer
+        # sums up to p + 1 terms below p^2 in a 51-bit slot
+        (7, [3, 1, 4, 1, 5, 2, 6, 5, 3, 5, 1, 6, 1]),
+        (65537, [65536, 2, 65535, 1]),
+        # past 64 bits (66 at 2097169) the rows take the long division (about
+        # 2 s for the row x^p mod g, hence degree 2 only)
+        (2097169, [5, 2097168, 1]),
+        # a modulus of at most SPARSE_TERMS terms takes it too
+        (7, [2] + [0] * 11 + [3] + [0] * 11 + [1]),
+        (5, [1, 1] + [0] * 38 + [1]),
+    ],
+)
+def test_frobenius_matrix_on_each_reduction_path(p, g):
+    a = [p - 1] * (len(g) - 2) + [1]
+    assert_frobenius_powers(g, p, a, 2)
+
+
+# p = 32749 needs a 32-bit slot for products whose shorter operand has length
+# 3 and a 64-bit one at length 4; p = 1073741789 a 64-bit one at length 15 and
+# the schoolbook loop at 16
+WIDE_PRIMES = (5, 13, 32749, 1073741789, 2**61 - 1)
+
+
+def coefficients_mod(p: int):
+    """Coefficients in [0, p), zero and p - 1 (the largest products) often."""
+    return st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+
+
+@PROPERTY
+@given(
+    st.sampled_from(WIDE_PRIMES).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.lists(coefficients_mod(p), max_size=24),
+            st.lists(coefficients_mod(p), max_size=24),
+        )
+    )
+)
+@example((32749, [1, 2, 3], []))
+@example((32749, [32748], [0, 0, 5, 0, 0, 0, 1]))
+def test_packed_product_equals_the_schoolbook_mod_p(pab):
+    p, a, b = pab
+    a, b = factor_module._trim(a), factor_module._trim(b)
+    assert factor_module._gf_mul(a, b, p) == schoolbook_mul(a, b, p)
+    assert factor_module._gf_mul(a, a, p) == schoolbook_mul(a, a, p)
+
+
+@pytest.mark.parametrize(
+    "p, length, size",
+    [
+        (32749, 3, 4),
+        (32749, 4, 8),
+        (32749, 5, 8),
+        (1073741789, 15, 8),
+        (1073741789, 16, None),
+        (1073741789, 17, None),
+    ],
+)
+def test_packed_product_holds_the_largest_slot_sums(p, length, size):
+    # with every coefficient p - 1, each full slot sums length * (p-1)^2, the
+    # most its width allows; at lengths 5 and 17 that passes 2^32 and 2^64,
+    # so a slot one bit narrower than 2 * bits(p-1) + bits(length) overflows
+    slot = factor_module._slot(2 * (p - 1).bit_length() + length.bit_length())
+    assert (slot and slot[1]) == size
+    a, b = [p - 1] * length, [p - 1] * (length + 5)
+    for u, v in ((a, b), (b, a), (a, a)):
+        assert factor_module._gf_mul(u, v, p) == schoolbook_mul(u, v, p)
+
+
+def test_a_slot_round_trips_its_largest_value():
+    for slot in factor_module._SLOTS:
+        top = (1 << 8 * slot[1]) - 1
+        values = [top, 0, top, 1, top]
+        assert list(factor_module._unpack(factor_module._pack(values, slot), 5, slot)) == values
+
+
+@PROPERTY
+@given(
+    st.sampled_from(WIDE_PRIMES).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.lists(coefficients_mod(p), min_size=1, max_size=10).map(lambda g: g + [1]),
+        )
+    ),
+    st.integers(0, 20),
+    st.data(),
+)
+def test_reducer_equals_the_long_division(pg, extra, data):
+    # at 1073741789 the slot passes 64 bits from extra = 15, and the reducer
+    # is the long division itself
+    p, g = pg
+    reduce = factor_module._gf_reducer(g, p, extra)
+    top = len(g) - 1 + extra
+    dividend = data.draw(st.lists(coefficients_mod(p), min_size=top, max_size=top))
+    for a in (dividend, [p - 1] * top):
+        for length in range(top + 1):
+            assert reduce(a[:length]) == factor_module._gf_mod(a[:length], g, p)
 
 
 @PROPERTY
@@ -366,9 +483,9 @@ class TestFactorWorkBudget:
         ["high degree", "many true factors", "most true factors", "huge coefficients"],
     )
     def test_costliest_admitted_calls_end_within_3_s(self, shape):
-        # the costliest admitted call of each shape took 1.05, 0.42-0.70,
-        # 0.50-0.72 and 0.15-0.21 s in-process; the Swinnerton-Dyer shape is
-        # timed in test_acceptance.py
+        # the costliest admitted call of each shape took 0.91-1.17,
+        # 0.34-0.56, 0.42-0.61 and 0.15-0.17 s in-process; the
+        # Swinnerton-Dyer shape is timed in test_acceptance.py
         if shape == "high degree":
             f = parse_poly("x^220+x+1")
         elif shape == "many true factors":
