@@ -24,13 +24,14 @@ a^(1+p+...+p^(d-1)) with it before one power by (p-1)/2 (Berlekamp, 1967;
 von zur Gathen and Shoup, Comput. Complexity 2, 1992).
 
 Products mod p, and mod p^j while the coefficients are small, are packed:
-Kronecker substitution puts each coefficient in a 32- or 64-bit slot of one
-integer, so a product is one big-integer multiply (von zur Gathen and
-Gerhard, Modern Computer Algebra, 8.4). A fixed monic modulus g of degree n
-is reduced through a table of x^(n+j) mod g, packed the same way: a dividend
-costs one multiply-add per nonzero coefficient past x^(n-1). The Frobenius
-rows use it with one entry per shift by p, and the norm and the power by
-(p-1)/2 with n - 1 entries.
+Kronecker substitution puts each coefficient in a 64-bit slot of one integer,
+so a product is one big-integer multiply (von zur Gathen and Gerhard, Modern
+Computer Algebra, 8.4). A fixed monic modulus g of degree n is reduced through
+a table of x^(n+j) mod g, packed the same way: a dividend costs one
+multiply-add per nonzero coefficient past x^(n-1). The equal-degree split's
+norm and its power by (p-1)/2 reduce through it; the Frobenius rows keep the
+long division, which is faster on the sparse moduli of the x^(2k)-n*x^k+m
+family.
 
 The recombination loop filters subsets by degree (subset degree sum at most
 half the remaining degree, and in the intersected degree set) while letting
@@ -70,63 +71,48 @@ from .poly import IntPoly, _add, _convolve, _gcd, _power, exact_div
 # bits of p^target; each recombination subset of size k (96 + 8k) * weight;
 # and each trial division by a candidate of degree e 4 * e * c *
 # (1 + c * m^2/2^21), for the cofactor's degree c and the m bits of Mignotte's
-# bound. The costliest calls admitted took 0.91-1.17 s (x^220+x+1),
-# 0.34-0.56 s ((x-1)(x-2)...(x-104)), 0.42-0.61 s ((x-1)...(x-111), the
-# most linear factors), 0.24-0.40 s (the degree-32 Swinnerton-Dyer
-# polynomial) and 0.15-0.17 s (x^32-n*x^16+1 for an 1880-bit n), while
+# bound. The costliest calls admitted took 0.69-0.91 s (x^220+x+1),
+# 0.36-0.59 s ((x-1)(x-2)...(x-104)), 0.50-0.75 s ((x-1)...(x-111), the
+# most linear factors), 0.25-0.38 s (the degree-32 Swinnerton-Dyer
+# polynomial) and 0.14-0.21 s (x^32-n*x^16+1 for an 1880-bit n), while
 # x^400+x+1, (x+1)^512+1 and the degree-64 Swinnerton-Dyer polynomial were
-# refused after 0.78-1.10, 0.15-0.18 and 0.51-0.81 s (in-process, 6 runs
-# each on a shared 2-vCPU host whose speed swung by about 30 %)
+# refused after 0.68-0.74, 0.13-0.20 and 0.54-0.78 s (in-process, 6 to 10
+# runs each on a shared 2-vCPU host whose speed swung by about 30 %)
 MAX_FACTOR_WORK = 16_000_000
 Charge = Callable[[int], None]  # spends units of MAX_FACTOR_WORK
 # _choose_prime tries more primes than the first only when it gives more than
 # FEW_MODULAR_FACTORS modular factors, and then at most PRIME_TRIALS in all.
 PRIME_TRIALS = 5
 FEW_MODULAR_FACTORS = 4
-# _frobenius reduces the rows of a g of at most SPARSE_TERMS terms by long
-# division, not by _gf_reducer's table. The rows of x^(2k)+a*x^k+b and of
-# x^N+x+1 keep a few terms, the division makes a few steps a row, and the
-# table unpacks and reduces all deg g coefficients of every row: on the
-# sparse moduli of factor-family the table took 1.3-1.9 times as long, and
-# on x^400+x+1 mod 5 eight times.
-SPARSE_TERMS = 3
 
 # -- arithmetic in (Z/p)[x], and in (Z/p^j)[x] for Hensel lifting: plain ------
 # ascending int lists, no trailing zeros. Sums reduce the integer list core's
 # results mod q. A product of coefficients in [0, q) is one packed big-integer
-# product (Kronecker substitution: each coefficient in a fixed-width unsigned
-# slot of one int, so CPython's Karatsuba multiplies once), one unpack and one
-# % q per coefficient, while a slot fits 64 bits and both operands have three
-# terms or more; otherwise it is the core's schoolbook _convolve reduced mod
-# q. Only the division, by an inverse of the leading coefficient, is this
-# ring's own; a fixed monic modulus g is reduced through _gf_reducer's table
-# of x^(deg g + j) mod g, packed the same way. Mod p^j only the coefficients
-# prime to p are invertible, so there _gf_divmod only divides by monic
-# polynomials and _gf_monic only scales a leading coefficient prime to p.
+# product (Kronecker substitution: each coefficient in a 64-bit unsigned slot
+# of one int, so CPython's Karatsuba multiplies once), one unpack and one % q
+# per coefficient, while the slot holds each product coefficient and both
+# operands have three terms or more; otherwise it is the core's schoolbook
+# _convolve reduced mod q. Only the division, by an inverse of the leading
+# coefficient, is this ring's own; a fixed monic modulus g is reduced through
+# _gf_reducer's table of x^(deg g + j) mod g, packed the same way. Mod p^j
+# only the coefficients prime to p are invertible, so there _gf_divmod only
+# divides by monic polynomials and _gf_monic only scales a leading coefficient
+# prime to p.
 
-# the unsigned array typecode of each slot size in bytes, told by its itemsize
-# (the C types' sizes vary by platform); only 4 and 8 bytes are used
-_SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
-_SLOTS = [(_SLOT_CODES[size], size) for size in (4, 8) if size in _SLOT_CODES]
-Slot = tuple[str, int]  # an array typecode and its size in bytes
-
-
-def _slot(bits: int) -> Slot | None:
-    """The narrowest 32- or 64-bit slot that holds `bits` bits, None past 64."""
-    for code, size in _SLOTS:
-        if bits <= 8 * size:
-            return code, size
-    return None
+# the unsigned array typecode of a 64-bit slot, told by its itemsize (the C
+# types' sizes vary by platform)
+_SLOT = next(code for code in "ILQ" if array(code).itemsize == 8)
+SLOT_BITS = 64
 
 
-def _pack(a: list[int], slot: Slot) -> int:
-    """sum a[i] * 2^(w*i) for the slot width w, each a[i] in [0, 2^w)."""
-    return int.from_bytes(array(slot[0], a).tobytes(), sys.byteorder)
+def _pack(a: list[int]) -> int:
+    """sum a[i] * 2^(64*i), each a[i] in [0, 2^64)."""
+    return int.from_bytes(array(_SLOT, a).tobytes(), sys.byteorder)
 
 
-def _unpack(v: int, length: int, slot: Slot) -> array:
-    """The first `length` slots of v, which must be below 2^(w*length)."""
-    return array(slot[0], v.to_bytes(length * slot[1], sys.byteorder))
+def _unpack(v: int, length: int) -> array:
+    """The first `length` 64-bit slots of v, which must be below 2^(64*length)."""
+    return array(_SLOT, v.to_bytes(length * SLOT_BITS // 8, sys.byteorder))
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -147,18 +133,18 @@ def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
     """The product mod p of a and b, every coefficient in [0, p).
 
     A product coefficient is a sum of at most min(len a, len b) products below
-    p^2, so a slot of 2 * bits(p-1) + bits(min(len a, len b)) bits holds it.
-    A one- or two-term operand stays schoolbook, which is faster there.
+    p^2, so it fits 2 * bits(p-1) + bits(min(len a, len b)) bits; past 64
+    bits, and for a one- or two-term operand, which is faster there, the
+    product stays schoolbook.
     """
     if not a or not b:
         return []
     short = min(len(a), len(b))
-    slot = _slot(2 * (p - 1).bit_length() + short.bit_length())
-    if slot is None or short < 3:
+    if short < 3 or 2 * (p - 1).bit_length() + short.bit_length() > SLOT_BITS:
         return _trim([c % p for c in _convolve(a, b)])
-    packed = _pack(a, slot)
-    prod = packed * (packed if b is a else _pack(b, slot))
-    return _trim([c % p for c in _unpack(prod, len(a) + len(b) - 1, slot)])
+    packed = _pack(a)
+    prod = packed * (packed if b is a else _pack(b))
+    return _trim([c % p for c in _unpack(prod, len(a) + len(b) - 1)])
 
 
 def _gf_reducer(g: list[int], p: int, extra: int) -> Callable[[list[int]], list[int]]:
@@ -172,24 +158,23 @@ def _gf_reducer(g: list[int], p: int, extra: int) -> Callable[[list[int]], list[
     terms below p^2, so it needs 2 * bits(p-1) + bits(extra+1) bits; past 64
     the reducer is _gf_mod.
     """
-    slot = _slot(2 * (p - 1).bit_length() + (extra + 1).bit_length())
-    if slot is None:
+    if 2 * (p - 1).bit_length() + (extra + 1).bit_length() > SLOT_BITS:
         return lambda a: _gf_mod(a, g, p)
     n = len(g) - 1
     low = g[:n]
     t = [-c % p for c in low]
-    table = [_pack(t, slot)]
+    table = [_pack(t)]
     for _ in range(extra - 1):
         top = t[-1]
         t = [(lo - top * c) % p for lo, c in zip([0] + t, low)]
-        table.append(_pack(t, slot))
+        table.append(_pack(t))
 
     def reduce(a: list[int]) -> list[int]:
-        acc = _pack(a[:n], slot)
+        acc = _pack(a[:n])
         for c, row in zip(a[n:], table):
             if c:
                 acc += c * row
-        return _trim([c % p for c in _unpack(acc, n, slot)])
+        return _trim([c % p for c in _unpack(acc, n)])
 
     return reduce
 
@@ -256,18 +241,12 @@ def _gf_eea(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], l
 def _frobenius(g: list[int], p: int, charge: Charge) -> list[list[int]]:
     """The Frobenius matrix of a monic g: rows x^(p*i) mod g for i < deg g.
 
-    Row i + 1 is x^p times row i: one shift by p and one reduction mod g,
-    through one reducer for dividends of up to deg g + p coefficients. A g of
-    at most SPARSE_TERMS terms keeps the long division instead.
+    Row i + 1 is x^p times row i: one shift by p and one reduction mod g.
     """
     charge(p * len(g) ** 2)
-    if len(g) - g.count(0) <= SPARSE_TERMS:
-        reduce = lambda a: _gf_mod(a, g, p)
-    else:
-        reduce = _gf_reducer(g, p, p)
     rows = [[1]]
     for _ in range(len(g) - 2):
-        rows.append(reduce([0] * p + rows[-1]))
+        rows.append(_gf_mod([0] * p + rows[-1], g, p))
     return rows
 
 

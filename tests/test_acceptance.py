@@ -44,7 +44,6 @@ from overlapkit.intpoly.factor import (
     _hensel_lift_tree,
     _hensel_step,
     _pack,
-    _slot,
     _unpack,
 )
 from overlapkit.intpoly.poly import _add, _convolve, _divide, _gcd, _power, exact_div, gcd_poly
@@ -335,7 +334,6 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(gcd_poly),
         inspect.getsource(_gcd),
         inspect.getsource(factor),
-        inspect.getsource(_slot),
         inspect.getsource(_pack),
         inspect.getsource(_unpack),
         inspect.getsource(_gf_mul),
@@ -364,7 +362,6 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         gcd_poly,
         _gcd,
         factor,
-        _slot,
         _pack,
         _unpack,
         _gf_mul,

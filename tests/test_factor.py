@@ -326,26 +326,20 @@ def test_frobenius_matrix_gives_the_plain_powers(pg, data):
 @pytest.mark.parametrize(
     "p, g",
     [
-        # dense moduli, reduced through the table; at 65537 a row's reducer
-        # sums up to p + 1 terms below p^2 in a 51-bit slot
+        # a dense modulus at a small prime, one at a prime above 2^16 and a
+        # sparse modulus of high degree
         (7, [3, 1, 4, 1, 5, 2, 6, 5, 3, 5, 1, 6, 1]),
         (65537, [65536, 2, 65535, 1]),
-        # past 64 bits (66 at 2097169) the rows take the long division (about
-        # 2 s for the row x^p mod g, hence degree 2 only)
-        (2097169, [5, 2097168, 1]),
-        # a modulus of at most SPARSE_TERMS terms takes it too
-        (7, [2] + [0] * 11 + [3] + [0] * 11 + [1]),
         (5, [1, 1] + [0] * 38 + [1]),
     ],
 )
-def test_frobenius_matrix_on_each_reduction_path(p, g):
+def test_frobenius_matrix_at_small_and_large_primes(p, g):
     a = [p - 1] * (len(g) - 2) + [1]
     assert_frobenius_powers(g, p, a, 2)
 
 
-# p = 32749 needs a 32-bit slot for products whose shorter operand has length
-# 3 and a 64-bit one at length 4; p = 1073741789 a 64-bit one at length 15 and
-# the schoolbook loop at 16
+# at p = 1073741789 a product whose shorter operand has length 15 fits the
+# 64-bit slot, and one at length 16 takes the schoolbook loop
 WIDE_PRIMES = (5, 13, 32749, 1073741789, 2**61 - 1)
 
 
@@ -373,33 +367,25 @@ def test_packed_product_equals_the_schoolbook_mod_p(pab):
     assert factor_module._gf_mul(a, a, p) == schoolbook_mul(a, a, p)
 
 
-@pytest.mark.parametrize(
-    "p, length, size",
-    [
-        (32749, 3, 4),
-        (32749, 4, 8),
-        (32749, 5, 8),
-        (1073741789, 15, 8),
-        (1073741789, 16, None),
-        (1073741789, 17, None),
-    ],
-)
-def test_packed_product_holds_the_largest_slot_sums(p, length, size):
+@pytest.mark.parametrize("length, packed", [(15, True), (16, False), (17, False)])
+def test_packed_product_holds_the_largest_slot_sums(monkeypatch, length, packed):
     # with every coefficient p - 1, each full slot sums length * (p-1)^2, the
-    # most its width allows; at lengths 5 and 17 that passes 2^32 and 2^64,
-    # so a slot one bit narrower than 2 * bits(p-1) + bits(length) overflows
-    slot = factor_module._slot(2 * (p - 1).bit_length() + length.bit_length())
-    assert (slot and slot[1]) == size
+    # most the bound 2 * bits(p-1) + bits(length) allows; at length 17 that
+    # passes 2^64, so a bound one bit lower would pack it and overflow
+    p, schoolbook = 1073741789, []
+    monkeypatch.setattr(
+        factor_module, "_convolve", lambda u, v: schoolbook.append(1) or _convolve(u, v)
+    )
     a, b = [p - 1] * length, [p - 1] * (length + 5)
     for u, v in ((a, b), (b, a), (a, a)):
         assert factor_module._gf_mul(u, v, p) == schoolbook_mul(u, v, p)
+    assert packed == (not schoolbook)
 
 
 def test_a_slot_round_trips_its_largest_value():
-    for slot in factor_module._SLOTS:
-        top = (1 << 8 * slot[1]) - 1
-        values = [top, 0, top, 1, top]
-        assert list(factor_module._unpack(factor_module._pack(values, slot), 5, slot)) == values
+    top = (1 << factor_module.SLOT_BITS) - 1
+    values = [top, 0, top, 1, top]
+    assert list(factor_module._unpack(factor_module._pack(values), 5)) == values
 
 
 @PROPERTY
@@ -483,8 +469,8 @@ class TestFactorWorkBudget:
         ["high degree", "many true factors", "most true factors", "huge coefficients"],
     )
     def test_costliest_admitted_calls_end_within_3_s(self, shape):
-        # the costliest admitted call of each shape took 0.91-1.17,
-        # 0.34-0.56, 0.42-0.61 and 0.15-0.17 s in-process; the
+        # the costliest admitted call of each shape took 0.69-0.91,
+        # 0.36-0.59, 0.50-0.75 and 0.14-0.21 s in-process; the
         # Swinnerton-Dyer shape is timed in test_acceptance.py
         if shape == "high degree":
             f = parse_poly("x^220+x+1")
