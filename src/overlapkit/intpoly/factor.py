@@ -16,22 +16,25 @@ the intersection of these sums bounds the degrees a factor can have
 equal-degree split, lift or recombination runs. Otherwise f is split, lifted
 and recombined at the prime with the fewest modular factors.
 
-Modular factoring raises to p-th powers through the Frobenius matrix of the
-polynomial g being split (rows x^(p*i) mod g for i < deg g), so each
-p-th power mod g is one matrix-vector product: the distinct-degree split steps
-x^(p^d) with it, and the equal-degree split builds the norm
-a^(1+p+...+p^(d-1)) with it before one power by (p-1)/2 (Berlekamp, 1967;
-von zur Gathen and Shoup, Comput. Complexity 2, 1992).
+Modular factoring raises to p-th powers through the Frobenius matrix of f mod
+p (rows x^(p*i) mod f for i < deg f), so each p-th power mod f is one
+matrix-vector product: the distinct-degree split steps x^(p^d) with it, and
+the equal-degree split builds the norm a^(1+p+...+p^(d-1)) with it before one
+power by (p-1)/2 (Berlekamp, 1967; von zur Gathen and Shoup, Comput.
+Complexity 2, 1992). One matrix is built per prime tried, and the chosen
+prime's serves every part and every piece of the equal-degree split: a piece
+g divides f mod p, so a power mod f mod p, reduced mod g, is the power mod g,
+and one random power a round splits every piece of a part at once.
 
 Products mod p, and mod p^j while the coefficients are small, are packed:
 Kronecker substitution puts each coefficient in a 64-bit slot of one integer,
 so a product is one big-integer multiply (von zur Gathen and Gerhard, Modern
-Computer Algebra, 8.4). A fixed monic modulus g of degree n is reduced through
-a table of x^(n+j) mod g, packed the same way: a dividend costs one
-multiply-add per nonzero coefficient past x^(n-1). The equal-degree split's
-norm and its power by (p-1)/2 reduce through it; the Frobenius rows keep the
-long division, which is faster on the sparse moduli of the x^(2k)-n*x^k+m
-family.
+Computer Algebra, 8.4). The Frobenius rows are packed the same way, and so is
+a table of x^(n+j) mod f for f mod p of degree n, built once per chosen
+prime: a p-th power, and a reduction mod f, cost one multiply-add per nonzero
+coefficient. The equal-degree split's norm and its power by (p-1)/2 reduce
+through that table; the Frobenius rows themselves are built by long division,
+which is faster on the sparse moduli of the x^(2k)-n*x^k+m family.
 
 The recombination loop filters subsets by degree (subset degree sum at most
 half the remaining degree, and in the intersected degree set) while letting
@@ -58,26 +61,29 @@ from .poly import IntPoly, _add, _convolve, _gcd, _power, exact_div
 # work budget of one factor call, charged before each stage runs, in units of
 # about one coefficient product of the pure-Python loops (25-90 ns in-process,
 # 2 vCPUs). The charges were fitted to schoolbook products and reductions and
-# are kept as they were, so the packed kernels run below them and the same
-# inputs are refused. For f of degree D: each pseudo-division of the remainder
-# sequence of gcd(f, f') as poly._gcd weighs it; each candidate prime's
-# squarefree test (D+1)^2; a Frobenius matrix mod p of a degree-g polynomial
-# p * (g+1)^2 (built for the distinct-degree split at each prime tried, and
-# for equal-degree splits into factors of degree above 1); each step of a
+# are kept as they were, so the packed kernels run below them; the
+# equal-degree round alone is fitted to the packed kernels it runs. For f of
+# degree D: each pseudo-division of the remainder sequence of gcd(f, f') as
+# poly._gcd weighs it; each candidate prime's squarefree test (D+1)^2; the
+# Frobenius matrix mod p, one at each prime tried, p * (D+1)^2; each step of a
 # distinct-degree split (D+1) * (D+1 + the cofactor's length); each
-# equal-degree attempt into degree-d factors of a degree-g part
-# 4 * (d + bits of p) * g^2; the Hensel lift 8 * D^2 * (bits of target) *
-# (bits of factor count - 1) * weight, with weight = 1 + b^2/2^20 for the b
-# bits of p^target; each recombination subset of size k (96 + 8k) * weight;
-# and each trial division by a candidate of degree e 4 * e * c *
-# (1 + c * m^2/2^21), for the cofactor's degree c and the m bits of Mignotte's
-# bound. The costliest calls admitted took 0.69-0.91 s (x^220+x+1),
-# 0.36-0.59 s ((x-1)(x-2)...(x-104)), 0.50-0.75 s ((x-1)...(x-111), the
-# most linear factors), 0.25-0.38 s (the degree-32 Swinnerton-Dyer
-# polynomial) and 0.14-0.21 s (x^32-n*x^16+1 for an 1880-bit n), while
-# x^400+x+1, (x+1)^512+1 and the degree-64 Swinnerton-Dyer polynomial were
-# refused after 0.68-0.74, 0.13-0.20 and 0.54-0.78 s (in-process, 6 to 10
-# runs each on a shared 2-vCPU host whose speed swung by about 30 %)
+# equal-degree round into degree-d factors, over pieces of total length L, D *
+# (16 * (d + bits of p) + (d - 1) * D + 4 * L): its power takes d - 1
+# Frobenius steps and about 1.5 * bits of p products mod f mod p, and its gcds
+# one long division of the power by each piece (13-81 ns a unit measured, over
+# the family's splits and products of 20 to 112 linear factors); the Hensel
+# lift 8 * D^2 * (bits of target) * (bits of factor count - 1) * weight, with
+# weight = 1 + b^2/2^20 for the b bits of p^target; each recombination subset
+# of size k (96 + 8k) * weight; and each trial division by a candidate of
+# degree e 4 * e * c * (1 + c * m^2/2^21), for the cofactor's degree c and the
+# m bits of Mignotte's bound. The costliest calls admitted took 0.73-1.05 s
+# (x^220+x+1), 0.39-0.58 s ((x-1)(x-2)...(x-104)), 0.44-0.57 s
+# ((x-1)...(x-112), the most linear factors, 171,000 units inside the budget),
+# 0.20-0.27 s (the degree-32 Swinnerton-Dyer polynomial) and 0.13-0.15 s
+# (x^32-n*x^16+1 for an 1880-bit n), while x^400+x+1, (x+1)^512+1, the
+# degree-64 Swinnerton-Dyer polynomial and (x-1)...(x-113) were refused after
+# 0.51-0.80, 0.09-0.13, 0.47-0.59 and 0.44-0.68 s (in-process, 10 runs each on
+# a shared 2-vCPU host whose speed swung by about 40 %)
 MAX_FACTOR_WORK = 16_000_000
 Charge = Callable[[int], None]  # spends units of MAX_FACTOR_WORK
 # _choose_prime tries more primes than the first only when it gives more than
@@ -93,11 +99,12 @@ FEW_MODULAR_FACTORS = 4
 # per coefficient, while the slot holds each product coefficient and both
 # operands have three terms or more; otherwise it is the core's schoolbook
 # _convolve reduced mod q. Only the division, by an inverse of the leading
-# coefficient, is this ring's own; a fixed monic modulus g is reduced through
-# _gf_reducer's table of x^(deg g + j) mod g, packed the same way. Mod p^j
-# only the coefficients prime to p are invertible, so there _gf_divmod only
-# divides by monic polynomials and _gf_monic only scales a leading coefficient
-# prime to p.
+# coefficient, is this ring's own; the fixed modulus f mod p of a prime is
+# reduced through _gf_reducer's table of x^(deg f + j) mod f, and raised to
+# p-th powers through its Frobenius rows, both packed the same way and summed
+# by _combine. Mod p^j only the coefficients prime to p are invertible, so
+# there _gf_divmod only divides by monic polynomials and _gf_monic only scales
+# a leading coefficient prime to p.
 
 # the unsigned array typecode of a 64-bit slot, told by its itemsize (the C
 # types' sizes vary by platform)
@@ -147,16 +154,30 @@ def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return _trim([c % p for c in _unpack(prod, len(a) + len(b) - 1)])
 
 
-def _gf_reducer(g: list[int], p: int, extra: int) -> Callable[[list[int]], list[int]]:
+def _combine(low: list[int], high: list[int], rows: list[int], n: int, p: int) -> list[int]:
+    """low + sum high[j] * rows[j] mod p, for rows packed as in _gf_mul: one
+    big-integer multiply-add per nonzero high[j] and one unpack of n slots.
+    The caller checks that each slot's sum fits 64 bits."""
+    acc = _pack(low)
+    for c, row in zip(high, rows):
+        if c:
+            acc += c * row
+    return _trim([c % p for c in _unpack(acc, n)])
+
+
+Reduce = Callable[[list[int]], list[int]]
+
+
+def _gf_reducer(g: list[int], p: int, extra: int) -> Reduce:
     """a -> a mod g, equal to _gf_mod(a, g, p), for a monic g of degree n >= 1
     and a dividend a of at most n + extra coefficients, each in [0, p).
 
     It tabulates T_j = x^(n+j) mod g for j < extra, each from the one before
     (x * T_j less its top coefficient times g), packed as in _gf_mul; then
-    a mod g = a[:n] + sum a[n+j] * T_j, one big-integer multiply-add per
-    nonzero high coefficient and one unpack. Each slot sums at most extra + 1
-    terms below p^2, so it needs 2 * bits(p-1) + bits(extra+1) bits; past 64
-    the reducer is _gf_mod.
+    a mod g = a[:n] + sum a[n+j] * T_j by _combine (a dividend of at most n
+    coefficients is its own remainder). Each slot sums at most extra + 1 terms
+    below p^2, so it needs 2 * bits(p-1) + bits(extra+1) bits; past 64 the
+    reducer is _gf_mod.
     """
     if 2 * (p - 1).bit_length() + (extra + 1).bit_length() > SLOT_BITS:
         return lambda a: _gf_mod(a, g, p)
@@ -168,15 +189,7 @@ def _gf_reducer(g: list[int], p: int, extra: int) -> Callable[[list[int]], list[
         top = t[-1]
         t = [(lo - top * c) % p for lo, c in zip([0] + t, low)]
         table.append(_pack(t))
-
-    def reduce(a: list[int]) -> list[int]:
-        acc = _pack(a[:n])
-        for c, row in zip(a[n:], table):
-            if c:
-                acc += c * row
-        return _trim([c % p for c in _unpack(acc, n)])
-
-    return reduce
+    return lambda a: _combine(a[:n], a[n:], table, n, p) if len(a) > n else _trim(a[:])
 
 
 def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -238,40 +251,41 @@ def _gf_eea(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], l
 # -- factorization in GF(p)[x] ---------------------------------------------------
 
 
-def _frobenius(g: list[int], p: int, charge: Charge) -> list[list[int]]:
-    """The Frobenius matrix of a monic g: rows x^(p*i) mod g for i < deg g.
+def _frobenius(g: list[int], p: int, charge: Charge) -> list[int]:
+    """The Frobenius matrix of a monic g of degree n: rows x^(p*i) mod g for
+    i < n, packed as in _gf_mul.
 
-    Row i + 1 is x^p times row i: one shift by p and one reduction mod g.
+    Row i + 1 is x^p times row i: one shift by p and one reduction mod g. A
+    p-th power sums n products below p^2 in each coefficient, so it needs
+    2 * bits(p-1) + bits(n) bits a slot; the charge keeps p * (n+1)^2 within
+    MAX_FACTOR_WORK, so a budgeted call fits 64 bits.
     """
     charge(p * len(g) ** 2)
+    if 2 * (p - 1).bit_length() + (len(g) - 1).bit_length() > SLOT_BITS:
+        raise ConsistencyError("Frobenius rows overflow a 64-bit slot")
     rows = [[1]]
     for _ in range(len(g) - 2):
         rows.append(_gf_mod([0] * p + rows[-1], g, p))
-    return rows
+    return [_pack(row) for row in rows]
 
 
-def _frob_apply(a: list[int], rows: list[list[int]], p: int) -> list[int]:
+def _frob_apply(a: list[int], rows: list[int], p: int) -> list[int]:
     """a^p mod g, for a reduced mod g, from g's Frobenius rows.
 
-    In GF(p)[x], (sum a_i x^i)^p = sum a_i x^(p*i): one matrix-vector product,
-    reduced mod p once at the end.
+    In GF(p)[x], (sum a_i x^i)^p = sum a_i x^(p*i): one matrix-vector product
+    by _combine, reduced mod p once at the end.
     """
-    out = [0] * len(rows)
-    for c, row in zip(a, rows):
-        if c:
-            for j, r in enumerate(row):
-                out[j] += c * r
-    return _trim([c % p for c in out])
+    return _combine([], a, rows, len(rows), p)
 
 
-def _ddf(f: list[int], p: int, charge: Charge) -> list[tuple[list[int], int]]:
-    """Distinct-degree split of a monic squarefree f: list of (product, degree).
+def _ddf(f: list[int], rows: list[int], p: int, charge: Charge) -> list[tuple[list[int], int]]:
+    """Distinct-degree split of a monic squarefree f, given its Frobenius
+    matrix: list of (product, degree).
 
-    h = x^(p^d) mod f steps through f's Frobenius matrix; a part of degree-d
-    factors is gcd(h - x, cur) for the cofactor cur that divides f.
+    h = x^(p^d) mod f steps through the matrix; a part of degree-d factors is
+    gcd(h - x, cur) for the cofactor cur that divides f.
     """
     out: list[tuple[list[int], int]] = []
-    rows = _frobenius(f, p, charge)
     h = _gf_mod([0, 1], f, p)
     cur = list(f)
     d = 0
@@ -290,14 +304,14 @@ def _ddf(f: list[int], p: int, charge: Charge) -> list[tuple[list[int], int]]:
     return out
 
 
-def _cz_power(a: list[int], d: int, f: list[int], rows: list[list[int]], p: int) -> list[int]:
-    """a^((p^d-1)/2) mod f, for a reduced mod f and rows f's Frobenius matrix.
+def _cz_power(a: list[int], d: int, rows: list[int], reduce: Reduce, p: int) -> list[int]:
+    """a^((p^d-1)/2) mod F, for a reduced mod a monic F, rows F's Frobenius
+    matrix and reduce F's _gf_reducer (extra = deg F - 1).
 
     It is t^((p-1)/2) for the norm t = a^(1+p+...+p^(d-1)), built by d - 1
-    steps t <- t^p * a mod f. Each product mod f is _gf_mul's, reduced
-    through one _gf_reducer table for f.
+    steps t <- t^p * a mod F. Each product mod F is _gf_mul's, reduced
+    through the table.
     """
-    reduce = _gf_reducer(f, p, len(f) - 2)
     mul = lambda u, v: reduce(_gf_mul(u, v, p))
     t = a
     for _ in range(d - 1):
@@ -305,42 +319,67 @@ def _cz_power(a: list[int], d: int, f: list[int], rows: list[list[int]], p: int)
     return _power(t, (p - 1) // 2, mul, [1])
 
 
-def _edf(f: list[int], d: int, p: int, rng: random.Random, charge: Charge) -> list[list[int]]:
-    """Cantor-Zassenhaus equal-degree split of monic squarefree f into degree-d parts."""
-    deg = len(f) - 1
-    if deg == d:
-        return [list(f)]
-    # _cz_power steps through the Frobenius matrix only for d > 1
-    rows = _frobenius(f, p, charge) if d > 1 else []
+def _edf(
+    g: list[int],
+    d: int,
+    rows: list[int],
+    reduce: Reduce,
+    p: int,
+    rng: random.Random,
+    charge: Charge,
+) -> list[list[int]]:
+    """Cantor-Zassenhaus equal-degree split of a monic squarefree g into its
+    degree-d factors, for g dividing a monic F of degree n with Frobenius
+    matrix rows and _gf_reducer reduce.
+
+    Each round draws one random a of degree below deg g, and _cz_power gives
+    b = a^((p^d-1)/2) mod F. A piece h of g still to split divides F, so
+    b mod h is a^((p^d-1)/2) mod h, and a mod h is as random as a:
+    gcd(b - 1, h) splits h as a power mod h itself would. So one power serves
+    every piece, and nothing is built for any. No gcd(a, h) is taken first:
+    on a factor of h that shares a root with a, b is 0, so b - 1 is a unit
+    there and that factor goes to the cofactor. The split is still proper
+    when another factor has b = 1; otherwise h waits for the next round, as
+    for any a with b = 1 on every factor of h or on none.
+    """
+    n = len(rows)
+    done: list[list[int]] = []
+    pieces = [list(g)]
     while True:
-        charge(4 * (d + p.bit_length()) * deg * deg)
-        a = [rng.randrange(p) for _ in range(deg)]
-        a = _trim(a)
+        done += [h for h in pieces if len(h) - 1 == d]
+        pieces = [h for h in pieces if len(h) - 1 > d]
+        if not pieces:
+            return done
+        # one power mod F and one gcd per piece: see MAX_FACTOR_WORK
+        charge(n * (16 * (d + p.bit_length()) + (d - 1) * n + 4 * sum(map(len, pieces))))
+        a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
         if len(a) < 2:
             continue
-        g = _gf_gcd(a, f, p)
-        if len(g) > 1:
-            split = g
-        else:
-            b = _cz_power(a, d, f, rows, p)
-            split = _gf_gcd(_gf_sub(b, [1], p), f, p)
-            if len(split) <= 1 or len(split) == len(f):
-                continue
-        quot, rem = _gf_divmod(f, split, p)
-        if rem:
-            raise ConsistencyError("equal-degree split failed to divide")
-        return _edf(split, d, p, rng, charge) + _edf(quot, d, p, rng, charge)
+        b = _gf_sub(_cz_power(a, d, rows, reduce, p), [1], p)
+        split: list[list[int]] = []
+        for h in pieces:
+            s = _gf_gcd(b, h, p)
+            if 1 < len(s) < len(h):
+                quot, rem = _gf_divmod(h, s, p)
+                if rem:
+                    raise ConsistencyError("equal-degree split failed to divide")
+                split += [s, quot]
+            else:
+                split.append(h)
+        pieces = split
 
 
 def _factor_mod_p(
-    f: list[int], p: int, parts: list[tuple[list[int], int]], charge: Charge
+    f: list[int], p: int, parts: list[tuple[list[int], int]], rows: list[int], charge: Charge
 ) -> list[list[int]]:
     """All monic irreducible factors of a monic squarefree f in GF(p)[x], given
-    its distinct-degree split."""
+    its distinct-degree split and Frobenius matrix. Every round of the
+    equal-degree split powers mod f, through one reduction table."""
     rng = random.Random(0xC0FFEE ^ p ^ len(f))
+    reduce = _gf_reducer(f, p, len(f) - 2)
     out: list[list[int]] = []
     for part, d in parts:
-        out.extend(_edf(part, d, p, rng, charge))
+        out.extend(_edf(part, d, rows, reduce, p, rng, charge))
     out.sort(key=lambda g: (len(g), tuple(reversed(g))))
     return out
 
@@ -460,6 +499,7 @@ class PrimeChoice(NamedTuple):
 
     prime: int
     fp: list[int]  # f mod prime, monic
+    rows: list[int]  # its Frobenius matrix
     parts: list[tuple[list[int], int]]  # its distinct-degree split
     count: int  # its number of modular factors
     degrees: int  # bit d set iff every prime tried allows a factor of degree d
@@ -474,36 +514,42 @@ def _choose_prime(f: IntPoly, charge: Charge) -> PrimeChoice:
     pattern (Musser, J. ACM 25, 1978); `degrees` intersects these sums. The
     first prime settles the choice when it gives at most FEW_MODULAR_FACTORS
     factors; otherwise up to PRIME_TRIALS primes are tried. Trying stops as
-    soon as only 0 and deg f are left, which proves f irreducible.
+    soon as only 0 and deg f are left, which proves f irreducible. Only the
+    Frobenius matrix of the best prime so far is kept, for the equal-degree
+    split.
     """
     irreducible = 1 | 1 << f.degree
     degrees = -1  # every degree, before the first prime
-    splits: list[tuple[int, int, list[int], list[tuple[list[int], int]]]] = []
+    tried: list[int] = []
+    best = None  # (count, p, fp, rows, parts) of the fewest-factor prime so far
     for p, fp in _good_primes(f, charge):
-        parts = _ddf(fp, p, charge)
+        rows = _frobenius(fp, p, charge)
+        parts = _ddf(fp, rows, p, charge)
         sums, count = 1, 0
         for part, d in parts:
             for _ in range((len(part) - 1) // d):
                 sums |= sums << d
                 count += 1
         degrees &= sums
-        splits.append((count, p, fp, parts))
+        tried.append(p)
+        if best is None or count < best[0]:
+            best = (count, p, fp, rows, parts)
         if (
             degrees == irreducible
-            or len(splits) == PRIME_TRIALS
-            or (len(splits) == 1 and count <= FEW_MODULAR_FACTORS)
+            or len(tried) == PRIME_TRIALS
+            or (len(tried) == 1 and count <= FEW_MODULAR_FACTORS)
         ):
             break
-    count, p, fp, parts = min(splits, key=lambda split: split[0])
-    return PrimeChoice(p, fp, parts, count, degrees, tuple(split[1] for split in splits))
+    count, p, fp, rows, parts = best
+    return PrimeChoice(p, fp, rows, parts, count, degrees, tuple(tried))
 
 
 def _factor_squarefree(f: IntPoly, charge: Charge) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree f, positive lc, f(0) != 0."""
-    p, fp, parts, count, degrees, _ = _choose_prime(f, charge)
+    p, fp, rows, parts, count, degrees, _ = _choose_prime(f, charge)
     if degrees == 1 | 1 << f.degree:
         return [f]
-    modular = _factor_mod_p(fp, p, parts, charge)
+    modular = _factor_mod_p(fp, p, parts, rows, charge)
     bound = _mignotte_bound(f)
     target = 1
     while p**target <= 2 * bound:

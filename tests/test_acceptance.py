@@ -33,9 +33,11 @@ from overlapkit.intpoly import (
 from overlapkit.intpoly.factor import (
     MAX_FACTOR_WORK,
     _choose_prime,
+    _combine,
     _cz_power,
     _ddf,
     _edf,
+    _factor_mod_p,
     _factor_squarefree,
     _frob_apply,
     _frobenius,
@@ -338,11 +340,13 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(_unpack),
         inspect.getsource(_gf_mul),
         inspect.getsource(_gf_reducer),
+        inspect.getsource(_combine),
         inspect.getsource(_frobenius),
         inspect.getsource(_frob_apply),
         inspect.getsource(_ddf),
         inspect.getsource(_cz_power),
         inspect.getsource(_edf),
+        inspect.getsource(_factor_mod_p),
         inspect.getsource(_hensel_step),
         inspect.getsource(_hensel_lift_tree),
         inspect.getsource(_choose_prime),
@@ -366,11 +370,13 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         _unpack,
         _gf_mul,
         _gf_reducer,
+        _combine,
         _frobenius,
         _frob_apply,
         _ddf,
         _cz_power,
         _edf,
+        _factor_mod_p,
         _hensel_step,
         _hensel_lift_tree,
         _choose_prime,

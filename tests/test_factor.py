@@ -11,7 +11,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from overlapkit.errors import InvalidArgument, ResourceLimitError
+from overlapkit.errors import ConsistencyError, InvalidArgument, ResourceLimitError
 from overlapkit.intpoly import IntPoly, factor, family_poly, is_irreducible, parse_poly
 from overlapkit.intpoly.poly import _convolve, _power
 
@@ -308,11 +308,32 @@ def schoolbook_powmod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
     return _power(mod(a, g, p), e, lambda u, v: mod(schoolbook_mul(u, v, p), g, p), [1])
 
 
+def unpacked_rows(rows: list[int], n: int) -> list[list[int]]:
+    """Packed Frobenius rows as coefficient lists."""
+    return [factor_module._trim(list(factor_module._unpack(row, n))) for row in rows]
+
+
 def assert_frobenius_powers(g: list[int], p: int, a: list[int], d: int) -> None:
+    n = len(g) - 1
     rows = factor_module._frobenius(g, p, free)
-    assert rows == [schoolbook_powmod([0, 1], p * i, g, p) for i in range(len(g) - 1)]
+    assert unpacked_rows(rows, n) == [schoolbook_powmod([0, 1], p * i, g, p) for i in range(n)]
     assert factor_module._frob_apply(a, rows, p) == schoolbook_powmod(a, p, g, p)
-    assert factor_module._cz_power(a, d, g, rows, p) == schoolbook_powmod(a, (p**d - 1) // 2, g, p)
+    reduce = factor_module._gf_reducer(g, p, n - 1)
+    want = schoolbook_powmod(a, (p**d - 1) // 2, g, p)
+    assert factor_module._cz_power(a, d, rows, reduce, p) == want
+
+
+def assert_power_mod_a_multiple(g: list[int], h: list[int], p: int, a: list[int], d: int) -> None:
+    """_cz_power with the matrix and table of F = g*h, reduced mod g and mod h,
+    against the schoolbook powers: _edf powers a piece g's random a modulo all
+    of f mod p, and reduces the power mod g only in its gcd."""
+    big = schoolbook_mul(g, h, p)
+    rows = factor_module._frobenius(big, p, free)
+    reduce = factor_module._gf_reducer(big, p, len(big) - 2)
+    power = factor_module._cz_power(a, d, rows, reduce, p)
+    for piece in (g, h):
+        want = schoolbook_powmod(a, (p**d - 1) // 2, piece, p)
+        assert factor_module._gf_mod(power, piece, p) == want
 
 
 @PROPERTY
@@ -321,6 +342,16 @@ def test_frobenius_matrix_gives_the_plain_powers(pg, data):
     p, g = pg
     a = factor_module._trim(data.draw(st.lists(st.integers(0, p - 1), max_size=len(g) - 1)))
     assert_frobenius_powers(g, p, a, data.draw(st.integers(1, 8)))
+
+
+@PROPERTY
+@given(monic_squarefree_mod_p(), st.data())
+def test_power_mod_a_coprime_multiple_is_the_power_mod_the_piece(pg, data):
+    p, g = pg
+    h = data.draw(st.lists(st.integers(0, p - 1), max_size=16)) + [1]
+    assume(factor_module._gf_gcd(g, h, p) == [1])
+    a = factor_module._trim(data.draw(st.lists(st.integers(0, p - 1), max_size=len(g) - 1)))
+    assert_power_mod_a_multiple(g, h, p, a, data.draw(st.integers(1, 8)))
 
 
 @pytest.mark.parametrize(
@@ -336,6 +367,16 @@ def test_frobenius_matrix_gives_the_plain_powers(pg, data):
 def test_frobenius_matrix_at_small_and_large_primes(p, g):
     a = [p - 1] * (len(g) - 2) + [1]
     assert_frobenius_powers(g, p, a, 2)
+    # x^2 + 2 is prime to each g
+    assert factor_module._gf_gcd(g, [2, 0, 1], p) == [1]
+    assert_power_mod_a_multiple(g, [2, 0, 1], p, a, 2)
+
+
+def test_frobenius_rows_refuse_a_slot_overflow():
+    # 2 * bits(p-1) + bits(4) = 65 bits: refused before any row is built; no
+    # budgeted call gets there, as the charge p * (n+1)^2 is past the budget
+    with pytest.raises(ConsistencyError, match="slot"):
+        factor_module._frobenius([1, 0, 0, 0, 1], 2**31 - 1, free)
 
 
 # at p = 1073741789 a product whose shorter operand has length 15 fits the
@@ -415,9 +456,12 @@ def test_reducer_equals_the_long_division(pg, extra, data):
 @given(monic_squarefree_mod_p())
 # the Cantor-Zassenhaus split of x^80-7*x^40+4 mod 19 into two factors of degree 40
 @example((19, [4] + [0] * 39 + [19 - 7] + [0] * 39 + [1]))
+# x^56-7*x^28+1 mod 13: four factors of degree 14, split twice over f's matrix
+@example((13, [1] + [0] * 27 + [13 - 7] + [0] * 27 + [1]))
 def test_modular_factors_match_sympy(pg):
     p, f = pg
-    ours = factor_module._factor_mod_p(f, p, factor_module._ddf(f, p, free), free)
+    rows = factor_module._frobenius(f, p, free)
+    ours = factor_module._factor_mod_p(f, p, factor_module._ddf(f, rows, p, free), rows, free)
     _, parts = sympy.Poly(list(reversed(f)), X, modulus=p).factor_list()
     assert all(mult == 1 for _, mult in parts)
     theirs = [[int(c) % p for c in reversed(fac.all_coeffs())] for fac, _ in parts]
@@ -450,10 +494,10 @@ class TestFactorWorkBudget:
         assert result.product() == p
 
     def test_linear_factors_build_one_frobenius_matrix_per_prime_tried(self, monkeypatch):
-        # the equal-degree split into linear factors steps no p-th power, so
-        # only the distinct-degree split at each prime tried builds a matrix
-        f = linear_product(40)
-        tried = factor_module._choose_prime(f, free).tried
+        # the distinct-degree split at each prime tried builds one matrix, and
+        # the equal-degree split reuses the chosen prime's for every part and
+        # piece: linear factors, two of degree 40 mod 19, four of degree 14
+        # mod 13
         frobenius, built = factor_module._frobenius, []
 
         def counted(g, p, charge):
@@ -461,24 +505,27 @@ class TestFactorWorkBudget:
             return frobenius(g, p, charge)
 
         monkeypatch.setattr(factor_module, "_frobenius", counted)
-        assert factor(f).product() == f
-        assert built == list(tried)
+        for f in (linear_product(40), parse_poly("x^80-7*x^40+4"), family_poly(7, 1, 28)):
+            tried = factor_module._choose_prime(f, free).tried
+            built.clear()
+            assert factor(f).product() == f
+            assert built == list(tried)
 
     @pytest.mark.parametrize(
         "shape",
         ["high degree", "many true factors", "most true factors", "huge coefficients"],
     )
     def test_costliest_admitted_calls_end_within_3_s(self, shape):
-        # the costliest admitted call of each shape took 0.69-0.91,
-        # 0.36-0.59, 0.50-0.75 and 0.14-0.21 s in-process; the
+        # the costliest admitted call of each shape took 0.73-1.05,
+        # 0.39-0.58, 0.44-0.57 and 0.13-0.15 s in-process; the
         # Swinnerton-Dyer shape is timed in test_acceptance.py
         if shape == "high degree":
             f = parse_poly("x^220+x+1")
         elif shape == "many true factors":
             f = linear_product(104)
         elif shape == "most true factors":
-            # the largest count admitted: (x-1)...(x-112) is refused
-            f = linear_product(111)
+            # the largest count admitted: (x-1)...(x-113) is refused
+            f = linear_product(112)
         else:
             # x^32 - n*x^16 + 1 for the 1880-bit n = g^4 + g'^4, g a unit
             # of 470-bit trace t: 12 modular factors at the chosen prime
@@ -487,6 +534,13 @@ class TestFactorWorkBudget:
             f = IntPoly([1] + [0] * 15 + [-n] + [0] * 15 + [1])
         start = time.monotonic()
         assert factor(f).product() == f
+        assert time.monotonic() - start < 3.0
+
+    def test_one_linear_factor_more_is_refused(self):
+        f = linear_product(113)
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError):
+            factor(f)
         assert time.monotonic() - start < 3.0
 
     @pytest.mark.parametrize("text", ["(x+1)^512+1", "x^400+x+1"])
