@@ -6,6 +6,16 @@ With g = gcd(f, f'), the kernel f / g has every irreducible factor of f once,
 and g each one its multiplicity less one times. Only the kernel is factored;
 each factor's multiplicity is 1 plus the number of times it divides g.
 
+A kernel f = g(x^k), k the gcd of its exponents, composite and not 4, is
+decided by Capelli's theorem instead (the Capelli descent): g(x^k) is
+irreducible iff g(x^t) is for every prime t dividing k and for t = 4 when
+4 | k. Each g(x^t) is factored, and the first that splits, into h_1...h_r,
+splits f into the h_i(x^(k/t)), each factored in turn; when none splits, f is
+irreducible, and no prime is tried for it. So the family x^(2k)-n*x^k+m at an
+even k, which the degree sets below can never prove irreducible, is decided
+from members of degree 2t. Prime k and k = 4 take the path below, as the
+descent would factor f itself there (g(x^k) with t = k).
+
 The prime is chosen from distinct-degree factorizations alone. Modulo the
 first good prime (p >= 5, not dividing lc(f), f mod p squarefree) f splits
 into some number of factors; when that is more than FEW_MODULAR_FACTORS, the
@@ -47,12 +57,12 @@ ResourceLimitError.
 
 from __future__ import annotations
 
-import math
 import random
 import sys
 from array import array
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd, isqrt
 from typing import Callable, Iterator, NamedTuple
 
 from ..errors import ConsistencyError, InvalidArgument, ResourceLimitError
@@ -80,10 +90,12 @@ from .poly import IntPoly, _add, _convolve, _gcd, _power, exact_div
 # (x^220+x+1), 0.39-0.58 s ((x-1)(x-2)...(x-104)), 0.44-0.57 s
 # ((x-1)...(x-112), the most linear factors, 171,000 units inside the budget),
 # 0.20-0.27 s (the degree-32 Swinnerton-Dyer polynomial) and 0.13-0.15 s
-# (x^32-n*x^16+1 for an 1880-bit n), while x^400+x+1, (x+1)^512+1, the
-# degree-64 Swinnerton-Dyer polynomial and (x-1)...(x-113) were refused after
-# 0.51-0.80, 0.09-0.13, 0.47-0.59 and 0.44-0.68 s (in-process, 10 runs each on
-# a shared 2-vCPU host whose speed swung by about 40 %)
+# (x^32-n*x^16+1 for an 1880-bit n, before the Capelli descent decided it in
+# 0.01 s; 0.14-0.15 s at x+1, which is still lifted), while x^400+x+1,
+# (x+1)^512+1, the degree-64 Swinnerton-Dyer polynomial and (x-1)...(x-113)
+# were refused after 0.51-0.80, 0.09-0.13, 0.47-0.59 and 0.44-0.68 s
+# (in-process, 10 runs each on a shared 2-vCPU host whose speed swung by about
+# 40 %)
 MAX_FACTOR_WORK = 16_000_000
 Charge = Callable[[int], None]  # spends units of MAX_FACTOR_WORK
 # _choose_prime tries more primes than the first only when it gives more than
@@ -477,7 +489,7 @@ def _mignotte_bound(f: IntPoly) -> int:
     and ||f||_2 <= sqrt(deg f + 1) * ||f||_inf.
     """
     d = f.degree
-    return (math.isqrt(d + 1) + 1) * (1 << d // 2) * f.max_norm() * abs(f.lc)
+    return (isqrt(d + 1) + 1) * (1 << d // 2) * f.max_norm() * abs(f.lc)
 
 
 def _good_primes(f: IntPoly, charge: Charge) -> Iterator[tuple[int, list[int]]]:
@@ -486,7 +498,7 @@ def _good_primes(f: IntPoly, charge: Charge) -> Iterator[tuple[int, list[int]]]:
     is charged (deg f + 1)^2 before its gcd."""
     p = 5
     while True:
-        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)) and f.lc % p != 0:
+        if all(p % d for d in range(3, isqrt(p) + 1, 2)) and f.lc % p != 0:
             charge((f.degree + 1) ** 2)
             fp = _gf_monic(_trim([c % p for c in f.coeffs]), p)
             if len(_gf_gcd(fp, _gf_deriv(fp, p), p)) == 1:
@@ -544,8 +556,70 @@ def _choose_prime(f: IntPoly, charge: Charge) -> PrimeChoice:
     return PrimeChoice(p, fp, rows, parts, count, degrees, tuple(tried))
 
 
+def _prime_divisors(k: int) -> list[int]:
+    """The primes dividing k >= 1, increasing, by trial division of k."""
+    primes, d = [], 2
+    while d * d <= k:
+        if k % d == 0:
+            primes.append(d)
+            while k % d == 0:
+                k //= d
+        d += 1
+    return primes + [k] if k > 1 else primes
+
+
+def _capelli_descent(f: IntPoly, k: int, primes: list[int], charge: Charge) -> list[IntPoly]:
+    """Irreducible factors of a primitive squarefree f = g(x^k), positive lc,
+    f(0) != 0, for k the gcd of f's exponents, composite and not 4, with the
+    primes dividing k.
+
+    For T the primes dividing k, and 4 when 4 | k, each g(x^t), t in T, is
+    factored, smallest t first. Every t is below k, so g(x^t) has lower degree
+    than f. The first that splits, g(x^t) = h_1...h_r with r > 1, splits f,
+    which is g(x^t) at x^(k/t), into the h_i(x^(k/t)), each factored in turn.
+    When none splits, f is irreducible, and no prime is tried for it. Each
+    g(x^t) has f's coefficients, and a square u^2 dividing it would put
+    u(x^(k/t))^2 in f; each h_i(x^(k/t)) divides f. So both are primitive and
+    squarefree, with a positive lc and f(0) != 0. Each build is charged at
+    its length.
+
+    Proof. A factorization g = u*v gives g(x^t) = u(x^t)*v(x^t), so when
+    every g(x^t) is irreducible, g is. Let g be irreducible of degree n with a
+    root a, and K = Q(a). For t >= 1 and b with b^t = a, g(x^t) has the root
+    b, and Q(b) holds a = b^t, so [Q(b):Q] = n*[K(b):K]: g(x^t), of degree
+    n*t, is irreducible iff x^t - a is irreducible over K. By Capelli's
+    theorem (Schinzel, Polynomials with special regard to reducibility,
+    2000), x^t - a is reducible over K iff a = c^p for a c in K and a prime p
+    dividing t, or 4 | t and a = -4*c^4 for a c in K. At a prime t = p this
+    reads: x^p - a is reducible iff a is a p-th power in K; at t = 4: iff a is
+    a square or a = -4*c^4. So x^k - a is reducible iff x^p - a is for a prime
+    p | k, or 4 | k and x^4 - a is (a square already makes x^2 - a reducible),
+    and g(x^k) is irreducible iff every g(x^t), t in T, is.
+    """
+    def at_power(h: IntPoly, t: int) -> IntPoly:
+        """h(x^t), charged at its length."""
+        charge(h.degree * t + 1)
+        return h.inflate(t)
+
+    g = IntPoly(f.coeffs[::k])
+    for t in sorted(primes + [4] * (k % 4 == 0)):
+        parts = _factor_squarefree(at_power(g, t), charge)
+        if len(parts) > 1:
+            return [irr for h in parts for irr in _factor_squarefree(at_power(h, k // t), charge)]
+    return [f]
+
+
 def _factor_squarefree(f: IntPoly, charge: Charge) -> list[IntPoly]:
-    """Irreducible factors of a primitive squarefree f, positive lc, f(0) != 0."""
+    """Irreducible factors of a primitive squarefree f, positive lc, f(0) != 0.
+
+    When the gcd k of f's exponents is composite and not 4, _capelli_descent
+    decides f from g(x^t) for the primes t dividing k (and t = 4 when 4 | k);
+    otherwise the prime is chosen and f is lifted and recombined as the
+    module docstring says.
+    """
+    k = gcd(*(i for i, c in enumerate(f.coeffs) if c))
+    if k > 4 and (primes := _prime_divisors(k)) != [k]:
+        return _capelli_descent(f, k, primes, charge)
     p, fp, rows, parts, count, degrees, _ = _choose_prime(f, charge)
     if degrees == 1 | 1 << f.degree:
         return [f]

@@ -32,6 +32,7 @@ from overlapkit.intpoly import (
 )
 from overlapkit.intpoly.factor import (
     MAX_FACTOR_WORK,
+    _capelli_descent,
     _choose_prime,
     _combine,
     _cz_power,
@@ -46,6 +47,7 @@ from overlapkit.intpoly.factor import (
     _hensel_lift_tree,
     _hensel_step,
     _pack,
+    _prime_divisors,
     _unpack,
 )
 from overlapkit.intpoly.poly import _add, _convolve, _divide, _gcd, _power, exact_div, gcd_poly
@@ -124,13 +126,22 @@ def test_slow_family_exponents_factor_quickly():
 def test_equal_degree_split_of_degree_40_factors_is_fast():
     # modulo 19 it is two factors of degree 40, so each Cantor-Zassenhaus power
     # is 39 Frobenius steps; a 170-bit square-and-multiply instead took 1.8-2.4 s
-    # on a 2-core Xeon, past this budget
+    # on a 2-core Xeon, past this budget. factor decides it by the Capelli
+    # descent at degree 10 at most, so the split mod 19 is run on its own too
     start = time.monotonic()
     f = parse_poly("x^80-7*x^40+4")
+    fp = [c % 19 for c in f.coeffs]
+    rows = _frobenius(fp, 19, lambda units: None)
+    parts = _ddf(fp, rows, 19, lambda units: None)
+    modular = _factor_mod_p(fp, 19, parts, rows, lambda units: None)
+    assert [len(g) - 1 for g in modular] == [40, 40]
     assert factor(f).product() == f
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
-    print(f"PASS equal-degree split: x^80-7*x^40+4 factors [{elapsed:.2f}s < 1s]")
+    print(
+        f"PASS equal-degree split: x^80-7*x^40+4 splits mod 19 into two factors of "
+        f"degree 40, and factors [{elapsed:.2f}s < 1s]"
+    )
 
 
 def swinnerton_dyer(primes) -> IntPoly:
@@ -351,6 +362,8 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(_hensel_lift_tree),
         inspect.getsource(_choose_prime),
         inspect.getsource(_factor_squarefree),
+        inspect.getsource(_prime_divisors),
+        inspect.getsource(_capelli_descent),
     ]
     for source in sources:
         for token in ("float(", "mpmath", "math.", "__float__", "1e-", "0.5"):
@@ -381,6 +394,8 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         _hensel_lift_tree,
         _choose_prime,
         _factor_squarefree,
+        _prime_divisors,
+        _capelli_descent,
         numlab._numerator_levels,
         numlab._occupied_cells,
     ):
@@ -408,7 +423,7 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         f"real-root, the integer list core (sum, product, division, power), exact division, "
         f"gcd (charged or not), the squarefree kernel, "
         f"modular factoring (Frobenius matrix, distinct- and equal-degree splits), "
-        f"Hensel lifting and recombination sources are free of "
+        f"Hensel lifting, recombination and the Capelli descent sources are free of "
         f"floating-point operations and {expansions} re-expansions matched the "
         f"Fraction-offset expansion"
     )

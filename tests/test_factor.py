@@ -251,17 +251,71 @@ class TestPrimeChoiceAndDegreeSets:
         assert is_irreducible(f)
 
     def test_degree_sets_prove_irreducibility_without_lifting(self, monkeypatch):
-        # x^20+2 (Eisenstein at 2) has modular factor degrees 2,2,4,4,4,4
-        # mod 7, 5,5,10 mod 11 and 4,4,4,4,4 mod 13: only 0 and 20 are
-        # subset sums of all three
-        f = parse_poly("x^20+2")
-        assert factor_module._choose_prime(f, free).tried == (7, 11, 13)
+        # x^20+2*x^2+2 (Eisenstein at 2, exponent gcd 2, so no Capelli
+        # descent) has modular factor degrees 1,1,2,6,10 mod 5, 1,1,2,16 mod
+        # 7, 1,1,6,6,6 mod 11 and 4,6,10 mod 13: only 0 and 20 are subset
+        # sums of all four
+        f = parse_poly("x^20+2*x^2+2")
+        assert factor_module._choose_prime(f, free).tried == (5, 7, 11, 13)
 
         def no_lift(*args):
             raise AssertionError("Hensel lifting ran on a proven irreducible")
 
         monkeypatch.setattr(factor_module, "_hensel_lift_tree", no_lift)
         assert is_irreducible(f)
+
+
+small = st.lists(st.integers(-5, 5), min_size=2, max_size=4).map(IntPoly).filter(
+    lambda p: p.degree >= 1
+)
+
+
+@PROPERTY
+@given(st.lists(small, min_size=1, max_size=2), st.sampled_from((6, 8, 9, 10, 12, 15)))
+# x+4, root -4 = -4*1^4: x^8+4 splits only through g(x^4)
+@example([parse_poly("x+4")], 8)
+# x^2-7*x+1, root phi^4: g(x^2) splits, and each h(x^6) is descended in turn
+@example([parse_poly("x^2-7*x+1")], 12)
+# cyclotomic: x-1 at every k, and a repeated factor
+@example([parse_poly("x-1"), parse_poly("x-1")], 15)
+def test_factor_of_g_at_x_to_the_k_agrees_with_sympy(gs, k):
+    g = IntPoly.one()
+    for h in gs:
+        g = g * h
+    _assert_matches_sympy(g.inflate(k))
+
+
+class TestCapelliDescent:
+    @pytest.mark.parametrize(
+        "text, factors",
+        [
+            ("x^8+4", ["x^4-2*x^2+2", "x^4+2*x^2+2"]),
+            ("x^12+4", ["x^6-2*x^3+2", "x^6+2*x^3+2"]),
+        ],
+    )
+    def test_minus_four_times_a_fourth_power_splits_through_g_of_x4(self, text, factors):
+        # g = x+4 has the root -4 = -4*1^4, no square and no cube: x^2+4 and
+        # x^3+4 are irreducible, and only x^4+4 = (x^2-2x+2)(x^2+2x+2) splits
+        f = parse_poly(text)
+        assert [h.to_string() for h, _ in factor(f).factors] == factors
+        _assert_matches_sympy(f)
+
+    @pytest.mark.parametrize(
+        "n, m, k", [(8, 1, 20), (15, 1, 20), (10, 4, 12), (15, 4, 12), (19, 4, 12), (20, 9, 12)]
+    )
+    def test_irreducible_family_members_never_lift_at_degree_2k(self, monkeypatch, n, m, k):
+        # every prime keeps degree k a subset sum for these, so without the
+        # descent they were lifted and recombined at degree 2k
+        lift, lifted = factor_module._hensel_lift_tree, []
+
+        def recorded(p, f, modular, target):
+            lifted.append(len(f) - 1)
+            return lift(p, f, modular, target)
+
+        monkeypatch.setattr(factor_module, "_hensel_lift_tree", recorded)
+        f = family_poly(n, m, k)
+        assert factor(f).factors == ((f, 1),)
+        assert all(degree < 2 * k for degree in lifted)
 
 
 @PROPERTY
@@ -496,20 +550,36 @@ class TestFactorWorkBudget:
     def test_linear_factors_build_one_frobenius_matrix_per_prime_tried(self, monkeypatch):
         # the distinct-degree split at each prime tried builds one matrix, and
         # the equal-degree split reuses the chosen prime's for every part and
-        # piece: linear factors, two of degree 40 mod 19, four of degree 14
-        # mod 13
-        frobenius, built = factor_module._frobenius, []
+        # piece. The family members are decided by the Capelli descent, which
+        # calls _choose_prime once for each g(x^t) and h(x^(k/t)) it factors
+        # whole, so the primes of every call count
+        frobenius, choose_prime = factor_module._frobenius, factor_module._choose_prime
+        built, tried = [], []
 
         def counted(g, p, charge):
             built.append(p)
             return frobenius(g, p, charge)
 
+        def recorded(f, charge):
+            choice = choose_prime(f, charge)
+            tried.extend(choice.tried)
+            return choice
+
         monkeypatch.setattr(factor_module, "_frobenius", counted)
+        monkeypatch.setattr(factor_module, "_choose_prime", recorded)
         for f in (linear_product(40), parse_poly("x^80-7*x^40+4"), family_poly(7, 1, 28)):
-            tried = factor_module._choose_prime(f, free).tried
             built.clear()
+            tried.clear()
             assert factor(f).product() == f
-            assert built == list(tried)
+            assert tried and built == tried
+
+    def test_x512_minus_1_is_its_ten_cyclotomic_factors(self):
+        # refused past the budget at degree 512 without the Capelli descent;
+        # with it, x^2-1 splits it into x^256-1, descended in turn, and
+        # x^256+1, proven irreducible by x^2+1 and x^4+1
+        f = parse_poly("x^512-1")
+        assert len(factor(f).factors) == 10
+        _assert_matches_sympy(f)
 
     @pytest.mark.parametrize(
         "shape",
@@ -517,7 +587,8 @@ class TestFactorWorkBudget:
     )
     def test_costliest_admitted_calls_end_within_3_s(self, shape):
         # the costliest admitted call of each shape took 0.73-1.05,
-        # 0.39-0.58, 0.44-0.57 and 0.13-0.15 s in-process; the
+        # 0.39-0.58, 0.44-0.57 and 0.13-0.15 s in-process (0.14-0.15 s at
+        # x+1); the
         # Swinnerton-Dyer shape is timed in test_acceptance.py
         if shape == "high degree":
             f = parse_poly("x^220+x+1")
@@ -528,10 +599,14 @@ class TestFactorWorkBudget:
             f = linear_product(112)
         else:
             # x^32 - n*x^16 + 1 for the 1880-bit n = g^4 + g'^4, g a unit
-            # of 470-bit trace t: 12 modular factors at the chosen prime
+            # of 470-bit trace t, at x+1: 12 modular factors at the chosen
+            # prime. The Capelli descent decides the unshifted polynomial at
+            # degree 8 at most; at x+1 (exponent gcd 1) it is still lifted
             t = random.Random(1).getrandbits(470) | 1 << 469
             n = (t * t - 2) ** 2 - 2
-            f = IntPoly([1] + [0] * 15 + [-n] + [0] * 15 + [1])
+            f = IntPoly()
+            for c in reversed([1] + [0] * 15 + [-n] + [0] * 15 + [1]):
+                f = f * IntPoly([1, 1]) + IntPoly([c])
         start = time.monotonic()
         assert factor(f).product() == f
         assert time.monotonic() - start < 3.0
