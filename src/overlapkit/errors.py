@@ -44,6 +44,22 @@ class ConsistencyError(OverlapKitError):
     exit_code = 3
 
 
+class WorkBudget:
+    """One call's work ceiling: charge(units, **details) adds units to `spent`
+    and, once `spent` passes `ceiling`, raises ResourceLimitError(message,
+    ceiling=ceiling, **details)."""
+
+    def __init__(self, ceiling: int, message: str):
+        self.ceiling = ceiling
+        self.message = message
+        self.spent = 0
+
+    def __call__(self, units: int, **details: Any) -> None:
+        self.spent += units
+        if self.spent > self.ceiling:
+            raise ResourceLimitError(self.message, ceiling=self.ceiling, **details)
+
+
 class InvalidArgument(InputError):
     pass
 

@@ -23,6 +23,7 @@ from .errors import (
     NotInClass,
     NotMonotone,
     ResourceLimitError,
+    WorkBudget,
 )
 from .exactnum import (
     DEFAULT_PRECISION_BITS,
@@ -417,19 +418,17 @@ def moran_dimension(dust: DustIfsSpec, precision_bits: int = DEFAULT_PRECISION_B
     import mpmath
 
     check_precision(precision_bits)
-    bits, guard, work = precision_bits, _GUARD_BITS, 0
+    bits, guard = precision_bits, _GUARD_BITS
     maps = len(dust.exponents if dust.ratios is None else dust.ratios)
     # a log of p/q runs at q's bits above the working precision
     log_bits = max(x.denominator.bit_length() for x in dust.ratios or (dust.base,))
+    budget = WorkBudget(
+        MAX_MORAN_WORK,
+        f"the Moran root to {bits} bits needs more than {MAX_MORAN_WORK} units of work",
+    )
 
     def charge(w: int, evaluations: int = 1) -> None:
-        nonlocal work
-        work += evaluations * maps * (8 + (w * w >> 15))
-        if work > MAX_MORAN_WORK:
-            raise ResourceLimitError(
-                f"the Moran root to {bits} bits needs more than {MAX_MORAN_WORK} units of work",
-                ceiling=MAX_MORAN_WORK,
-            )
+        budget(evaluations * maps * (8 + (w * w >> 15)))
 
     def f(s: mpmath.mpf) -> mpmath.mpf:
         charge(bits + guard)

@@ -65,7 +65,7 @@ from itertools import combinations
 from math import gcd, isqrt
 from typing import Callable, Iterator, NamedTuple
 
-from ..errors import ConsistencyError, InvalidArgument, ResourceLimitError
+from ..errors import ConsistencyError, InvalidArgument, WorkBudget
 from .poly import IntPoly, _add, _convolve, _gcd, _power, exact_div
 
 # work budget of one factor call, charged before each stage runs, in units of
@@ -134,6 +134,12 @@ def _unpack(v: int, length: int) -> array:
     return array(_SLOT, v.to_bytes(length * SLOT_BITS // 8, sys.byteorder))
 
 
+def _fits(p: int, terms: int) -> bool:
+    """Whether a 64-bit slot holds a sum of `terms` products of two residues
+    mod p, each below p^2: 2 * bits(p-1) + bits(terms) bits at most."""
+    return 2 * (p - 1).bit_length() + terms.bit_length() <= SLOT_BITS
+
+
 def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
@@ -152,14 +158,13 @@ def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
     """The product mod p of a and b, every coefficient in [0, p).
 
     A product coefficient is a sum of at most min(len a, len b) products below
-    p^2, so it fits 2 * bits(p-1) + bits(min(len a, len b)) bits; past 64
-    bits, and for a one- or two-term operand, which is faster there, the
-    product stays schoolbook.
+    p^2; when a slot cannot hold that sum (_fits), and for a one- or two-term
+    operand, which is faster there, the product stays schoolbook.
     """
     if not a or not b:
         return []
     short = min(len(a), len(b))
-    if short < 3 or 2 * (p - 1).bit_length() + short.bit_length() > SLOT_BITS:
+    if short < 3 or not _fits(p, short):
         return _trim([c % p for c in _convolve(a, b)])
     packed = _pack(a)
     prod = packed * (packed if b is a else _pack(b))
@@ -188,11 +193,12 @@ def _gf_reducer(g: list[int], p: int, extra: int) -> Reduce:
     (x * T_j less its top coefficient times g), packed as in _gf_mul; then
     a mod g = a[:n] + sum a[n+j] * T_j by _combine (a dividend of at most n
     coefficients is its own remainder). Each slot sums at most extra + 1 terms
-    below p^2, so it needs 2 * bits(p-1) + bits(extra+1) bits; past 64 the
-    reducer is _gf_mod.
+    below p^2. _factor_mod_p's reducer, extra = n - 1 at f's prime, fits
+    whenever f's Frobenius matrix did, which sums n terms a slot; a reducer
+    that does not fit raises ConsistencyError.
     """
-    if 2 * (p - 1).bit_length() + (extra + 1).bit_length() > SLOT_BITS:
-        return lambda a: _gf_mod(a, g, p)
+    if not _fits(p, extra + 1):
+        raise ConsistencyError("the reduction table overflows a 64-bit slot")
     n = len(g) - 1
     low = g[:n]
     t = [-c % p for c in low]
@@ -268,12 +274,11 @@ def _frobenius(g: list[int], p: int, charge: Charge) -> list[int]:
     i < n, packed as in _gf_mul.
 
     Row i + 1 is x^p times row i: one shift by p and one reduction mod g. A
-    p-th power sums n products below p^2 in each coefficient, so it needs
-    2 * bits(p-1) + bits(n) bits a slot; the charge keeps p * (n+1)^2 within
-    MAX_FACTOR_WORK, so a budgeted call fits 64 bits.
+    p-th power sums n products below p^2 in each coefficient; the charge keeps
+    p * (n+1)^2 within MAX_FACTOR_WORK, so a budgeted call's slots hold them.
     """
     charge(p * len(g) ** 2)
-    if 2 * (p - 1).bit_length() + (len(g) - 1).bit_length() > SLOT_BITS:
+    if not _fits(p, len(g) - 1):
         raise ConsistencyError("Frobenius rows overflow a 64-bit slot")
     rows = [[1]]
     for _ in range(len(g) - 2):
@@ -498,7 +503,7 @@ def _good_primes(f: IntPoly, charge: Charge) -> Iterator[tuple[int, list[int]]]:
     is charged (deg f + 1)^2 before its gcd."""
     p = 5
     while True:
-        if all(p % d for d in range(3, isqrt(p) + 1, 2)) and f.lc % p != 0:
+        if _prime_divisors(p) == [p] and f.lc % p != 0:
             charge((f.degree + 1) ** 2)
             fp = _gf_monic(_trim([c % p for c in f.coeffs]), p)
             if len(_gf_gcd(fp, _gf_deriv(fp, p), p)) == 1:
@@ -557,7 +562,8 @@ def _choose_prime(f: IntPoly, charge: Charge) -> PrimeChoice:
 
 
 def _prime_divisors(k: int) -> list[int]:
-    """The primes dividing k >= 1, increasing, by trial division of k."""
+    """The primes dividing k >= 1, increasing, by trial division of k: the
+    one primality test of the package (k is prime iff this is [k])."""
     primes, d = [], 2
     while d * d <= k:
         if k % d == 0:
@@ -689,15 +695,9 @@ def factor(p: IntPoly) -> Factorization:
     work = p if unit == 1 else -p
     content = work.content()
     work = work.primitive_part()
-    spent = 0
-
-    def charge(units: int) -> None:
-        nonlocal spent
-        spent += units
-        if spent > MAX_FACTOR_WORK:
-            message = f"factoring needs more than {MAX_FACTOR_WORK} units of work"
-            raise ResourceLimitError(message, ceiling=MAX_FACTOR_WORK)
-
+    charge = WorkBudget(
+        MAX_FACTOR_WORK, f"factoring needs more than {MAX_FACTOR_WORK} units of work"
+    )
     factors: list[tuple[IntPoly, int]] = []
     e = work.trailing_zeros()
     if e:

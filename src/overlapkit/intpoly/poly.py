@@ -21,6 +21,7 @@ from ..errors import (
     PolySyntaxError,
     ResourceLimitError,
     UnsupportedExponent,
+    WorkBudget,
 )
 
 # -- the list core ----------------------------------------------------------------
@@ -396,7 +397,10 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.var: Optional[str] = None
-        self.work = 0
+        self.budget = WorkBudget(
+            MAX_PARSE_WORK,
+            f"the expression needs more than {MAX_PARSE_WORK} coefficient operations",
+        )
 
     def fail(self, message: str, pos: Optional[int] = None):
         raise PolySyntaxError(message, position=self.pos if pos is None else pos)
@@ -443,7 +447,7 @@ class _Parser:
                 self.pos += 1
             rhs = self.expr(prec if right_assoc else prec + 1)
             if ch in ("+", "-"):
-                self._charge(len(left.coeffs) + len(rhs.coeffs), op_pos)
+                self.budget(len(left.coeffs) + len(rhs.coeffs), position=op_pos)
                 left = left + rhs if ch == "+" else left - rhs
             elif ch == "^":
                 left = self._power(left, rhs, op_pos)
@@ -468,18 +472,9 @@ class _Parser:
 
     def _product(self, a: IntPoly, b: IntPoly, op_pos: int) -> IntPoly:
         size = a.max_norm().bit_length() * b.max_norm().bit_length()
-        self._charge(sum(1 for c in a.coeffs if c) * len(b.coeffs) * (1 + (size >> 15)), op_pos)
+        work = sum(1 for c in a.coeffs if c) * len(b.coeffs) * (1 + (size >> 15))
+        self.budget(work, position=op_pos)
         return a * b
-
-    def _charge(self, work: int, position: int) -> None:
-        """Spend work from the parse budget, refusing the operation once it is gone."""
-        self.work += work
-        if self.work > MAX_PARSE_WORK:
-            raise ResourceLimitError(
-                f"the expression needs more than {MAX_PARSE_WORK} coefficient operations",
-                ceiling=MAX_PARSE_WORK,
-                position=position,
-            )
 
     def unary(self) -> IntPoly:
         ch = self.peek()
@@ -487,7 +482,7 @@ class _Parser:
             op_pos = self.pos
             self.pos += 1
             operand = self.expr(_MUL)
-            self._charge(len(operand.coeffs), op_pos)
+            self.budget(len(operand.coeffs), position=op_pos)
             return -operand
         if ch == "+":
             self.pos += 1

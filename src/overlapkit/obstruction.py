@@ -16,13 +16,14 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ConsistencyError, InvalidArgument, ResourceLimitError
 from .exactnum import format_rational, integer_root, is_perfect_power, multiplicative_dependence
 from .ifs import DustIfsSpec, check_class, check_feasible
 from .intpoly import Factorization, IntPoly, factor, family_poly, gcd_poly, moran_poly
+from .intpoly.factor import _prime_divisors
 
 # a verdict factors only the k that split, so a sweep is cheap: obstruct-sweep
 # --nmax 20 takes 0.27 s at kmax 8 and 0.51 s at 15 as a whole process, and the same
@@ -96,16 +97,15 @@ def split_primes(n: int, m: int, e: int) -> tuple[SplitPrime, ...]:
     with m = a^e, e largest, each with the root's trace and norm. Integers
     only; the proof is in `obstruction_verdict`."""
     if m > 1:
-        candidates = [p for p in range(2, e + 1) if e % p == 0]
+        candidates = _prime_divisors(e)
     else:
         candidates, p, fib, fib_next = [], 2, 2, 3  # fib, fib_next = F(p+1), F(p+2)
         while fib < n:
-            candidates.append(p)
+            if _prime_divisors(p) == [p]:
+                candidates.append(p)
             p, fib, fib_next = p + 1, fib_next, fib + fib_next
     found = []
     for p in candidates:
-        if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-            continue
         r = integer_root(m, p)
         for norm in (r, -r) if p == 2 else (r,):
             for trace in range(integer_root(n - 1, p) - 1, integer_root(n, p) + 2):
@@ -277,22 +277,18 @@ class EquivalenceCheck:
 def _lambda_exponents(lam: Fraction, dust: DustIfsSpec) -> Optional[list[Fraction]]:
     """Each contraction ratio as lambda^e with rational e, or None if any
     ratio is multiplicatively independent of lambda."""
-    if dust.exponents is not None:
-        if dust.base == lam:
-            return list(dust.exponents)
-        dep = multiplicative_dependence(lam, dust.base)
-        if dep is None:
-            return None
-        # base = lam^(cy/cx), so rescale the given exponents
-        scale = Fraction(dep.y_exponent, dep.x_exponent)
-        return [e * scale for e in dust.exponents]
-    exponents = []
-    for ratio in dust.ratios:
+
+    def exponent(ratio: Fraction) -> Optional[Fraction]:
+        """e with ratio = lambda^e, or None."""
         dep = multiplicative_dependence(lam, ratio)
-        if dep is None:
-            return None
-        exponents.append(Fraction(dep.y_exponent, dep.x_exponent))
-    return exponents
+        return None if dep is None else Fraction(dep.y_exponent, dep.x_exponent)
+
+    if dust.exponents is not None:
+        # base = lam^scale, so rescale the given exponents
+        scale = exponent(dust.base)
+        return None if scale is None else [e * scale for e in dust.exponents]
+    exponents = [exponent(ratio) for ratio in dust.ratios]
+    return None if None in exponents else exponents
 
 
 def dust_candidate_check(n: int, m: int, lam: Fraction, dust: DustIfsSpec) -> EquivalenceCheck:

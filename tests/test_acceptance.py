@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath
 
 from overlapkit import exactnum, graphdir, ifs, numlab, obstruction
-from overlapkit.errors import ResourceLimitError
+from overlapkit.errors import ResourceLimitError, WorkBudget
 from overlapkit.exactnum import is_perfect_power, surd_to_float
 from overlapkit.graphdir import Policy, build_graph, expand, spectral_radius, verify_beta_eigen
 from overlapkit.ifs import DustIfsSpec, dimension, generate, moran_dimension, validate
@@ -40,6 +40,7 @@ from overlapkit.intpoly.factor import (
     _edf,
     _factor_mod_p,
     _factor_squarefree,
+    _fits,
     _frob_apply,
     _frobenius,
     _gf_mul,
@@ -347,6 +348,8 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(gcd_poly),
         inspect.getsource(_gcd),
         inspect.getsource(factor),
+        inspect.getsource(WorkBudget),
+        inspect.getsource(_fits),
         inspect.getsource(_pack),
         inspect.getsource(_unpack),
         inspect.getsource(_gf_mul),
@@ -379,6 +382,8 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         gcd_poly,
         _gcd,
         factor,
+        WorkBudget,
+        _fits,
         _pack,
         _unpack,
         _gf_mul,

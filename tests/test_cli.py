@@ -22,7 +22,7 @@ from overlapkit import cli, graphdir, ifs
 from overlapkit.cli import main
 from overlapkit.ifs import MAX_PRECISION_BITS
 from overlapkit.intpoly.factor import MAX_FACTOR_WORK
-from overlapkit.intpoly.poly import MAX_COEFF_BITS, MAX_DEGREE
+from overlapkit.intpoly.poly import MAX_COEFF_BITS, MAX_DEGREE, MAX_PARSE_WORK
 from overlapkit.obstruction import MAX_GCD_WORK, MAX_KMAX, MAX_NMAX
 
 
@@ -139,6 +139,56 @@ _CHEAP_ARGV = {
     "growth": ["--lambda", "1/4", "--b", "0,3/16,3/4", "--depth", "3"],
     "boxdim": ["--lambda", "1/4", "--b", "0,3/16,3/4", "--depth", "6", "--grid-levels", "4"],
 }
+
+
+def _text_lines(value, prefix=""):
+    """The text format's lines for a JSON value, written apart from the CLI's:
+    a path per scalar, null/true/false as in JSON, and {} or [] when empty."""
+    if isinstance(value, dict) and value:
+        return [
+            line
+            for key in sorted(value)
+            for line in _text_lines(value[key], f"{prefix}.{key}" if prefix else key)
+        ]
+    if isinstance(value, list) and value:
+        return [
+            line for i, item in enumerate(value) for line in _text_lines(item, f"{prefix}[{i}]")
+        ]
+    return [f"{prefix} = {value if isinstance(value, str) else json.dumps(value)}"]
+
+
+@pytest.mark.parametrize(
+    "argv, pinned",
+    [
+        # null and empty lists
+        (
+            ["obstruct", "--n", "5", "--m", "2"],
+            ["perfect_power = null", "reducible_ks = []", "split_primes = []"],
+        ),
+        # lists of objects holding lists
+        (
+            ["obstruct", "--n", "3", "--m", "1", "--kmax", "4"],
+            ["reducible_ks[1].factors[0] = x^4-x^2-1", "split_primes[0].norm = -1"],
+        ),
+        # true, nested lists and an empty string
+        (
+            ["graph", "--lambda", "1/4", "--b", "0,3/16,3/4"],
+            ["adjacency[1][1] = 2", "spectral.exact_beta_eigen = true", "vertices[0].steps = "],
+        ),
+        # false and null beside a nested object
+        (
+            ["dust-check", "--n", "3", "--m", "1", "--lambda", "1/4", "--ratios", "1/4,1/3"],
+            ["dust.ratios[1] = 1/3", "gcd = null", "shared_root = false"],
+        ),
+    ],
+)
+def test_text_format_flattens_every_json_value(capsys, argv, pinned):
+    data = run_json(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--format", "text")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines == _text_lines(data)
+    assert set(pinned) <= set(lines)
 
 
 @pytest.mark.parametrize("bits, expected", [("-5", 1), ("79", 1), ("80", 0)])
@@ -405,6 +455,27 @@ class TestFactorAndObstruct:
             assert payload["error"] == "ResourceLimitError"
             assert payload["details"]["ceiling"] == ceiling
 
+    def test_work_budget_refusals_print_their_message_and_details(self, capsys):
+        # the factor and parse budgets' refusals as stderr JSON; the parse
+        # budget runs out at the second power of the sum, at its "^"
+        for poly, details, message in (
+            (
+                "(x+1)^512+1",
+                {"ceiling": MAX_FACTOR_WORK},
+                f"factoring needs more than {MAX_FACTOR_WORK} units of work",
+            ),
+            (
+                "+".join(["(7x+8)^512"] * 20),
+                {"ceiling": MAX_PARSE_WORK, "position": 17},
+                f"the expression needs more than {MAX_PARSE_WORK} coefficient operations",
+            ),
+        ):
+            code, out, err = run(capsys, "factor", "--poly", poly)
+            assert (code, out) == (2, "")
+            assert err == json.dumps(
+                {"details": details, "error": "ResourceLimitError", "message": message}
+            ) + "\n"
+
     def test_out_of_class_exits_1(self, capsys):
         code, out, err = run(capsys, "obstruct", "--n", "3", "--m", "2")
         assert code == 1
@@ -494,6 +565,24 @@ class TestDustCheckAndMoran:
         )
         assert incomm["reason"] == "IncommensurableRatios"
         assert incomm["gcd"] is None
+        # through the base: 1/3 is no rational power of 1/4
+        base = run_json(
+            capsys,
+            "dust-check", "--n", "3", "--m", "1", "--lambda", "1/4",
+            "--exponents", "1,1/2", "--base", "1/3",
+        )
+        assert base["reason"] == "IncommensurableRatios"
+        assert (base["k"], base["exponents"], base["gcd"]) == (None, None, None)
+        # eight ratios 1/7 and three 1/7^(3/2): x^3-8*x-3 meets x^4-7*x^2+1
+        # in x^2+3*x+1, whose roots are negative, so not at beta^(1/2)
+        wrong = run_json(
+            capsys,
+            "dust-check", "--n", "7", "--m", "1", "--lambda", "1/7",
+            "--exponents", "1,1,1,1,1,1,1,1,3/2,3/2,3/2",
+        )
+        assert (wrong["conclusion"], wrong["reason"]) == ("RuledOut", "WrongFactor")
+        assert (wrong["gcd"], wrong["qbar"], wrong["k"]) == ("x^2+3*x+1", "x^3-8*x-3", 2)
+        assert wrong["shared_root"] is False
 
     def test_dust_check_requires_one_form(self, capsys):
         code, out, err = run(
@@ -742,6 +831,13 @@ class TestRenderGrowthBoxdim:
         assert data["counts"] == [1, 3, 8, 21, 55]
         assert data["recurrence_ok"] is True
         assert csv_path.read_text() == "L,N_L\n0,1\n1,3\n2,8\n3,21\n4,55\n"
+
+    def test_growth_out_of_class(self, capsys):
+        # b = 0,1/4,3/4 at lambda 1/4 touches twice: counts grow as 3^L, and
+        # no (n, m) or recurrence is reported
+        data = run_json(capsys, "growth", "--lambda", "1/4", "--b", "0,1/4,3/4", "--depth", "3")
+        assert data["counts"] == [1, 3, 9, 27]
+        assert (data["n"], data["m"], data["recurrence_ok"]) == (None, None, None)
 
     def test_growth_depth_ceiling_exits_2(self, capsys):
         code, out, err = run(

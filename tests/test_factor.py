@@ -11,7 +11,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from overlapkit.errors import ConsistencyError, InvalidArgument, ResourceLimitError
+from overlapkit.errors import ConsistencyError, InvalidArgument, ResourceLimitError, WorkBudget
 from overlapkit.intpoly import IntPoly, factor, family_poly, is_irreducible, parse_poly
 from overlapkit.intpoly.poly import _convolve, _power
 
@@ -477,6 +477,22 @@ def test_packed_product_holds_the_largest_slot_sums(monkeypatch, length, packed)
     assert packed == (not schoolbook)
 
 
+def test_a_slot_holds_sums_up_to_its_bound():
+    # 2 * bits(p-1) + bits(terms) <= 64: the one slot rule of the products,
+    # the reduction table and the Frobenius rows
+    fits = factor_module._fits
+    assert fits(1073741789, 15) and not fits(1073741789, 16)
+    assert fits(2**31 - 1, 3) and not fits(2**31 - 1, 4)
+    assert fits(2**31, 1) and not fits(2**31 + 1, 1)
+
+
+def test_prime_divisors_agree_with_sympy():
+    # the package's one trial-division primality test: k is prime iff the
+    # list is [k] (the good primes of a factor call, the split primes' candidates)
+    for k in range(1, 3000):
+        assert factor_module._prime_divisors(k) == sympy.primefactors(k), k
+
+
 def test_a_slot_round_trips_its_largest_value():
     top = (1 << factor_module.SLOT_BITS) - 1
     values = [top, 0, top, 1, top]
@@ -495,9 +511,14 @@ def test_a_slot_round_trips_its_largest_value():
     st.data(),
 )
 def test_reducer_equals_the_long_division(pg, extra, data):
-    # at 1073741789 the slot passes 64 bits from extra = 15, and the reducer
-    # is the long division itself
+    # a slot sums extra + 1 products below p^2: at 1073741789 that passes 64
+    # bits from extra = 15, and at 2^61 - 1 from extra = 0, and no table is
+    # built there
     p, g = pg
+    if 2 * (p - 1).bit_length() + (extra + 1).bit_length() > 64:
+        with pytest.raises(ConsistencyError, match="slot"):
+            factor_module._gf_reducer(g, p, extra)
+        return
     reduce = factor_module._gf_reducer(g, p, extra)
     top = len(g) - 1 + extra
     dividend = data.draw(st.lists(coefficients_mod(p), min_size=top, max_size=top))
@@ -538,6 +559,33 @@ class TestFactorWorkBudget:
         assert info.value.details == {"ceiling": 1000}
         # the exit-code class marks it as a resource limit, not wrong input
         assert info.value.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "text, units",
+        [
+            ("x^105-1", 1_397_681),
+            ("x^80-7*x^40+4", 22_222),
+            ("x^4-10*x^2+1", 2_110),
+            ("(x-1)^3*(x+2)^2*(x^2+1)", 1_371),
+            ("x^20+2*x^2+2", 39_370),
+        ],
+    )
+    def test_each_call_spends_the_pinned_units(self, monkeypatch, text, units):
+        # one budget a call; units found as the least MAX_FACTOR_WORK that
+        # admits the call, so a change to any stage's charge shows here
+        budgets = []
+
+        class Recorded(WorkBudget):
+            def __init__(self, *args):
+                super().__init__(*args)
+                budgets.append(self)
+
+        monkeypatch.setattr(factor_module, "WorkBudget", Recorded)
+        factor(parse_poly(text))
+        assert [budget.spent for budget in budgets] == [units]
+        monkeypatch.setattr(factor_module, "MAX_FACTOR_WORK", units - 1)
+        with pytest.raises(ResourceLimitError):
+            factor(parse_poly(text))
 
     @pytest.mark.parametrize("count", [12, 30, 40])
     def test_many_true_factors_are_factored(self, count):

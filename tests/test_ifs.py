@@ -21,6 +21,7 @@ from overlapkit.errors import (
     NotInClass,
     NotMonotone,
     ResourceLimitError,
+    WorkBudget,
 )
 from overlapkit.exactnum import QuadSurd, quad_roots, surd_to_float
 from overlapkit.ifs import (
@@ -401,6 +402,32 @@ class TestMoran:
         with mpmath.workprec(MAX_PRECISION_BITS + 16):
             exact = mpmath.log(54) / mpmath.log(1001)
             assert abs(root.s - exact) < mpmath.ldexp(1, 8 - MAX_PRECISION_BITS)
+
+    @pytest.mark.parametrize(
+        "ratios, bits, units",
+        [
+            ((F(1, 3), F(1, 3)), 128, 208),
+            ((F(1, 3), F(1, 3)), 1024, 1344),
+            ((F(1, 2), F(1, 3), F(1, 5)), 128, 312),
+            ((F(1, 2), F(1, 3), F(1, 5)), 1024, 2016),
+        ],
+    )
+    def test_each_call_spends_the_pinned_units(self, monkeypatch, ratios, bits, units):
+        # the least MAX_MORAN_WORK that admits the call
+        budgets = []
+
+        class Recorded(WorkBudget):
+            def __init__(self, *args):
+                super().__init__(*args)
+                budgets.append(self)
+
+        dust = DustIfsSpec.from_ratios(list(ratios))
+        monkeypatch.setattr(ifs, "WorkBudget", Recorded)
+        moran_dimension(dust, bits)
+        assert [budget.spent for budget in budgets] == [units]
+        monkeypatch.setattr(ifs, "MAX_MORAN_WORK", units - 1)
+        with pytest.raises(ResourceLimitError):
+            moran_dimension(dust, bits)
 
     def test_dust_spec_validation(self):
         with pytest.raises(InvalidArgument):

@@ -17,6 +17,7 @@ from overlapkit.errors import (
     PolySyntaxError,
     ResourceLimitError,
     UnsupportedExponent,
+    WorkBudget,
 )
 from overlapkit.intpoly import (
     IntPoly,
@@ -417,7 +418,19 @@ class TestParsing:
         ]:
             parser = _Parser(f"{base}^{e}")
             assert parser.parse() == parse_poly(base) ** e
-            assert parser.work == work
+            assert parser.budget.spent == work
+
+    def test_work_budget_trips_only_past_its_ceiling(self):
+        # the one trip rule of the parse, factor and moran budgets
+        budget = WorkBudget(10, "too much")
+        budget(4)
+        budget(6, position=3)
+        assert budget.spent == 10
+        with pytest.raises(ResourceLimitError) as info:
+            budget(1, position=7)
+        assert str(info.value) == "too much"
+        assert info.value.details == {"ceiling": 10, "position": 7}
+        assert (budget.spent, info.value.exit_code) == (11, 2)
 
     def test_deep_nesting_is_a_resource_error(self):
         for bad in ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"]:
