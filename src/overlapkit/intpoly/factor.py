@@ -13,8 +13,19 @@ irreducible iff g(x^t) is for every prime t dividing k and for t = 4 when
 splits f into the h_i(x^(k/t)), each factored in turn; when none splits, f is
 irreducible, and no prime is tried for it. So the family x^(2k)-n*x^k+m at an
 even k, which the degree sets below can never prove irreducible, is decided
-from members of degree 2t. Prime k and k = 4 take the path below, as the
-descent would factor f itself there (g(x^k) with t = k).
+from members of degree 2t.
+
+At a prime k (2 included), a kernel f = x^(2k) + b*x^k + c with D = b^2 - 4c
+positive and no square is decided by an integer test first (`_pth_roots`): by
+Capelli's theorem at a prime, f is irreducible iff no root of x^2 + b*x + c is
+a k-th power in Q(sqrt D). Such a k-th root has an integer norm N, the k-th
+root of c, and an integer trace, given by the integer k-th roots of the two
+roots' floors (isqrt(2N - b) at k = 2). When none fits, f is irreducible, and
+no prime is tried for it. So the family's members at an odd prime k, and the
+descent's g(x^t) at a prime t, are lifted only when they split. A trinomial
+that splits, one whose D is negative or a square, other prime k and k = 4
+take the path below, as the descent would factor f itself there (g(x^k) with
+t = k).
 
 The prime is chosen from distinct-degree factorizations alone. Modulo the
 first good prime (p >= 5, not dividing lc(f), f mod p squarefree) f splits
@@ -63,9 +74,10 @@ from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ..errors import ConsistencyError, InvalidArgument, WorkBudget
+from ..exactnum import integer_root
 from .poly import IntPoly, _add, _convolve, _gcd, _power, exact_div
 
 # work budget of one factor call, charged before each stage runs, in units of
@@ -86,10 +98,13 @@ from .poly import IntPoly, _add, _convolve, _gcd, _power, exact_div
 # weight = 1 + b^2/2^20 for the b bits of p^target; each recombination subset
 # of size k (96 + 8k) * weight; and each trial division by a candidate of
 # degree e 4 * e * c * (1 + c * m^2/2^21), for the cofactor's degree c and the
-# m bits of Mignotte's bound. The costliest calls admitted took 0.73-1.05 s
-# (x^220+x+1), 0.39-0.58 s ((x-1)(x-2)...(x-104)), 0.44-0.57 s
-# ((x-1)...(x-112), the most linear factors, 171,000 units inside the budget),
-# 0.20-0.27 s (the degree-32 Swinnerton-Dyer polynomial) and 0.13-0.15 s
+# m bits of Mignotte's bound; the prime-k trinomial root test bits(k) * (64 +
+# bits of its largest coefficient), 2-65 ns a unit measured over the family
+# and random trinomials with up to 2040-bit coefficients and k up to 251. The
+# costliest calls admitted took 0.73-1.05 s (x^220+x+1), 0.39-0.58 s
+# ((x-1)(x-2)...(x-104)), 0.44-0.57 s ((x-1)...(x-112), the most linear
+# factors, 171,000 units inside the budget), 0.20-0.27 s (the degree-32
+# Swinnerton-Dyer polynomial) and 0.13-0.15 s
 # (x^32-n*x^16+1 for an 1880-bit n, before the Capelli descent decided it in
 # 0.01 s; 0.14-0.15 s at x+1, which is still lifted), while x^400+x+1,
 # (x+1)^512+1, the degree-64 Swinnerton-Dyer polynomial and (x-1)...(x-113)
@@ -574,6 +589,82 @@ def _prime_divisors(k: int) -> list[int]:
     return primes + [k] if k > 1 else primes
 
 
+def _floor_root(x: int, p: int) -> int:
+    """floor(x^(1/p)) for an odd p and any integer x, the real root."""
+    return integer_root(x, p) if x >= 0 else ~integer_root(~x, p)
+
+
+def _power_sum(trace: int, norm: int, p: int, bound: int) -> Optional[int]:
+    """t_p for t_0 = 2, t_1 = trace, t_j = trace*t_(j-1) - norm*t_(j-2),
+    along p's binary prefixes j by t_(2j) = t_j^2 - 2*norm^j and
+    t_(2j+1) = t_j*t_(j+1) - trace*norm^j; None once a |t_j| passes bound."""
+    t, t_next, power = 2, trace, 1  # t_j, t_(j+1), norm^j at j = 0
+    for bit in bin(p)[2:]:
+        if bit == "1":
+            t, t_next = t * t_next - trace * power, t_next * t_next - 2 * norm * power
+            power *= power * norm
+        else:
+            t, t_next = t * t - 2 * power, t * t_next - trace * power
+            power *= power
+        if abs(t) > bound:
+            return None
+    return t
+
+
+def _pth_roots(b: int, c: int, primes: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """(p, T, N) for each prime p in primes for which a root of x^2 + b*x + c
+    is the p-th power of a gamma in K = Q(sqrt D), D = b^2 - 4c > 0 and no
+    square; T and N are gamma's trace and norm (T > 0 when p = 2). Integers
+    only, and one isqrt(D) for all the primes.
+
+    Capelli at a prime. Let a > a' be the roots, irrational as D is no square,
+    with K = Q(a) real. x^p - a is reducible over K iff a = gamma^p for a
+    gamma in K (Capelli's theorem at a prime p; Schinzel, Polynomials with
+    special regard to reducibility, 2000). Such a gamma is a root of the monic
+    x^p - a, so an algebraic integer: T = gamma + gamma' and N = gamma*gamma'
+    are integers, with gamma'^p = a' for the conjugate, so N^p = c and the
+    power sum t_p = gamma^p + gamma'^p is -b (`_power_sum`). Conversely, let
+    g, g' be the roots of x^2 - T*x + N for integers with N^p = c and
+    t_p = -b. Then g^p and g'^p have sum -b and product c, so they are a and
+    a'; a is irrational, so g is, and Q(g), which holds a, is K: a is a p-th
+    power in K. So a p-th root exists iff an integer (T, N) solves both
+    equations, and N is the exact p-th root of c (either sign for p = 2).
+
+    The trace. For p = 2, t_2 = T^2 - 2N, so T = isqrt(2N - b) is the only
+    candidate with T >= 0 for each N; gamma and -gamma share N, and T = 0
+    would make a = a'. For an odd p the real p-th root is unique and
+    increasing, so gamma = a^(1/p) and gamma' = a'^(1/p), both irrational.
+    An integer j is at most gamma iff j^p <= a, iff j^p <= A = floor(a), so
+    floor(gamma) = floor(A^(1/p)), and likewise floor(gamma') =
+    floor(A'^(1/p)) for A' = floor(a'). As a and a' are irrational,
+    A = (-b + s) // 2 and A' = (-b - s - 1) // 2 for s = isqrt(D). The
+    fractional parts of gamma and gamma' lie in (0, 1) and sum to an
+    integer, so to 1: T = floor(gamma) + floor(gamma') + 1 is the only
+    candidate.
+
+    The cut-off. For the true (T, N), |t_j| <= |gamma|^j + |gamma'|^j
+    <= max(1, |a|) + max(1, |a'|) < |b| + s + 3 for every j <= p, as
+    |a|, |a'| <= (|b| + sqrt D) / 2. So a trace is rejected once a |t_j|
+    passes |b| + s + 2, and each of the at most two candidates costs at most
+    2 * bits(p) products of operands below about (|b| + s) * (|T| + |N|).
+    """
+    s = isqrt(b * b - 4 * c)
+    bound = abs(b) + s + 2
+    for p in primes:
+        r = integer_root(abs(c), p)
+        if r**p != abs(c) or (p == 2 and c < 0):
+            continue
+        if p == 2:
+            candidates = [(isqrt(2 * norm - b), norm) for norm in (r, -r) if 2 * norm - b >= 0]
+        else:
+            trace = _floor_root((-b + s) // 2, p) + _floor_root((-b - s - 1) // 2, p) + 1
+            candidates = [(trace, r if c > 0 else -r)]
+        for trace, norm in candidates:
+            if _power_sum(trace, norm, p, bound) == -b:
+                yield p, trace, norm
+                break
+
+
 def _capelli_descent(f: IntPoly, k: int, primes: list[int], charge: Charge) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree f = g(x^k), positive lc,
     f(0) != 0, for k the gcd of f's exponents, composite and not 4, with the
@@ -583,7 +674,10 @@ def _capelli_descent(f: IntPoly, k: int, primes: list[int], charge: Charge) -> l
     factored, smallest t first. Every t is below k, so g(x^t) has lower degree
     than f. The first that splits, g(x^t) = h_1...h_r with r > 1, splits f,
     which is g(x^t) at x^(k/t), into the h_i(x^(k/t)), each factored in turn.
-    When none splits, f is irreducible, and no prime is tried for it. Each
+    When none splits, f is irreducible, and no prime is tried for it. For a
+    monic quadratic g, each g(x^t) at a prime t is a trinomial that
+    _factor_squarefree decides by _pth_roots, so it is lifted only when it
+    splits (or when g's discriminant is negative or a square). Each
     g(x^t) has f's coefficients, and a square u^2 dividing it would put
     u(x^(k/t))^2 in f; each h_i(x^(k/t)) divides f. So both are primitive and
     squarefree, with a positive lc and f(0) != 0. Each build is charged at
@@ -619,13 +713,23 @@ def _factor_squarefree(f: IntPoly, charge: Charge) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree f, positive lc, f(0) != 0.
 
     When the gcd k of f's exponents is composite and not 4, _capelli_descent
-    decides f from g(x^t) for the primes t dividing k (and t = 4 when 4 | k);
-    otherwise the prime is chosen and f is lifted and recombined as the
-    module docstring says.
+    decides f from g(x^t) for the primes t dividing k (and t = 4 when 4 | k).
+    When k is prime and f = x^(2k) + b*x^k + c with b^2 - 4c positive and no
+    square, f is irreducible when _pth_roots finds no k-th root, charged at
+    bits(k) * (64 + bits of max(|b|, |c|)) before it runs. Otherwise the prime
+    is chosen and f is lifted and recombined as the module docstring says.
     """
     k = gcd(*(i for i, c in enumerate(f.coeffs) if c))
-    if k > 4 and (primes := _prime_divisors(k)) != [k]:
+    primes = _prime_divisors(k)
+    if k > 4 and primes != [k]:
         return _capelli_descent(f, k, primes, charge)
+    if primes == [k] and f.degree == 2 * k and f.lc == 1:
+        b, c = f[k], f[0]
+        d = b * b - 4 * c
+        if d > 0 and isqrt(d) ** 2 != d:
+            charge(k.bit_length() * (64 + max(abs(b), abs(c)).bit_length()))
+            if not any(_pth_roots(b, c, [k])):
+                return [f]
     p, fp, rows, parts, count, degrees, _ = _choose_prime(f, charge)
     if degrees == 1 | 1 << f.degree:
         return [f]

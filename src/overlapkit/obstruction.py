@@ -20,17 +20,18 @@ from math import lcm
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ConsistencyError, InvalidArgument, ResourceLimitError
-from .exactnum import format_rational, integer_root, is_perfect_power, multiplicative_dependence
+from .exactnum import format_rational, is_perfect_power, multiplicative_dependence
 from .ifs import DustIfsSpec, check_class, check_feasible
 from .intpoly import Factorization, IntPoly, factor, family_poly, gcd_poly, moran_poly
-from .intpoly.factor import _prime_divisors
+from .intpoly.factor import _prime_divisors, _pth_roots
 
 # a verdict factors only the k that split, so a sweep is cheap: obstruct-sweep
-# --nmax 20 takes 0.27 s at kmax 8 and 0.51 s at 15 as a whole process, and the same
-# sweep 1.4 s in-process at 24. With m = 1 and the 1880-bit n = g^4 + g'^4, g a
-# unit of 470-bit trace, a verdict takes 0.15 s in-process at kmax 15, 0.23 s at 16
-# and 0.32 s at 24 (2-core Xeon), and each of its factor calls is held by
-# intpoly.factor.MAX_FACTOR_WORK
+# --nmax 20 takes 0.15-0.17 s at kmax 8 and 0.16-0.18 s at 15 as a whole process,
+# and the same sweep 0.13-0.14 s in-process at 24. With m = 1 and the 1880-bit
+# n = g^4 + g'^4, g a unit of 470-bit trace, a verdict takes 0.04 s in-process at
+# kmax 15, 0.05 s at 16 and 0.06-0.07 s at 24 (2-core Xeon); split_primes tests
+# its 393 candidate primes with at most two power sums each, and each factor call
+# is held by intpoly.factor.MAX_FACTOR_WORK
 MAX_KMAX = 15
 MAX_NMAX = 20
 # largest degree^2 * bits of dust-check's gcd, where bits are those of n plus
@@ -95,7 +96,8 @@ def _check_kmax(kmax: int) -> None:
 def split_primes(n: int, m: int, e: int) -> tuple[SplitPrime, ...]:
     """Every prime p with beta a p-th power in O_K, for an in-class (n, m)
     with m = a^e, e largest, each with the root's trace and norm. Integers
-    only; the proof is in `obstruction_verdict`."""
+    only; the candidates are proven in `obstruction_verdict`, and each is
+    tested by `intpoly.factor._pth_roots`."""
     if m > 1:
         candidates = _prime_divisors(e)
     else:
@@ -104,31 +106,7 @@ def split_primes(n: int, m: int, e: int) -> tuple[SplitPrime, ...]:
             if _prime_divisors(p) == [p]:
                 candidates.append(p)
             p, fib, fib_next = p + 1, fib_next, fib + fib_next
-    found = []
-    for p in candidates:
-        r = integer_root(m, p)
-        for norm in (r, -r) if p == 2 else (r,):
-            for trace in range(integer_root(n - 1, p) - 1, integer_root(n, p) + 2):
-                if 1 - trace + norm < 0 < 1 + trace + norm and _power_sum_is(n, trace, norm, p):
-                    found.append(SplitPrime(p, trace, norm))
-    return tuple(found)
-
-
-def _power_sum_is(n: int, trace: int, norm: int, p: int) -> bool:
-    """t_p == n for t_0 = 2, t_1 = trace, t_j = trace*t_(j-1) - norm*t_(j-2),
-    along p's binary prefixes j by t_(2j) = t_j^2 - 2*norm^j and
-    t_(2j+1) = t_j*t_(j+1) - trace*norm^j; False once a t_j passes n + 1."""
-    t, t_next, power = 2, trace, 1  # t_j, t_(j+1), norm^j at j = 0
-    for bit in bin(p)[2:]:
-        if bit == "1":
-            t, t_next = t * t_next - trace * power, t_next * t_next - 2 * norm * power
-            power *= power * norm
-        else:
-            t, t_next = t * t - 2 * power, t * t_next - trace * power
-            power *= power
-        if t > n + 1:
-            return False
-    return t == n
+    return tuple(SplitPrime(*root) for root in _pth_roots(-n, m, candidates))
 
 
 def obstruction_verdict(n: int, m: int, kmax: int = 8) -> ObstructionReport:
@@ -152,29 +130,20 @@ def obstruction_verdict(n: int, m: int, kmax: int = 8) -> ObstructionReport:
     N(gamma)^p: p divides e for m = a^e, e largest, and N(gamma) = a^(e/p),
     or -a^(e/p) when p = 2. The k = 1 member never splits.
 
-    The trace window. Take gamma > 1 (negate it if p = 2 and gamma < 0).
-    Its conjugate has gamma'^p = beta', so |gamma'| < 1, and gamma^p = beta
-    lies in (n-1, n). The trace T = gamma + gamma' is an integer in
-    (gamma-1, gamma+1), so iroot(n-1, p) - 1 <= T <= iroot(n, p) + 1, and
-    x^2-T*x+N, N = N(gamma), is negative at 1 and positive at -1.
-    Conversely, let g > 1 > |g'| be the roots of such an x^2-T*x+N with
-    N^p = m and power sum t_p = n, where t_j = g^j + g'^j (t_0 = 2,
-    t_1 = T, t_j = T*t_(j-1) - N*t_(j-2)). Then g^p and g'^p have sum n and
-    product m, so they are beta and beta'; g is irrational, K = Q(g), and
-    beta = g^p in O_K. So each listed (p, T, N) certifies a split at every
+    The p-th-root test. `intpoly.factor._pth_roots(-n, m, [p])` gives the
+    trace T and norm N of a gamma in K with gamma^p = beta (or beta', which
+    is the same condition) iff one exists; its docstring proves the test
+    and its one candidate trace from integers alone. For p = 2 it takes
+    T > 0 and for an odd p the real root, so gamma^p = beta > 1 > beta' =
+    gamma'^p makes gamma > 1 > |gamma'|, and gamma is the larger root of
+    x^2 - T*x + N. So each listed (p, T, N) certifies a split at every
     multiple of p, and a prime missing from the list splits no k.
 
     The Fibonacci bound. For m = 1 gamma is a unit > 1, so T >= 1 when
     N = -1 and T >= 3 when N = 1, and gamma >= (1+sqrt(5))/2 = phi. As
     phi^p = F(p)*phi + F(p-1) > F(p+1), only the primes with F(p+1) < n
     can have phi^p <= beta < n. For a 2048-bit n that is about 420 primes,
-    each with a window of about three traces.
-
-    The cut-off. As g > 1 > |g'|, |t_j - g^j| < 1. If t_j > n + 1 for some
-    j <= p, then g^p >= g^j > n + 1 and t_p > g^p - 1 > n, so that trace
-    is rejected at once. `_power_sum_is` reaches t_p through the binary
-    prefixes of p, so every product it takes has operands below about
-    (n+2)*g.
+    each with one candidate trace (two for p = 2).
     """
     _check_kmax(kmax)
     check_class(n, m)

@@ -41,6 +41,7 @@ from overlapkit.intpoly.factor import (
     _factor_mod_p,
     _factor_squarefree,
     _fits,
+    _floor_root,
     _frob_apply,
     _frobenius,
     _gf_mul,
@@ -48,7 +49,9 @@ from overlapkit.intpoly.factor import (
     _hensel_lift_tree,
     _hensel_step,
     _pack,
+    _power_sum,
     _prime_divisors,
+    _pth_roots,
     _unpack,
 )
 from overlapkit.intpoly.poly import _add, _convolve, _divide, _gcd, _power, exact_div, gcd_poly
@@ -325,7 +328,6 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(exactnum.QuadSurd.__eq__),
         inspect.getsource(obstruction_verdict),
         inspect.getsource(obstruction.split_primes),
-        inspect.getsource(obstruction._power_sum_is),
         inspect.getsource(ifs.check_feasible),
         inspect.getsource(ifs.SelfSimilarSpec.__post_init__),
         inspect.getsource(ifs.classify_steps),
@@ -366,6 +368,9 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(_choose_prime),
         inspect.getsource(_factor_squarefree),
         inspect.getsource(_prime_divisors),
+        inspect.getsource(_floor_root),
+        inspect.getsource(_power_sum),
+        inspect.getsource(_pth_roots),
         inspect.getsource(_capelli_descent),
     ]
     for source in sources:
@@ -400,6 +405,9 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         _choose_prime,
         _factor_squarefree,
         _prime_divisors,
+        _floor_root,
+        _power_sum,
+        _pth_roots,
         _capelli_descent,
         numlab._numerator_levels,
         numlab._occupied_cells,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import random
 import time
+from math import isqrt
 
 import pytest
 import sympy
@@ -24,6 +25,19 @@ PROPERTY = settings(max_examples=60, deadline=None)
 
 def free(units: int) -> None:
     """A charge that never runs out, for calling the factorizer's stages alone."""
+
+
+def recorded_budgets(monkeypatch) -> list[WorkBudget]:
+    """The work budget of each factor call made after this one, in order."""
+    budgets = []
+
+    class Recorded(WorkBudget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    monkeypatch.setattr(factor_module, "WorkBudget", Recorded)
+    return budgets
 
 
 def to_sympy(p: IntPoly):
@@ -101,7 +115,8 @@ class TestGoldenFactorizations:
 class TestHardIrreducibles:
     def test_reducible_mod_every_prime(self):
         # x^4+1 and the degree-4 Swinnerton-Dyer polynomial split modulo
-        # every prime, so recombination has to do real work
+        # every prime: x^4+1 goes through recombination, and the root test
+        # decides x^4-10*x^2+1, as 5+2*sqrt(6) is no square in Q(sqrt(6))
         assert is_irreducible(parse_poly("x^4+1"))
         assert is_irreducible(parse_poly("x^4-10*x^2+1"))
 
@@ -242,13 +257,24 @@ class TestPrimeChoiceAndDegreeSets:
         _assert_matches_sympy(parse_poly("x^60-3*x^30+1"))
         _assert_matches_sympy(family_poly(12, 1, 20))
 
-    def test_irreducible_modulo_no_prime_goes_through_recombination(self):
-        # x^4-10*x^2+1 splits modulo every prime into linear or quadratic
-        # factors, so the degree sets always allow 2 and cannot prove it
-        f = parse_poly("x^4-10*x^2+1")
+    @pytest.mark.parametrize("text", ["x^4+1", "x^4+4*x^3-4*x^2-16*x-8"])
+    def test_irreducible_modulo_no_prime_goes_through_recombination(self, monkeypatch, text):
+        # x^4+1 and x^4-10*x^2+1 at x+1 split modulo every prime into linear
+        # or quadratic factors, so the degree sets always allow 2 and cannot
+        # prove them; the root test takes neither (a negative discriminant,
+        # and exponent gcd 1), so both are lifted and recombined
+        f = parse_poly(text)
         choice = factor_module._choose_prime(f, free)
         assert choice.degrees >> 2 & 1 and choice.count >= 2
+        lift, lifted = factor_module._hensel_lift_tree, []
+
+        def recorded(p, g, modular, target):
+            lifted.append(len(modular))
+            return lift(p, g, modular, target)
+
+        monkeypatch.setattr(factor_module, "_hensel_lift_tree", recorded)
         assert is_irreducible(f)
+        assert lifted and lifted[0] >= 2
 
     def test_degree_sets_prove_irreducibility_without_lifting(self, monkeypatch):
         # x^20+2*x^2+2 (Eisenstein at 2, exponent gcd 2, so no Capelli
@@ -316,6 +342,105 @@ class TestCapelliDescent:
         f = family_poly(n, m, k)
         assert factor(f).factors == ((f, 1),)
         assert all(degree < 2 * k for degree in lifted)
+
+
+def power_sum(trace: int, norm: int, k: int) -> int:
+    """gamma^k + gamma'^k for the roots of x^2 - trace*x + norm, by the plain
+    recurrence t_j = trace*t_(j-1) - norm*t_(j-2)."""
+    t, t_next = 2, trace
+    for _ in range(k):
+        t, t_next = t_next, trace * t_next - norm * t
+    return t
+
+
+def trinomial(b: int, c: int, k: int) -> IntPoly:
+    """x^(2k) + b*x^k + c."""
+    return IntPoly([c] + [0] * (k - 1) + [b] + [0] * (k - 1) + [1])
+
+
+prime_k = st.sampled_from((2, 3, 5, 7, 11, 13))
+# b = -t_k(T, N) and c = N^k make T, N a root's k-th root: the split cases
+from_roots = st.tuples(st.integers(-12, 12), st.integers(-5, 5).filter(bool), prime_k).map(
+    lambda tnk: (-power_sum(*tnk), tnk[1] ** tnk[2], tnk[2])
+)
+from_coefficients = st.tuples(
+    st.integers(-400, 400), st.integers(-400, 400).filter(bool), prime_k
+)
+
+
+@PROPERTY
+@given(st.one_of(from_roots, from_coefficients))
+# gamma = phi^2 (trace 3, norm 1): x^4-7*x^2+1, a square
+@example((-7, 1, 2))
+# norm -1 at k = 2: phi^2 = beta for x^4-3*x^2+1
+@example((-3, 1, 2))
+# a cube of trace 2, norm -2 (gamma = 1+sqrt(3)): x^6-20*x^3-8
+@example((-20, -8, 3))
+# norm (-2)^5 and roots of both signs: x^10+3*x^5-32, irreducible
+@example((3, -32, 5))
+def test_prime_k_trinomials_agree_with_sympy(bck):
+    b, c, k = bck
+    f = trinomial(b, c, k)
+    _assert_matches_sympy(f)
+    d = b * b - 4 * c
+    if d > 0 and isqrt(d) ** 2 != d:
+        roots = list(factor_module._pth_roots(b, c, [k]))
+        assert len(roots) <= 1
+        for p, trace, norm in roots:
+            assert (p, norm**k, power_sum(trace, norm, k)) == (k, c, -b)
+        # by Capelli, a k-th root in Q(sqrt(d)) is exactly a split
+        assert bool(roots) == (not is_irreducible(f))
+
+
+class TestPrimeRootTest:
+    @pytest.mark.parametrize("n, m, k", [(7, 1, 11), (3, 1, 21), (16, 9, 11), (20, 9, 7)])
+    def test_irreducible_members_never_try_a_prime(self, monkeypatch, n, m, k):
+        # k = 11 and 7 are prime; k = 21 descends to g(x^3) and g(x^7), both
+        # trinomials at a prime. No root of x^2-n*x+m is a 3rd, 7th or 11th
+        # power in its field, so no prime is tried and nothing is lifted
+
+        def unreachable(*args):
+            raise AssertionError("a prime was tried for a decided trinomial")
+
+        monkeypatch.setattr(factor_module, "_choose_prime", unreachable)
+        monkeypatch.setattr(factor_module, "_hensel_lift_tree", unreachable)
+        f = family_poly(n, m, k)
+        assert factor(f).factors == ((f, 1),)
+
+    def test_a_split_takes_the_generic_path(self, monkeypatch):
+        # 2+sqrt(3) cubed is 26+15*sqrt(3), a root of x^2-52*x+1
+        chosen = []
+        choose_prime = factor_module._choose_prime
+
+        def recorded(f, charge):
+            chosen.append(f.degree)
+            return choose_prime(f, charge)
+
+        monkeypatch.setattr(factor_module, "_choose_prime", recorded)
+        f = family_poly(52, 1, 3)
+        factors = [g.to_string() for g, _ in factor(f).factors]
+        assert factors == ["x^2-4*x+1", "x^4+4*x^3+15*x^2+4*x+1"]
+        assert chosen == [6]
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_a_2040_bit_member_is_decided_well_inside_the_budget(self, monkeypatch, split):
+        # x^6 - n*x^3 + m for an in-class 2040-bit (n, m), m = a^3. The
+        # irreducible one is decided by the root test alone (11,353 units);
+        # the split one, n = t_3(T, a) for a 681-bit trace T, is lifted at
+        # degree 6 (98,287 units)
+        rng = random.Random(2040)
+        a = rng.getrandbits(680) | 1 << 679
+        if split:
+            n = power_sum(rng.getrandbits(681) | 1 << 680, a, 3)
+        else:
+            n = rng.getrandbits(2040) | 1 << 2039
+        m = a**3
+        assert m <= n - 2 and n.bit_length() >= 2040 and m.bit_length() >= 2038
+        budgets = recorded_budgets(monkeypatch)
+        f = family_poly(n, m, 3)
+        result = factor(f)
+        assert result.product() == f and len(result.factors) == 1 + split
+        assert budgets[0].spent < factor_module.MAX_FACTOR_WORK // (100 if split else 1000)
 
 
 @PROPERTY
@@ -564,8 +689,8 @@ class TestFactorWorkBudget:
         "text, units",
         [
             ("x^105-1", 1_397_681),
-            ("x^80-7*x^40+4", 22_222),
-            ("x^4-10*x^2+1", 2_110),
+            ("x^80-7*x^40+4", 9_798),
+            ("x^4-10*x^2+1", 156),
             ("(x-1)^3*(x+2)^2*(x^2+1)", 1_371),
             ("x^20+2*x^2+2", 39_370),
         ],
@@ -573,14 +698,7 @@ class TestFactorWorkBudget:
     def test_each_call_spends_the_pinned_units(self, monkeypatch, text, units):
         # one budget a call; units found as the least MAX_FACTOR_WORK that
         # admits the call, so a change to any stage's charge shows here
-        budgets = []
-
-        class Recorded(WorkBudget):
-            def __init__(self, *args):
-                super().__init__(*args)
-                budgets.append(self)
-
-        monkeypatch.setattr(factor_module, "WorkBudget", Recorded)
+        budgets = recorded_budgets(monkeypatch)
         factor(parse_poly(text))
         assert [budget.spent for budget in budgets] == [units]
         monkeypatch.setattr(factor_module, "MAX_FACTOR_WORK", units - 1)
