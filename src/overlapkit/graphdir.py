@@ -23,7 +23,6 @@ letters; [[g+1, m], [g, m]] if t = 0), of charpoly (x-1)*(x^2 - n*x + m).
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -32,17 +31,18 @@ from typing import TYPE_CHECKING, Optional
 from .errors import InvalidArgument, VertexExplosion
 from .exactnum import DEFAULT_PRECISION_BITS, _discriminant, _fraction_to_mpf, is_square
 from .ifs import GAP, OVERLAP, TOUCH, SelfSimilarSpec, check_precision, format_dimension
-from .intpoly import IntPoly, exact_div, family_poly
+from .intpoly import exact_div, family_poly
 from .intpoly.roots import charpoly, largest_root
 
 if TYPE_CHECKING:
     import mpmath
 
 # build_graph refuses a closure that may need more vertices than this. A graph
-# call builds one O(V^4) Berkowitz charpoly, nearly all of its time; whole
-# in-process calls on keep-touch specs of distinct O/T words joined by G
-# (2-core Xeon, host speed swinging about 1.5x) took 0.25-0.50 s at V = 54,
-# 0.38-0.66 s at V = 60, 0.48-0.84 s at V = 64 and 0.68-1.11 s at V = 70.
+# call builds two O(V^4) Berkowitz charpolys, one for spectral_radius and one
+# for verify_beta_eigen, nearly all of its time; whole in-process calls on
+# keep-touch specs of distinct O/T words joined by G (2-core Xeon, host speed
+# swinging about 1.5x) took 0.50-0.77 s at V = 54, 0.70-1.17 s at V = 60,
+# 0.90-1.30 s at V = 64 and 1.27-1.67 s at V = 70.
 MAX_VERTICES = 64
 
 
@@ -208,13 +208,6 @@ class SpectralResult:
         }
 
 
-@functools.lru_cache(maxsize=1)
-def _charpoly(matrix: tuple[tuple[int, ...], ...]) -> IntPoly:
-    """charpoly of the last matrix asked for: a graph call asks both
-    spectral_radius and verify_beta_eigen about one adjacency matrix."""
-    return charpoly(matrix)
-
-
 def spectral_radius(matrix, precision_bits: int = DEFAULT_PRECISION_BITS) -> SpectralResult:
     """Perron root of a nonnegative integer matrix, bracketed exactly.
 
@@ -231,13 +224,9 @@ def spectral_radius(matrix, precision_bits: int = DEFAULT_PRECISION_BITS) -> Spe
     import mpmath
 
     check_precision(precision_bits)
-    n = len(matrix)
-    if n == 0 or any(len(row) != n for row in matrix):
-        raise InvalidArgument("adjacency matrix must be square and nonempty")
     if any(c < 0 for row in matrix for c in row):
         raise InvalidArgument("adjacency matrix must be nonnegative")
-    cp = _charpoly(tuple(map(tuple, matrix)))
-    _, hi, steps = largest_root(cp, -1, max(map(sum, matrix)), precision_bits)
+    _, hi, steps = largest_root(charpoly(matrix), -1, max(map(sum, matrix)), precision_bits)
     with mpmath.workprec(precision_bits):
         rho = _fraction_to_mpf(hi)
     return SpectralResult(rho=rho, iterations=steps, precision_bits=precision_bits)
@@ -249,7 +238,7 @@ def verify_beta_eigen(matrix, n: int, m: int) -> bool:
     det(x*I - A) exactly when x^2 - n*x + m divides it."""
     if is_square(_discriminant(n, m)):
         raise InvalidArgument(f"x^2-{n}x+{m} has a square discriminant; beta is not a surd")
-    return exact_div(_charpoly(tuple(map(tuple, matrix))), family_poly(n, m, 1)) is not None
+    return exact_div(charpoly(matrix), family_poly(n, m, 1)) is not None
 
 
 def emit_dot(gs: GraphSystem) -> str:

@@ -3,7 +3,7 @@
 Every decision is the sign of an integer: `charpoly` is Berkowitz's
 division-free algorithm, and the largest real root of a Perron polynomial is
 bracketed in the cell of bisection's dyadic grid that bisection would return.
-Newton steps from above on the squarefree part, rounded to that grid, find
+Newton steps from above on the polynomial itself, rounded to that grid, find
 the cell in a few rounds; the signs of one Taylor shift per point certify
 its ends.
 """
@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import InvalidArgument
-from .poly import IntPoly, _convolve, exact_div, gcd_poly
+from .poly import IntPoly, _convolve
 
 
 def charpoly(matrix: Sequence[Sequence[int]]) -> IntPoly:
@@ -79,19 +79,22 @@ def largest_root(poly: IntPoly, lo: int, hi: int, bits: int) -> tuple[Fraction, 
     test. So S is computed, the cell is searched on the grid directly, and
     a, b and S are returned exactly as bisection would return them.
 
-    Newton from above. Let f be the squarefree part of s, of degree d: r is
-    its simple largest root and its other roots keep Re z < r. For x > r,
-    f'/f(x) is the sum of 1/(x - z) over the roots of f: a real z < r adds a
-    term in (0, 1/(x - r)), a conjugate pair adds 2*Re(x - z)/|x - z|^2, in
-    (0, 2/(x - r)), and z = r adds 1/(x - r). So 1/(x - r) <= f'/f <= d/(x - r),
-    that is x - d*f/f' <= r <= x - f/f': the Newton step from above never
-    passes r and gains at least 1/d of the remaining distance x - r, and
-    converges quadratically near the simple root. Each round steps from the
-    upper end v of the grid bracket (u, v] holding b, on integers scaled by
-    2^S, and rounds both bounds outward to the grid: v falls to the first grid
-    point >= x - f/f', and u rises to the last one < x - d*f/f' if that is
-    higher. These moves are not tests; the bracket is one cell after a few
-    rounds.
+    Newton from above. Let d be the degree of s and mu the multiplicity of
+    r. For x > r, s'/s(x) is the sum of 1/(x - z) over the roots of s,
+    repeated ones included: a real z < r adds a term in (0, 1/(x - r)), a
+    conjugate pair adds 2*Re(x - z)/|x - z|^2, in (0, 2/(x - r)), and r adds
+    mu/(x - r). So mu/(x - r) <= s'/s <= d/(x - r), that is
+    x - d*s/s' <= r <= x - mu*s/s' <= x - s/s': the Newton step from above
+    never passes r and gains at least 1/d of the remaining distance x - r.
+    It converges quadratically near a simple root and only linearly, by
+    about 1/mu a step, near a multiple one; a graph's charpoly stripped of
+    its zero roots is squarefree (`graphdir`'s closed form). Each round
+    steps from the upper end v of the grid bracket (u, v] holding b, on
+    integers scaled by 2^S, and rounds both bounds outward to the grid: v
+    falls to the first grid point >= x - s/s', and u rises to the last one
+    < x - d*s/s' if that is higher. If s vanishes at v, v is r and u the
+    grid point below it. These moves are not tests; the bracket is one cell
+    after a few rounds.
 
     The work bound. A round whose Newton step leaves more than half of (u, v]
     also halves it by one test at its midpoint. So there are at most S
@@ -100,7 +103,10 @@ def largest_root(poly: IntPoly, lo: int, hi: int, bits: int) -> tuple[Fraction, 
     b and fails at a. Should it ever disagree with Newton's bracket, which
     cannot happen for a Perron polynomial, the rounds go on by halving what
     the tests have certified, so the returned cell is bisection's for any
-    poly. Returns a, b and S.
+    poly. The bound holds at a multiple root too, where the halvings do the
+    work Newton's linear steps leave: (x^2-x-1)^2 at 128 bits takes 13
+    tests where a simple root takes 4, against bisection's S + 2 = 132.
+    Returns a, b and S.
     """
     # the root 0 kept once: the shifts run on a lower degree, and x^j keeps 0
     stripped = IntPoly(poly.coeffs[max(poly.trailing_zeros() - 1, 0) :]).monic_positive()
@@ -111,10 +117,7 @@ def largest_root(poly: IntPoly, lo: int, hi: int, bits: int) -> tuple[Fraction, 
     width = hi - lo
     steps = bits + (width - 1).bit_length()
     base = lo << steps
-    squarefree = exact_div(stripped, gcd_poly(stripped, stripped.derivative())).monic_positive()
-    degree, scaled = squarefree.degree, [
-        c << (steps * i) for i, c in enumerate(reversed(squarefree.coeffs))
-    ]
+    degree, scaled = stripped.degree, [c << (steps * i) for i, c in enumerate(desc)]
 
     def passes(j: int) -> bool:
         return _at_or_above(desc, base + j * width, steps)
@@ -138,14 +141,16 @@ def largest_root(poly: IntPoly, lo: int, hi: int, bits: int) -> tuple[Fraction, 
             continue
         before = v - u
         if newton:
-            # 2^(steps*d) f(x/2^steps) and its derivative at x = v's point
+            # 2^(steps*d) s(x/2^steps) and its derivative at x = v's point
             x, f, df = base + v * width, 0, 0
             for c in scaled:
                 f, df = f * x + c, df * x + f
-            if f >= 0 and df > 0:
+            if f == 0:  # v is r, of any multiplicity
+                u = v - 1
+            elif f > 0 and df > 0:
                 u = max(u, v - degree * f // (width * df) - 1)
                 v -= f // (width * df)
-            if f < 0 or df <= 0 or u >= v:  # not a Perron polynomial: bisect
+            if f < 0 or (f > 0 and df <= 0) or u >= v:  # not a Perron polynomial: bisect
                 u, v, newton = a, b, False
         if 2 * (v - u) > before:
             mid = (u + v) // 2

@@ -153,6 +153,7 @@ def test_largest_root_interval_holds_the_perron_root(matrix, bits):
 @example(golden_blocks(2), 10)  # a double Perron root
 @example(golden_blocks(3), 256)  # a triple Perron root
 @example([[10**40]], 256)  # hi exact, 2^133 above lo
+@example([[1, 0], [0, 1]], 10)  # a double Perron root on the grid: r = hi = 1
 def test_largest_root_is_the_bisection_cell(matrix, bits):
     poly = IntPoly(sympy_charpoly(matrix))
     hi_bound = max(map(sum, matrix))
@@ -179,13 +180,20 @@ def test_a_graph_takes_a_few_tests(sweep_specs, tests_made):
             assert tests_made[0] - before <= 12, matrix
 
 
-def test_a_repeated_root_converges_quadratically(tests_made):
-    # bisection makes steps + 2 = 132 tests; Newton on (x^2-x-1)^2 itself, not
-    # on its squarefree part, only halves the distance to r per step and ends
-    # in 13
-    lo, hi, steps = largest_root(IntPoly([-1, -1, 1]) ** 2, -1, 2, 128)
-    assert steps == 130 and hi - lo == Fraction(3, 2**130)
-    assert tests_made[0] <= 8
+def test_a_repeated_root_stays_within_the_bisection_bound(tests_made):
+    # Newton gains only about 1/m of the distance to an m-fold root a step, so
+    # the halvings do the rest, within bisection's steps + 2 tests: 13 of 132
+    # for (x^2-x-1)^2 at 128 bits, 182 of 260 for the triple golden ratio
+    for poly, bits in ((IntPoly([-1, -1, 1]) ** 2, 128), (charpoly(golden_blocks(3)), 256)):
+        before = tests_made[0]
+        lo, hi, steps = largest_root(poly, -1, 2, bits)
+        assert (lo, hi, steps) == bisect(poly, -1, 2, bits)
+        assert tests_made[0] - before <= steps + 2
+    # a double root on the grid, r = hi = 1: s and s' vanish at v, which is
+    # then the root, so Newton ends without falling back to bisection
+    before = tests_made[0]
+    assert largest_root(charpoly([[1, 0], [0, 1]]), -1, 1, 10)[1] == 1
+    assert tests_made[0] - before <= 3
 
 
 def test_charpoly_validation():
