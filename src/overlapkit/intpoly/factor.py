@@ -15,15 +15,19 @@ irreducible, and no prime is tried for it. So the family x^(2k)-n*x^k+m at an
 even k, which the degree sets below can never prove irreducible, is decided
 from members of degree 2t.
 
-At a prime k (2 included), a kernel f = x^(2k) + b*x^k + c with D = b^2 - 4c
-positive and no square is decided by an integer test first (`_pth_roots`): by
-Capelli's theorem at a prime, f is irreducible iff no root of x^2 + b*x + c is
-a k-th power in Q(sqrt D). Such a k-th root has an integer norm N, the k-th
-root of c, and an integer trace, given by the integer k-th roots of the two
-roots' floors (isqrt(2N - b) at k = 2). When none fits, f is irreducible, and
-no prime is tried for it. So the family's members at an odd prime k, and the
-descent's g(x^t) at a prime t, are lifted only when they split. A trinomial
-that splits, one whose D is negative or a square, other prime k and k = 4
+At a prime k (2 included) and at k = 4, a kernel f = x^(2k) + b*x^k + c with
+D = b^2 - 4c positive and no square is decided by integer tests first
+(`_trinomial_splits`). By Capelli's theorem at a prime, f is irreducible iff
+no root of x^2 + b*x + c is a k-th power in Q(sqrt D) (`_pth_roots`). Such a
+k-th root has an integer norm N, the k-th root of c, and an integer trace,
+given by the integer k-th roots of the two roots' floors (isqrt(2N - b) at
+k = 2). At k = 4, f is irreducible iff a root a is no square and not
+-4*delta^4: the p = 2 test on b, c, then, when both roots are negative, on
+the square root of -4a and on that root's own square root. When none fits, f
+is irreducible, and no prime is tried for it. So the family's members at an
+odd prime k and at k = 4, and the descent's g(x^t) at a prime t and at
+t = 4, are lifted only when they split. A trinomial that splits, one whose D
+is negative or a square, and every other kernel at a prime k or at k = 4
 take the path below, as the descent would factor f itself there (g(x^k) with
 t = k).
 
@@ -98,10 +102,10 @@ from .poly import IntPoly, _add, _convolve, _gcd, _power, exact_div
 # weight = 1 + b^2/2^20 for the b bits of p^target; each recombination subset
 # of size k (96 + 8k) * weight; and each trial division by a candidate of
 # degree e 4 * e * c * (1 + c * m^2/2^21), for the cofactor's degree c and the
-# m bits of Mignotte's bound; the prime-k trinomial root test bits(k) * (64 +
-# bits of its largest coefficient), 2-65 ns a unit measured over the family
-# and random trinomials with up to 2040-bit coefficients and k up to 251. The
-# costliest calls admitted took 0.73-1.05 s (x^220+x+1), 0.39-0.58 s
+# m bits of Mignotte's bound; each trinomial root test at a prime p bits(p) *
+# (64 + bits of its largest coefficient), 2-65 ns a unit measured over the
+# family and random trinomials with up to 2040-bit coefficients and k up to
+# 251. The costliest calls admitted took 0.73-1.05 s (x^220+x+1), 0.39-0.58 s
 # ((x-1)(x-2)...(x-104)), 0.44-0.57 s ((x-1)...(x-112), the most linear
 # factors, 171,000 units inside the budget), 0.20-0.27 s (the degree-32
 # Swinnerton-Dyer polynomial) and 0.13-0.15 s
@@ -665,6 +669,47 @@ def _pth_roots(b: int, c: int, primes: Iterable[int]) -> Iterator[tuple[int, int
                 break
 
 
+def _trinomial_splits(b: int, c: int, k: int, charge: Charge) -> bool:
+    """Whether f = x^(2k) + b*x^k + c is reducible, for k prime or 4 and
+    D = b^2 - 4c positive and no square, by _pth_roots alone. Each call is
+    charged bits(p) * (64 + bits of its largest coefficient) before it runs.
+
+    At a prime k this is Capelli at a prime (_pth_roots). At k = 4, let a be
+    a root of g = x^2 + b*x + c and K = Q(sqrt D), a real field. f = g(x^4) is
+    reducible iff x^4 - a is reducible over K (see _capelli_descent), iff a is
+    a square in K or a = -4*delta^4 for a delta in K (Capelli's theorem at
+    t = 4; Schinzel, Polynomials with special regard to reducibility, 2000).
+    - The square: the p = 2 test on (b, c). A square makes x^2 - a, so f,
+      reducible.
+    - The signs. a = -4*delta^4 is negative, as a != 0 (c != 0), and so is its
+      conjugate a' = -4*delta'^4. So -b = a + a' < 0 and c = a*a' > 0: when
+      c < 0 or b < 0, f is irreducible.
+    - Both roots negative (b > 0 < c). a = -4*delta^4 iff u = -4a is eps^4
+      for eps = 2*delta in K. u is a root of x^2 - 4b*x + 16c, of
+      discriminant 16D, positive and no square, so the p = 2 test on
+      (-4b, 16c) finds u's square roots +-eta in K when there are any, eta a
+      root of x^2 - T1*x + N1 with T1 > 0. u = eps^4 iff eps^2 is eta or
+      -eta. -eta is no square: its norm N1 is negative, or else -eta and its
+      conjugate have the sum -T1 < 0 and the product N1 > 0, so both are
+      negative. So u is a fourth power iff eta is a square in K: the p = 2
+      test on (-T1, N1), which finds nothing when N1 < 0. Its discriminant is
+      T1^2 - 4*N1 = 16D / T1^2 (as u - u' = (eta - eta')(eta + eta')),
+      positive and no square, and Q(eta) = K, as eta is irrational.
+    """
+    def root(b: int, c: int, p: int) -> Optional[tuple[int, int, int]]:
+        charge(p.bit_length() * (64 + max(abs(b), abs(c)).bit_length()))
+        return next(_pth_roots(b, c, [p]), None)
+
+    if k != 4:
+        return root(b, c, k) is not None
+    if root(b, c, 2) is not None:
+        return True
+    if c < 0 or b < 0:
+        return False
+    eta = root(-4 * b, 16 * c, 2)
+    return eta is not None and root(-eta[1], eta[2], 2) is not None
+
+
 def _capelli_descent(f: IntPoly, k: int, primes: list[int], charge: Charge) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree f = g(x^k), positive lc,
     f(0) != 0, for k the gcd of f's exponents, composite and not 4, with the
@@ -675,9 +720,9 @@ def _capelli_descent(f: IntPoly, k: int, primes: list[int], charge: Charge) -> l
     than f. The first that splits, g(x^t) = h_1...h_r with r > 1, splits f,
     which is g(x^t) at x^(k/t), into the h_i(x^(k/t)), each factored in turn.
     When none splits, f is irreducible, and no prime is tried for it. For a
-    monic quadratic g, each g(x^t) at a prime t is a trinomial that
-    _factor_squarefree decides by _pth_roots, so it is lifted only when it
-    splits (or when g's discriminant is negative or a square). Each
+    monic quadratic g, each g(x^t), t prime or 4, is a trinomial that
+    _factor_squarefree decides by _trinomial_splits, so it is lifted only when
+    it splits (or when g's discriminant is negative or a square). Each
     g(x^t) has f's coefficients, and a square u^2 dividing it would put
     u(x^(k/t))^2 in f; each h_i(x^(k/t)) divides f. So both are primitive and
     squarefree, with a positive lc and f(0) != 0. Each build is charged at
@@ -714,22 +759,22 @@ def _factor_squarefree(f: IntPoly, charge: Charge) -> list[IntPoly]:
 
     When the gcd k of f's exponents is composite and not 4, _capelli_descent
     decides f from g(x^t) for the primes t dividing k (and t = 4 when 4 | k).
-    When k is prime and f = x^(2k) + b*x^k + c with b^2 - 4c positive and no
-    square, f is irreducible when _pth_roots finds no k-th root, charged at
-    bits(k) * (64 + bits of max(|b|, |c|)) before it runs. Otherwise the prime
-    is chosen and f is lifted and recombined as the module docstring says.
+    When k is prime or 4 and f = x^(2k) + b*x^k + c with b^2 - 4c positive
+    and no square, f is irreducible when _trinomial_splits says it is not
+    reducible: at a prime k no root of x^2 + b*x + c is a k-th power, at k = 4
+    none is a square or -4 times a fourth power. Otherwise the prime is chosen
+    and f is lifted and recombined as the module docstring says.
     """
     k = gcd(*(i for i, c in enumerate(f.coeffs) if c))
     primes = _prime_divisors(k)
     if k > 4 and primes != [k]:
         return _capelli_descent(f, k, primes, charge)
-    if primes == [k] and f.degree == 2 * k and f.lc == 1:
+    # k is 1, 4 or a prime here
+    if k > 1 and f.degree == 2 * k and f.lc == 1:
         b, c = f[k], f[0]
         d = b * b - 4 * c
-        if d > 0 and isqrt(d) ** 2 != d:
-            charge(k.bit_length() * (64 + max(abs(b), abs(c)).bit_length()))
-            if not any(_pth_roots(b, c, [k])):
-                return [f]
+        if d > 0 and isqrt(d) ** 2 != d and not _trinomial_splits(b, c, k, charge):
+            return [f]
     p, fp, rows, parts, count, degrees, _ = _choose_prime(f, charge)
     if degrees == 1 | 1 << f.degree:
         return [f]

@@ -392,35 +392,80 @@ def test_prime_k_trinomials_agree_with_sympy(bck):
         assert bool(roots) == (not is_irreducible(f))
 
 
+def forbid_primes(monkeypatch) -> None:
+    """Fail when a factor call after this one tries a prime or lifts."""
+
+    def unreachable(*args):
+        raise AssertionError("a prime was tried for a decided trinomial")
+
+    monkeypatch.setattr(factor_module, "_choose_prime", unreachable)
+    monkeypatch.setattr(factor_module, "_hensel_lift_tree", unreachable)
+
+
+def chosen_degrees(monkeypatch) -> list[int]:
+    """The degree of each polynomial _choose_prime sees after this one, in order."""
+    chosen = []
+    choose_prime = factor_module._choose_prime
+
+    def recorded(f, charge):
+        chosen.append(f.degree)
+        return choose_prime(f, charge)
+
+    monkeypatch.setattr(factor_module, "_choose_prime", recorded)
+    return chosen
+
+
 class TestPrimeRootTest:
-    @pytest.mark.parametrize("n, m, k", [(7, 1, 11), (3, 1, 21), (16, 9, 11), (20, 9, 7)])
+    @pytest.mark.parametrize(
+        "n, m, k",
+        [(7, 1, 11), (3, 1, 21), (16, 9, 11), (20, 9, 7), (8, 1, 20), (15, 4, 12), (17, 4, 4)],
+    )
     def test_irreducible_members_never_try_a_prime(self, monkeypatch, n, m, k):
         # k = 11 and 7 are prime; k = 21 descends to g(x^3) and g(x^7), both
         # trinomials at a prime. No root of x^2-n*x+m is a 3rd, 7th or 11th
-        # power in its field, so no prime is tried and nothing is lifted
-
-        def unreachable(*args):
-            raise AssertionError("a prime was tried for a decided trinomial")
-
-        monkeypatch.setattr(factor_module, "_choose_prime", unreachable)
-        monkeypatch.setattr(factor_module, "_hensel_lift_tree", unreachable)
+        # power in its field, so no prime is tried and nothing is lifted. At
+        # k = 4, and in the descent's g(x^4) at k = 20 and 12, the roots are
+        # positive, so no square and no -4*delta^4, and the 4 clause decides
+        forbid_primes(monkeypatch)
         f = family_poly(n, m, k)
         assert factor(f).factors == ((f, 1),)
 
     def test_a_split_takes_the_generic_path(self, monkeypatch):
         # 2+sqrt(3) cubed is 26+15*sqrt(3), a root of x^2-52*x+1
-        chosen = []
-        choose_prime = factor_module._choose_prime
-
-        def recorded(f, charge):
-            chosen.append(f.degree)
-            return choose_prime(f, charge)
-
-        monkeypatch.setattr(factor_module, "_choose_prime", recorded)
+        chosen = chosen_degrees(monkeypatch)
         f = family_poly(52, 1, 3)
         factors = [g.to_string() for g, _ in factor(f).factors]
         assert factors == ["x^2-4*x+1", "x^4+4*x^3+15*x^2+4*x+1"]
         assert chosen == [6]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # roots positive: no -4*delta^4
+            "x^8-17*x^4+4",
+            # roots negative, -4a = (sqrt(5)-1)^2 has square roots of norm -4
+            "x^8+3*x^4+1",
+            # roots negative, -4a = (3+sqrt(5))^2, and 3+sqrt(5) is no square
+            "x^8+7*x^4+1",
+            # c < 0: roots of both signs
+            "x^8-3*x^4-5",
+        ],
+    )
+    def test_irreducible_k4_kernels_never_try_a_prime(self, monkeypatch, text):
+        f = parse_poly(text)
+        _assert_matches_sympy(f)
+        forbid_primes(monkeypatch)
+        assert factor(f).factors == ((f, 1),)
+
+    def test_minus_four_times_a_fourth_power_takes_the_generic_path(self, monkeypatch):
+        # delta = 1+sqrt(2): a = -4*delta^4 = -68-48*sqrt(2), a root of
+        # x^2+136*x+16, and no square, so x^4-a splits only as -4*delta^4
+        chosen = chosen_degrees(monkeypatch)
+        f = parse_poly("x^8+136*x^4+16")
+        factors = [g.to_string() for g, _ in factor(f).factors]
+        assert factors == ["x^4+4*x^3+8*x^2-8*x+4", "x^4-4*x^3+8*x^2+8*x+4"]
+        assert chosen == [8]
+        _assert_matches_sympy(f)
 
     @pytest.mark.parametrize("split", [False, True])
     def test_a_2040_bit_member_is_decided_well_inside_the_budget(self, monkeypatch, split):
@@ -441,6 +486,40 @@ class TestPrimeRootTest:
         result = factor(f)
         assert result.product() == f and len(result.factors) == 1 + split
         assert budgets[0].spent < factor_module.MAX_FACTOR_WORK // (100 if split else 1000)
+
+
+# x^8 + b*x^4 + c for b = 4*t_4(T, N) and c = 16*N^4: a root is -4*delta^4
+minus_four_fourth_powers = st.tuples(st.integers(-6, 6), st.integers(-6, 6).filter(bool)).map(
+    lambda tn: (4 * power_sum(*tn, 4), 16 * tn[1] ** 4)
+)
+# b = -t_2(T, N) and c = N^2: a root is a square
+squares = st.tuples(st.integers(-12, 12), st.integers(-5, 5).filter(bool)).map(
+    lambda tn: (-power_sum(*tn, 2), tn[1] ** 2)
+)
+
+
+@PROPERTY
+@given(
+    st.one_of(minus_four_fourth_powers, squares, from_coefficients.map(lambda bck: bck[:2])),
+    st.sampled_from((4, 8, 12, 20)),
+)
+# delta = 1+sqrt(2): x^8+136*x^4+16 splits into two quartics, and so do its
+# inflations, through g(x^4) in the descent
+@example((136, 16), 4)
+@example((136, 16), 20)
+# -4a = (3+sqrt(5))^2 with 3+sqrt(5) no square: irreducible at every k
+@example((7, 1), 12)
+# delta = (1+sqrt(3))/2 is no algebraic integer, yet -4a = (4+2*sqrt(3))^2
+# and 4+2*sqrt(3) = (1+sqrt(3))^2: x^8+14*x^4+1 splits
+@example((14, 1), 4)
+def test_k4_trinomials_and_their_inflations_agree_with_sympy(bc, k):
+    b, c = bc
+    f = trinomial(b, c, k)
+    _assert_matches_sympy(f)
+    d = b * b - 4 * c
+    if k == 4 and d > 0 and isqrt(d) ** 2 != d:
+        # by Capelli at 4, a square or -4*delta^4 is exactly a split
+        assert factor_module._trinomial_splits(b, c, 4, free) == (not is_irreducible(f))
 
 
 @PROPERTY
@@ -689,7 +768,7 @@ class TestFactorWorkBudget:
         "text, units",
         [
             ("x^105-1", 1_397_681),
-            ("x^80-7*x^40+4", 9_798),
+            ("x^80-7*x^40+4", 2_414),
             ("x^4-10*x^2+1", 156),
             ("(x-1)^3*(x+2)^2*(x^2+1)", 1_371),
             ("x^20+2*x^2+2", 39_370),
@@ -718,7 +797,9 @@ class TestFactorWorkBudget:
         # the equal-degree split reuses the chosen prime's for every part and
         # piece. The family members are decided by the Capelli descent, which
         # calls _choose_prime once for each g(x^t) and h(x^(k/t)) it factors
-        # whole, so the primes of every call count
+        # whole, so the primes of every call count. x^16-14*x^8+1 splits at
+        # g(x^2) = x^4-14*x^2+1, which is lifted; x^80-7*x^40+4 is decided by
+        # integer tests alone at g(x^2), g(x^4) and g(x^5)
         frobenius, choose_prime = factor_module._frobenius, factor_module._choose_prime
         built, tried = [], []
 
@@ -733,11 +814,16 @@ class TestFactorWorkBudget:
 
         monkeypatch.setattr(factor_module, "_frobenius", counted)
         monkeypatch.setattr(factor_module, "_choose_prime", recorded)
-        for f in (linear_product(40), parse_poly("x^80-7*x^40+4"), family_poly(7, 1, 28)):
+        for f in (linear_product(40), parse_poly("x^16-14*x^8+1"), family_poly(7, 1, 28)):
             built.clear()
             tried.clear()
             assert factor(f).product() == f
             assert tried and built == tried
+        built.clear()
+        tried.clear()
+        f = parse_poly("x^80-7*x^40+4")
+        assert factor(f).factors == ((f, 1),)
+        assert tried == built == []
 
     def test_x512_minus_1_is_its_ten_cyclotomic_factors(self):
         # refused past the budget at degree 512 without the Capelli descent;
