@@ -4,7 +4,8 @@ Every subcommand prints one report (JSON by default, or a flat key=value text
 rendering of the same data) and exits 0 on success, 1 on invalid input, 2 on
 a resource ceiling, and 3 on an internal consistency failure. Errors are
 additionally written to stderr as machine-readable JSON. File outputs (DOT,
-SVG, CSV, and --output) are written all or none.
+SVG, CSV, and --output) are written all or none, and two that name one file
+are refused before anything is written.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .numlab import (
     emit_csv,
     emit_svg,
 )
-from .obstruction import dust_candidate_check, obstruction_verdict, sweep
+from .obstruction import DEFAULT_KMAX, dust_candidate_check, obstruction_verdict, sweep
 
 # render draws every cylinder of every level, n^depth * n/(n-1) when none
 # merge; (1/5; 0,2/5,4/5) at depth 10 (3^10) then takes 1.4 s with --csv
@@ -62,13 +63,18 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(part) for part in items)
 
 
-def _atomic_write(files: dict[str, str]) -> None:
-    """Each path -> text goes to a temporary file beside its path, and the paths
+def _atomic_write(files: list[tuple[str, str]]) -> None:
+    """Each (path, text) goes to a temporary file beside its path, and the paths
     are replaced only once all are written; a failure unlinks every one and
-    names the path it was writing, never its temporary file."""
+    names the path it was writing, never its temporary file. Two paths that
+    resolve to one file raise InvalidArgument before anything is written."""
+    real = [os.path.realpath(path) for path, _ in files]
+    for i, (path, _) in enumerate(files):
+        if real[i] in real[:i]:
+            raise InvalidArgument(f"two outputs name one file: {path!r}", path=path)
     temps: list[str] = []
     try:
-        for path, text in files.items():
+        for path, text in files:
             if os.path.isdir(path):  # os.replace would fail only after other targets were replaced
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             directory = os.path.dirname(os.path.abspath(path))
@@ -78,7 +84,7 @@ def _atomic_write(files: dict[str, str]) -> None:
             temps.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-        for tmp, path in zip(temps, files):
+        for tmp, (path, _) in zip(temps, files):
             os.replace(tmp, path)
     except BaseException as exc:
         for tmp in temps:
@@ -93,29 +99,16 @@ def _render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def _flatten(prefix: str, value, lines: list[str]) -> None:
-    if isinstance(value, dict):
-        if not value:
-            lines.append(f"{prefix} = {{}}")
-            return
+    if isinstance(value, dict) and value:
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], lines)
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            lines.append(f"{prefix} = []")
-            return
+    elif isinstance(value, (list, tuple)) and value:
         for i, item in enumerate(value):
             _flatten(f"{prefix}[{i}]", item, lines)
-    else:
-        lines.append(f"{prefix} = {_scalar(value)}")
+    else:  # null, true, false, {} and [] as in JSON; numbers and strings bare
+        bare = value is not None and not isinstance(value, (bool, dict, list, tuple))
+        lines.append(f"{prefix} = {value if bare else json.dumps(value)}")
 
 
 def _render_text(payload: dict) -> str:
@@ -140,7 +133,7 @@ def _resolve_precision(args: argparse.Namespace) -> int:
 
 # -- subcommand handlers: (args) -> payload -----------------------------------
 # main resolves args.precision_bits before any handler runs and writes the files
-# a handler puts in args.files (path -> text) with --output, all or none. A
+# a handler puts in args.files ((path, text) pairs) with --output, all or none. A
 # handler reports failure only by raising; main maps the error to its exit code.
 
 
@@ -172,7 +165,7 @@ def _cmd_graph(args) -> dict:
         "spectral": spectral.to_json(),
     }
     if args.dot:
-        args.files[args.dot] = emit_dot(gs)
+        args.files.append((args.dot, emit_dot(gs)))
         payload["dot"] = args.dot
     return payload
 
@@ -251,7 +244,7 @@ def _cmd_render(args) -> dict:
     spec = SelfSimilarSpec(args.lam, tuple(args.b))
     check_cylinders(spec.n, args.depth, MAX_RENDER_CYLINDERS)
     levels = cover_levels(spec, args.depth)
-    args.files[args.svg] = emit_svg(levels)
+    args.files.append((args.svg, emit_svg(levels)))
     payload = {
         "depth": args.depth,
         "counts": [level.count for level in levels],
@@ -263,7 +256,7 @@ def _cmd_render(args) -> dict:
             for level in levels
             for offset in level.offsets
         ]
-        args.files[args.csv] = emit_csv(("depth", "offset", "length"), rows)
+        args.files.append((args.csv, emit_csv(("depth", "offset", "length"), rows)))
         payload["csv"] = args.csv
     return payload
 
@@ -273,7 +266,7 @@ def _cmd_growth(args) -> dict:
     result = cylinder_growth(spec, args.depth)
     payload = result.to_json()
     if args.csv:
-        args.files[args.csv] = emit_csv(("L", "N_L"), list(enumerate(result.counts)))
+        args.files.append((args.csv, emit_csv(("L", "N_L"), list(enumerate(result.counts)))))
         payload["csv"] = args.csv
     return payload
 
@@ -301,7 +294,7 @@ _FLAGS = {
     ),
     "dot": ("--dot", dict(metavar="PATH")),
     "poly": ("--poly", dict(required=True, metavar="EXPR")),
-    "kmax": ("--kmax", dict(type=int, default=8)),
+    "kmax": ("--kmax", dict(type=int, default=DEFAULT_KMAX)),
     "nmax": ("--nmax", dict(type=int, required=True)),
     "ratios": ("--ratios", dict(type=_rational_list, metavar="r1,r2,...")),
     "exponents": ("--exponents", dict(type=_rational_list, metavar="e1,e2,...")),
@@ -383,11 +376,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
         args.precision_bits = _resolve_precision(args)
-        args.files = {}
+        args.files = []
         payload = args.handler(args)
         text = _render_json(payload) if args.format == "json" else _render_text(payload)
         if args.output:
-            args.files[args.output] = text
+            args.files.append((args.output, text))
         _atomic_write(args.files)
         if not args.output:
             sys.stdout.write(text)

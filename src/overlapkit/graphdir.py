@@ -47,8 +47,16 @@ MAX_VERTICES = 64
 
 
 class Policy(str, Enum):
+    """Policy(p) gives p for a policy and the policy of a value ("cut-touch");
+    anything else raises InvalidArgument. expand, build_graph and the CLI all
+    convert through it."""
+
     CUT_AT_TOUCH = "cut-touch"
     KEEP_TOUCH = "keep-touch"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidArgument(f"policy must be cut-touch or keep-touch, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,7 @@ def expand(
     the order the letters first appear, so they are counted in that order in
     O(n + k). Without a cut letter the whole word is built and split.
     """
-    word, touch = _step_word(spec, policy)
+    word, touch = _step_word(spec, Policy(policy))
     if GAP not in word:
         word += config.steps.translate({ord(OVERLAP): word, ord(TOUCH): touch + word})
         return {Configuration(piece): mult for piece, mult in Counter(word.split(GAP)).items()}
@@ -151,10 +159,7 @@ def build_graph(spec: SelfSimilarSpec, policy: Policy = Policy.CUT_AT_TOUCH) -> 
     adds copies and the closure is infinite. Both are decided before anything
     is expanded, and a bound past MAX_VERTICES is refused.
     """
-    try:
-        policy = Policy(policy)
-    except ValueError:
-        raise InvalidArgument(f"policy must be cut-touch or keep-touch, got {policy!r}") from None
+    policy = Policy(policy)
     word, _ = _step_word(spec, policy)
     if GAP not in word:
         raise VertexExplosion(

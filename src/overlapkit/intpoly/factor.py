@@ -6,30 +6,18 @@ With g = gcd(f, f'), the kernel f / g has every irreducible factor of f once,
 and g each one its multiplicity less one times. Only the kernel is factored;
 each factor's multiplicity is 1 plus the number of times it divides g.
 
-A kernel f = g(x^k), k the gcd of its exponents, composite and not 4, is
-decided by Capelli's theorem instead (the Capelli descent): g(x^k) is
-irreducible iff g(x^t) is for every prime t dividing k and for t = 4 when
-4 | k. Each g(x^t) is factored, and the first that splits, into h_1...h_r,
-splits f into the h_i(x^(k/t)), each factored in turn; when none splits, f is
-irreducible, and no prime is tried for it. So the family x^(2k)-n*x^k+m at an
-even k, which the degree sets below can never prove irreducible, is decided
-from members of degree 2t.
-
-At a prime k (2 included) and at k = 4, a kernel f = x^(2k) + b*x^k + c with
-D = b^2 - 4c positive and no square is decided by integer tests first
-(`_trinomial_splits`). By Capelli's theorem at a prime, f is irreducible iff
-no root of x^2 + b*x + c is a k-th power in Q(sqrt D) (`_pth_roots`). Such a
-k-th root has an integer norm N, the k-th root of c, and an integer trace,
-given by the integer k-th roots of the two roots' floors (isqrt(2N - b) at
-k = 2). At k = 4, f is irreducible iff a root a is no square and not
--4*delta^4: the p = 2 test on b, c, then, when both roots are negative, on
-the square root of -4a and on that root's own square root. When none fits, f
-is irreducible, and no prime is tried for it. So the family's members at an
-odd prime k and at k = 4, and the descent's g(x^t) at a prime t and at
-t = 4, are lifted only when they split. A trinomial that splits, one whose D
-is negative or a square, and every other kernel at a prime k or at k = 4
-take the path below, as the descent would factor f itself there (g(x^k) with
-t = k).
+A kernel f = g(x^k), k > 1 the gcd of its exponents, goes through Capelli's
+theorem (stated in `_capelli_descent`) first. A trinomial
+f = x^(2k) + b*x^k + c with D = b^2 - 4c positive and no square is decided at
+every k by integer tests (`_trinomial_splits`, with `_pth_roots`): when it
+does not split, f is irreducible and no prime is tried for it. So the family
+x^(2k)-n*x^k+m, which the degree sets below can never prove irreducible at an
+even k, is lifted only when it splits. At a k that is neither a prime nor 4,
+every kernel not decided so (a trinomial that splits, or any other g) goes to
+the Capelli descent: g(x^t) is factored for each t in T, the primes dividing
+k and 4 when 4 | k, smallest t first, and the first that splits, into
+h_1...h_r, splits f into the h_i(x^(k/t)), each factored in turn; when none
+splits, f is irreducible. Every other kernel takes the path below.
 
 The prime is chosen from distinct-degree factorizations alone. Modulo the
 first good prime (p >= 5, not dividing lc(f), f mod p squarefree) f splits
@@ -81,7 +69,7 @@ from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ..errors import ConsistencyError, InvalidArgument, WorkBudget
-from ..exactnum import integer_root
+from ..exactnum import integer_root, is_square
 from .poly import IntPoly, _add, _convolve, _gcd, _power, exact_div
 
 # work budget of one factor call, charged before each stage runs, in units of
@@ -621,10 +609,9 @@ def _pth_roots(b: int, c: int, primes: Iterable[int]) -> Iterator[tuple[int, int
     square; T and N are gamma's trace and norm (T > 0 when p = 2). Integers
     only, and one isqrt(D) for all the primes.
 
-    Capelli at a prime. Let a > a' be the roots, irrational as D is no square,
-    with K = Q(a) real. x^p - a is reducible over K iff a = gamma^p for a
-    gamma in K (Capelli's theorem at a prime p; Schinzel, Polynomials with
-    special regard to reducibility, 2000). Such a gamma is a root of the monic
+    The p-th root. Let a > a' be the roots, irrational as D is no square,
+    with K = Q(a) real (_trinomial_splits says why a p-th root decides
+    x^(2p) + b*x^p + c). A gamma in K with gamma^p = a is a root of the monic
     x^p - a, so an algebraic integer: T = gamma + gamma' and N = gamma*gamma'
     are integers, with gamma'^p = a' for the conjugate, so N^p = c and the
     power sum t_p = gamma^p + gamma'^p is -b (`_power_sum`). Conversely, let
@@ -670,20 +657,21 @@ def _pth_roots(b: int, c: int, primes: Iterable[int]) -> Iterator[tuple[int, int
 
 
 def _trinomial_splits(b: int, c: int, k: int, charge: Charge) -> bool:
-    """Whether f = x^(2k) + b*x^k + c is reducible, for k prime or 4 and
+    """Whether f = x^(2k) + b*x^k + c is reducible, for k >= 2 and
     D = b^2 - 4c positive and no square, by _pth_roots alone. Each call is
     charged bits(p) * (64 + bits of its largest coefficient) before it runs.
 
-    At a prime k this is Capelli at a prime (_pth_roots). At k = 4, let a be
-    a root of g = x^2 + b*x + c and K = Q(sqrt D), a real field. f = g(x^4) is
-    reducible iff x^4 - a is reducible over K (see _capelli_descent), iff a is
-    a square in K or a = -4*delta^4 for a delta in K (Capelli's theorem at
-    t = 4; Schinzel, Polynomials with special regard to reducibility, 2000).
-    - The square: the p = 2 test on (b, c). A square makes x^2 - a, so f,
-      reducible.
+    Capelli for a quadratic g = x^2 + b*x + c, irreducible as D is no square.
+    Let a be a root and K = Q(sqrt D), a real field. f = g(x^k) is reducible
+    iff x^k - a is reducible over K, iff a is a p-th power in K for a prime p
+    dividing k, or 4 | k and a = -4*delta^4 for a delta in K (Capelli's
+    theorem; see _capelli_descent).
+    - The p-th powers: the p test on (b, c) for each prime p | k. A square
+      already makes x^2 - a reducible, so the 4 clause below needs only
+      -4*delta^4.
     - The signs. a = -4*delta^4 is negative, as a != 0 (c != 0), and so is its
       conjugate a' = -4*delta'^4. So -b = a + a' < 0 and c = a*a' > 0: when
-      c < 0 or b < 0, f is irreducible.
+      c < 0 or b < 0, no root is -4*delta^4.
     - Both roots negative (b > 0 < c). a = -4*delta^4 iff u = -4a is eps^4
       for eps = 2*delta in K. u is a root of x^2 - 4b*x + 16c, of
       discriminant 16D, positive and no square, so the p = 2 test on
@@ -700,33 +688,27 @@ def _trinomial_splits(b: int, c: int, k: int, charge: Charge) -> bool:
         charge(p.bit_length() * (64 + max(abs(b), abs(c)).bit_length()))
         return next(_pth_roots(b, c, [p]), None)
 
-    if k != 4:
-        return root(b, c, k) is not None
-    if root(b, c, 2) is not None:
+    if any(root(b, c, p) is not None for p in _prime_divisors(k)):
         return True
-    if c < 0 or b < 0:
+    if k % 4 or c < 0 or b < 0:
         return False
     eta = root(-4 * b, 16 * c, 2)
     return eta is not None and root(-eta[1], eta[2], 2) is not None
 
 
-def _capelli_descent(f: IntPoly, k: int, primes: list[int], charge: Charge) -> list[IntPoly]:
+def _capelli_descent(f: IntPoly, k: int, t_values: list[int], charge: Charge) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree f = g(x^k), positive lc,
-    f(0) != 0, for k the gcd of f's exponents, composite and not 4, with the
-    primes dividing k.
+    f(0) != 0, for k the gcd of f's exponents and t_values the set T, in
+    increasing order: the primes dividing k, and 4 when 4 | k, k not in T.
 
-    For T the primes dividing k, and 4 when 4 | k, each g(x^t), t in T, is
-    factored, smallest t first. Every t is below k, so g(x^t) has lower degree
-    than f. The first that splits, g(x^t) = h_1...h_r with r > 1, splits f,
-    which is g(x^t) at x^(k/t), into the h_i(x^(k/t)), each factored in turn.
-    When none splits, f is irreducible, and no prime is tried for it. For a
-    monic quadratic g, each g(x^t), t prime or 4, is a trinomial that
-    _factor_squarefree decides by _trinomial_splits, so it is lifted only when
-    it splits (or when g's discriminant is negative or a square). Each
-    g(x^t) has f's coefficients, and a square u^2 dividing it would put
-    u(x^(k/t))^2 in f; each h_i(x^(k/t)) divides f. So both are primitive and
-    squarefree, with a positive lc and f(0) != 0. Each build is charged at
-    its length.
+    Each g(x^t), t in T, is factored in turn. Every t is below k, so g(x^t)
+    has lower degree than f. The first that splits, g(x^t) = h_1...h_r with
+    r > 1, splits f, which is g(x^t) at x^(k/t), into the h_i(x^(k/t)), each
+    factored in turn. When none splits, f is irreducible, and no prime is
+    tried for it. Each g(x^t) has f's coefficients, and a square u^2 dividing
+    it would put u(x^(k/t))^2 in f; each h_i(x^(k/t)) divides f. So both are
+    primitive and squarefree, with a positive lc and f(0) != 0. Each build is
+    charged at its length.
 
     Proof. A factorization g = u*v gives g(x^t) = u(x^t)*v(x^t), so when
     every g(x^t) is irreducible, g is. Let g be irreducible of degree n with a
@@ -747,7 +729,7 @@ def _capelli_descent(f: IntPoly, k: int, primes: list[int], charge: Charge) -> l
         return h.inflate(t)
 
     g = IntPoly(f.coeffs[::k])
-    for t in sorted(primes + [4] * (k % 4 == 0)):
+    for t in t_values:
         parts = _factor_squarefree(at_power(g, t), charge)
         if len(parts) > 1:
             return [irr for h in parts for irr in _factor_squarefree(at_power(h, k // t), charge)]
@@ -757,24 +739,22 @@ def _capelli_descent(f: IntPoly, k: int, primes: list[int], charge: Charge) -> l
 def _factor_squarefree(f: IntPoly, charge: Charge) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree f, positive lc, f(0) != 0.
 
-    When the gcd k of f's exponents is composite and not 4, _capelli_descent
-    decides f from g(x^t) for the primes t dividing k (and t = 4 when 4 | k).
-    When k is prime or 4 and f = x^(2k) + b*x^k + c with b^2 - 4c positive
-    and no square, f is irreducible when _trinomial_splits says it is not
-    reducible: at a prime k no root of x^2 + b*x + c is a k-th power, at k = 4
-    none is a square or -4 times a fourth power. Otherwise the prime is chosen
-    and f is lifted and recombined as the module docstring says.
+    For k > 1 the gcd of f's exponents, f = x^(2k) + b*x^k + c with b^2 - 4c
+    positive and no square is irreducible when _trinomial_splits says it does
+    not split. Otherwise, when k is neither a prime nor 4, _capelli_descent
+    decides f from the g(x^t), t in T: the primes dividing k, and 4 when 4 | k.
+    Every other f has its prime chosen and is lifted and recombined as the
+    module docstring says.
     """
     k = gcd(*(i for i, c in enumerate(f.coeffs) if c))
-    primes = _prime_divisors(k)
-    if k > 4 and primes != [k]:
-        return _capelli_descent(f, k, primes, charge)
-    # k is 1, 4 or a prime here
     if k > 1 and f.degree == 2 * k and f.lc == 1:
         b, c = f[k], f[0]
         d = b * b - 4 * c
-        if d > 0 and isqrt(d) ** 2 != d and not _trinomial_splits(b, c, k, charge):
+        if d > 0 and not is_square(d) and not _trinomial_splits(b, c, k, charge):
             return [f]
+    t_values = sorted(_prime_divisors(k) + [4] * (k % 4 == 0))
+    if k > 1 and k not in t_values:
+        return _capelli_descent(f, k, t_values, charge)
     p, fp, rows, parts, count, degrees, _ = _choose_prime(f, charge)
     if degrees == 1 | 1 << f.degree:
         return [f]

@@ -33,6 +33,7 @@ from .intpoly.factor import _prime_divisors, _pth_roots
 # its 393 candidate primes with at most two power sums each, and each factor call
 # is held by intpoly.factor.MAX_FACTOR_WORK
 MAX_KMAX = 15
+DEFAULT_KMAX = 8  # obstruct's and obstruct-sweep's kmax when none is given
 MAX_NMAX = 20
 # largest degree^2 * bits of dust-check's gcd, where bits are those of n plus
 # those of the Moran polynomial's largest coefficient (its most repeated
@@ -109,7 +110,7 @@ def split_primes(n: int, m: int, e: int) -> tuple[SplitPrime, ...]:
     return tuple(SplitPrime(*root) for root in _pth_roots(-n, m, candidates))
 
 
-def obstruction_verdict(n: int, m: int, kmax: int = 8) -> ObstructionReport:
+def obstruction_verdict(n: int, m: int, kmax: int = DEFAULT_KMAX) -> ObstructionReport:
     """Verdict for (n, m): Obstructed when m is not a perfect power, else
     NecessaryConditionMet if some x^(2k)-n*x^k+m with 2 <= k <= kmax is
     reducible and NecessaryConditionOpen otherwise.
@@ -121,14 +122,14 @@ def obstruction_verdict(n: int, m: int, kmax: int = 8) -> ObstructionReport:
 
     Capelli. In class, n^2-4m lies strictly between (n-2)^2 and n^2 with the
     parity of n, so it is no square, and x^2-n*x+m has roots n-1 < beta < n
-    and 0 < beta' < 1 in the real field K = Q(sqrt(n^2-4m)). As
-    [Q(beta^(1/k)):Q] = 2*[K(beta^(1/k)):K], x^(2k)-n*x^k+m is irreducible
-    over Q iff x^k-beta is over K. By Capelli (Schinzel, Polynomials with
-    special regard to reducibility, 2000) that fails iff beta = gamma^p with
-    gamma in K and p a prime dividing k (beta = -4*gamma^4 with 4 | k would
-    make beta negative). gamma is an algebraic integer, so m = N(beta) =
-    N(gamma)^p: p divides e for m = a^e, e largest, and N(gamma) = a^(e/p),
-    or -a^(e/p) when p = 2. The k = 1 member never splits.
+    and 0 < beta' < 1 in the real field K = Q(sqrt(n^2-4m)). By Capelli's
+    theorem (stated in `intpoly.factor._capelli_descent`, and read for a
+    quadratic in `_trinomial_splits`), x^(2k)-n*x^k+m splits iff beta =
+    gamma^p with gamma in K and p a prime dividing k (beta = -4*gamma^4 with
+    4 | k would make beta negative). gamma is an algebraic integer, so
+    m = N(beta) = N(gamma)^p: p divides e for m = a^e, e largest, and
+    N(gamma) = a^(e/p), or -a^(e/p) when p = 2. The k = 1 member never
+    splits.
 
     The p-th-root test. `intpoly.factor._pth_roots(-n, m, [p])` gives the
     trace T and norm N of a gamma in K with gamma^p = beta (or beta', which
@@ -179,7 +180,7 @@ def obstruction_verdict(n: int, m: int, kmax: int = 8) -> ObstructionReport:
     )
 
 
-def sweep(n_values: Iterable[int], *, kmax: int = 8) -> list[ObstructionReport]:
+def sweep(n_values: Iterable[int], *, kmax: int = DEFAULT_KMAX) -> list[ObstructionReport]:
     """Reports for every in-class (n, m) with n in n_values, (n, m) ascending."""
     _check_kmax(kmax)
     ns = set()

@@ -23,7 +23,14 @@ from overlapkit.cli import main
 from overlapkit.ifs import MAX_PRECISION_BITS
 from overlapkit.intpoly.factor import MAX_FACTOR_WORK
 from overlapkit.intpoly.poly import MAX_COEFF_BITS, MAX_DEGREE, MAX_PARSE_WORK
-from overlapkit.obstruction import MAX_GCD_WORK, MAX_KMAX, MAX_NMAX
+from overlapkit.obstruction import (
+    DEFAULT_KMAX,
+    MAX_GCD_WORK,
+    MAX_KMAX,
+    MAX_NMAX,
+    obstruction_verdict,
+    sweep,
+)
 
 
 # the first primes above 2^61+12345 and 2^62+999
@@ -420,6 +427,14 @@ class TestFactorAndObstruct:
         keyed = {(r["n"], r["m"]): r["verdict"] for r in data["reports"]}
         assert keyed[(3, 1)] == "NecessaryConditionMet"
         assert keyed[(6, 2)] == "Obstructed"
+
+    def test_kmax_defaults_to_the_library_default(self, capsys):
+        verdict = run_json(capsys, "obstruct", "--n", "3", "--m", "1")
+        assert verdict == obstruction_verdict(3, 1).to_json()
+        assert verdict["kmax"] == DEFAULT_KMAX
+        swept = run_json(capsys, "obstruct-sweep", "--nmax", "4")
+        assert swept["kmax"] == DEFAULT_KMAX
+        assert swept["reports"] == [report.to_json() for report in sweep(range(3, 5))]
 
     def test_kmax_ceiling_exits_2(self, capsys):
         for argv in (
@@ -925,6 +940,29 @@ class TestHarness:
         assert json.loads(err)["error"] == "InputError"
         # neither the file nor a .overlapkit-* temporary
         assert [p.name for p in tmp_path.rglob("*")] == ["outdir"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render", "--lambda", "1/4", "--b", "0,3/16,3/4", "--depth", "2",
+             "--svg", "out.x", "--csv", "out.x"],
+            ["graph", "--lambda", "1/4", "--b", "0,3/16,3/4", "--dot", "g.json",
+             "--output", "./g.json"],
+            ["growth", "--lambda", "1/4", "--b", "0,3/16,3/4", "--depth", "3",
+             "--csv", "g.csv", "--output", "g.csv"],
+        ],
+        ids=["render", "graph", "growth"],
+    )
+    def test_two_outputs_naming_one_file_are_refused(self, capsys, tmp_path, monkeypatch, argv):
+        # one file cannot hold both texts: without the check the later one
+        # replaced the earlier and the call exited 0
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidArgument"
+        assert payload["details"]["path"] == argv[-1]
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output_names_the_given_path(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -418,17 +418,30 @@ def chosen_degrees(monkeypatch) -> list[int]:
 class TestPrimeRootTest:
     @pytest.mark.parametrize(
         "n, m, k",
-        [(7, 1, 11), (3, 1, 21), (16, 9, 11), (20, 9, 7), (8, 1, 20), (15, 4, 12), (17, 4, 4)],
+        [
+            (7, 1, 11),
+            (3, 1, 21),
+            (16, 9, 11),
+            (20, 9, 7),
+            (8, 1, 20),
+            (15, 4, 12),
+            (17, 4, 4),
+            (3, 1, 9),
+            (7, 1, 15),
+            (3, 1, 25),
+        ],
     )
     def test_irreducible_members_never_try_a_prime(self, monkeypatch, n, m, k):
-        # k = 11 and 7 are prime; k = 21 descends to g(x^3) and g(x^7), both
-        # trinomials at a prime. No root of x^2-n*x+m is a 3rd, 7th or 11th
-        # power in its field, so no prime is tried and nothing is lifted. At
-        # k = 4, and in the descent's g(x^4) at k = 20 and 12, the roots are
-        # positive, so no square and no -4*delta^4, and the 4 clause decides
+        # no root of x^2-n*x+m is a p-th power in its field for a prime p
+        # dividing k, so the trinomial test decides f at every k, prime or
+        # composite, and neither tries a prime nor descends. At k = 4, 12 and
+        # 20 the roots are positive, so no -4*delta^4, and the 4 clause agrees
         forbid_primes(monkeypatch)
+        descents = []
+        monkeypatch.setattr(factor_module, "_capelli_descent", lambda *args: descents.append(args))
         f = family_poly(n, m, k)
         assert factor(f).factors == ((f, 1),)
+        assert descents == []
 
     def test_a_split_takes_the_generic_path(self, monkeypatch):
         # 2+sqrt(3) cubed is 26+15*sqrt(3), a root of x^2-52*x+1
@@ -501,7 +514,7 @@ squares = st.tuples(st.integers(-12, 12), st.integers(-5, 5).filter(bool)).map(
 @PROPERTY
 @given(
     st.one_of(minus_four_fourth_powers, squares, from_coefficients.map(lambda bck: bck[:2])),
-    st.sampled_from((4, 8, 12, 20)),
+    st.sampled_from((4, 6, 8, 9, 10, 12, 15, 20)),
 )
 # delta = 1+sqrt(2): x^8+136*x^4+16 splits into two quartics, and so do its
 # inflations, through g(x^4) in the descent
@@ -512,14 +525,20 @@ squares = st.tuples(st.integers(-12, 12), st.integers(-5, 5).filter(bool)).map(
 # delta = (1+sqrt(3))/2 is no algebraic integer, yet -4a = (4+2*sqrt(3))^2
 # and 4+2*sqrt(3) = (1+sqrt(3))^2: x^8+14*x^4+1 splits
 @example((14, 1), 4)
+# -4*delta^4 needs 4 | k: at k = 6 the same root is no square and no cube
+@example((136, 16), 6)
+# a cube of 1+sqrt(3), and of 2+sqrt(3): split at k = 9 and 15 through p = 3
+@example((-20, -8), 9)
+@example((-52, 1), 15)
 def test_k4_trinomials_and_their_inflations_agree_with_sympy(bc, k):
     b, c = bc
     f = trinomial(b, c, k)
     _assert_matches_sympy(f)
     d = b * b - 4 * c
-    if k == 4 and d > 0 and isqrt(d) ** 2 != d:
-        # by Capelli at 4, a square or -4*delta^4 is exactly a split
-        assert factor_module._trinomial_splits(b, c, 4, free) == (not is_irreducible(f))
+    if d > 0 and isqrt(d) ** 2 != d:
+        # by Capelli, a p-th power for a prime p | k, or -4*delta^4 when
+        # 4 | k, is exactly a split
+        assert factor_module._trinomial_splits(b, c, k, free) == (not is_irreducible(f))
 
 
 @PROPERTY
@@ -768,7 +787,7 @@ class TestFactorWorkBudget:
         "text, units",
         [
             ("x^105-1", 1_397_681),
-            ("x^80-7*x^40+4", 2_414),
+            ("x^80-7*x^40+4", 2_255),
             ("x^4-10*x^2+1", 156),
             ("(x-1)^3*(x+2)^2*(x^2+1)", 1_371),
             ("x^20+2*x^2+2", 39_370),
@@ -799,7 +818,7 @@ class TestFactorWorkBudget:
         # calls _choose_prime once for each g(x^t) and h(x^(k/t)) it factors
         # whole, so the primes of every call count. x^16-14*x^8+1 splits at
         # g(x^2) = x^4-14*x^2+1, which is lifted; x^80-7*x^40+4 is decided by
-        # integer tests alone at g(x^2), g(x^4) and g(x^5)
+        # the trinomial test alone, at the primes 2 and 5 and the 4 clause
         frobenius, choose_prime = factor_module._frobenius, factor_module._choose_prime
         built, tried = [], []
 

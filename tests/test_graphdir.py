@@ -84,6 +84,25 @@ class TestExpand:
         assert set(cut) == {Configuration(""), Configuration("O")}
         assert Configuration("OT") in keep
 
+    def test_a_policy_value_is_its_policy(self):
+        spec = generate(4, 1, F(1, 6), "OTG")
+        for policy in Policy:
+            assert expand(Configuration(""), spec, policy.value) == expand(
+                Configuration(""), spec, policy
+            )
+        assert expand(Configuration(""), spec, "cut-touch") == {
+            Configuration("O"): 1,
+            Configuration(""): 2,
+        }
+
+    @pytest.mark.parametrize("policy", ["nonsense", "", None])
+    def test_an_unknown_policy_is_refused_by_expand_and_build_graph(self, policy):
+        spec = generate(4, 1, F(1, 6), "OTG")
+        with pytest.raises(InvalidArgument, match="policy must be"):
+            expand(Configuration(""), spec, policy)
+        with pytest.raises(InvalidArgument, match="policy must be"):
+            build_graph(spec, policy)
+
 
 @st.composite
 def in_class_specs(draw):
