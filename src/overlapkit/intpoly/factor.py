@@ -6,18 +6,20 @@ With g = gcd(f, f'), the kernel f / g has every irreducible factor of f once,
 and g each one its multiplicity less one times. Only the kernel is factored;
 each factor's multiplicity is 1 plus the number of times it divides g.
 
-A kernel f = g(x^k), k > 1 the gcd of its exponents, goes through Capelli's
-theorem (stated in `_capelli_descent`) first. A trinomial
-f = x^(2k) + b*x^k + c with D = b^2 - 4c positive and no square is decided at
-every k by integer tests (`_trinomial_splits`, with `_pth_roots`): when it
-does not split, f is irreducible and no prime is tried for it. So the family
-x^(2k)-n*x^k+m, which the degree sets below can never prove irreducible at an
-even k, is lifted only when it splits. At a k that is neither a prime nor 4,
-every kernel not decided so (a trinomial that splits, or any other g) goes to
-the Capelli descent: g(x^t) is factored for each t in T, the primes dividing
-k and 4 when 4 | k, smallest t first, and the first that splits, into
-h_1...h_r, splits f into the h_i(x^(k/t)), each factored in turn; when none
-splits, f is irreducible. Every other kernel takes the path below.
+A kernel f = g(x^k), k > 1 the gcd of its exponents, goes through one
+Capelli loop first (the theorem and its proofs are in `_factor_squarefree`):
+g(x^t) is decided for each t in T, the primes dividing k and 4 when 4 | k,
+smallest t first, and the first that splits, into h_1...h_r, splits f into
+the h_i(x^(k/t)), each factored in turn; when none splits, f is irreducible
+and no prime is tried for it. For a trinomial f = x^(2k) + b*x^k + c with
+D = b^2 - 4c positive and no square, each g(x^t) is decided by integer tests
+(`_splits_at`, with `_pth_root`), and only a g(x^t) that splits is lifted.
+So the family x^(2k)-n*x^k+m, which the degree sets below can never prove
+irreducible at an even k, is lifted only when it splits. Any other g(x^t) is
+factored the same way. At a prime k or k = 4, g(x^k) is f itself: such a
+trinomial is lifted whole when the integer tests find it splits, and any
+other such f, or f at k = 1, at once. Whatever is lifted takes the path
+below (`_zassenhaus`).
 
 The prime is chosen from distinct-degree factorizations alone. Modulo the
 first good prime (p >= 5, not dividing lc(f), f mod p squarefree) f splits
@@ -66,7 +68,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from ..errors import ConsistencyError, InvalidArgument, WorkBudget
 from ..exactnum import integer_root, is_square
@@ -96,9 +98,9 @@ from .poly import IntPoly, _add, _convolve, _gcd, _power, exact_div
 # 251. The costliest calls admitted took 0.73-1.05 s (x^220+x+1), 0.39-0.58 s
 # ((x-1)(x-2)...(x-104)), 0.44-0.57 s ((x-1)...(x-112), the most linear
 # factors, 171,000 units inside the budget), 0.20-0.27 s (the degree-32
-# Swinnerton-Dyer polynomial) and 0.13-0.15 s
-# (x^32-n*x^16+1 for an 1880-bit n, before the Capelli descent decided it in
-# 0.01 s; 0.14-0.15 s at x+1, which is still lifted), while x^400+x+1,
+# Swinnerton-Dyer polynomial) and 0.14-0.15 s
+# (x^32-n*x^16+1 for an 1880-bit n at x+1, lifted whole; unshifted, the
+# Capelli loop lifts it only at degree 4, in 3-4 ms), while x^400+x+1,
 # (x+1)^512+1, the degree-64 Swinnerton-Dyer polynomial and (x-1)...(x-113)
 # were refused after 0.51-0.80, 0.09-0.13, 0.47-0.59 and 0.44-0.68 s
 # (in-process, 10 runs each on a shared 2-vCPU host whose speed swung by about
@@ -603,14 +605,13 @@ def _power_sum(trace: int, norm: int, p: int, bound: int) -> Optional[int]:
     return t
 
 
-def _pth_roots(b: int, c: int, primes: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-    """(p, T, N) for each prime p in primes for which a root of x^2 + b*x + c
-    is the p-th power of a gamma in K = Q(sqrt D), D = b^2 - 4c > 0 and no
-    square; T and N are gamma's trace and norm (T > 0 when p = 2). Integers
-    only, and one isqrt(D) for all the primes.
+def _pth_root(b: int, c: int, p: int) -> Optional[tuple[int, int, int]]:
+    """(p, T, N) when a root of x^2 + b*x + c is the p-th power of a gamma in
+    K = Q(sqrt D), D = b^2 - 4c > 0 and no square, p a prime, else None; T and
+    N are gamma's trace and norm (T > 0 when p = 2). Integers only.
 
     The p-th root. Let a > a' be the roots, irrational as D is no square,
-    with K = Q(a) real (_trinomial_splits says why a p-th root decides
+    with K = Q(a) real (_factor_squarefree says why a p-th root decides
     x^(2p) + b*x^p + c). A gamma in K with gamma^p = a is a root of the monic
     x^p - a, so an algebraic integer: T = gamma + gamma' and N = gamma*gamma'
     are integers, with gamma'^p = a' for the conjugate, so N^p = c and the
@@ -639,39 +640,82 @@ def _pth_roots(b: int, c: int, primes: Iterable[int]) -> Iterator[tuple[int, int
     passes |b| + s + 2, and each of the at most two candidates costs at most
     2 * bits(p) products of operands below about (|b| + s) * (|T| + |N|).
     """
+    r = integer_root(abs(c), p)
+    if r**p != abs(c) or (p == 2 and c < 0):
+        return None
     s = isqrt(b * b - 4 * c)
-    bound = abs(b) + s + 2
-    for p in primes:
-        r = integer_root(abs(c), p)
-        if r**p != abs(c) or (p == 2 and c < 0):
-            continue
-        if p == 2:
-            candidates = [(isqrt(2 * norm - b), norm) for norm in (r, -r) if 2 * norm - b >= 0]
-        else:
-            trace = _floor_root((-b + s) // 2, p) + _floor_root((-b - s - 1) // 2, p) + 1
-            candidates = [(trace, r if c > 0 else -r)]
-        for trace, norm in candidates:
-            if _power_sum(trace, norm, p, bound) == -b:
-                yield p, trace, norm
-                break
+    if p == 2:
+        candidates = [(isqrt(2 * norm - b), norm) for norm in (r, -r) if 2 * norm - b >= 0]
+    else:
+        trace = _floor_root((-b + s) // 2, p) + _floor_root((-b - s - 1) // 2, p) + 1
+        candidates = [(trace, r if c > 0 else -r)]
+    for trace, norm in candidates:
+        if _power_sum(trace, norm, p, abs(b) + s + 2) == -b:
+            return p, trace, norm
+    return None
 
 
-def _trinomial_splits(b: int, c: int, k: int, charge: Charge) -> bool:
-    """Whether f = x^(2k) + b*x^k + c is reducible, for k >= 2 and
-    D = b^2 - 4c positive and no square, by _pth_roots alone. Each call is
-    charged bits(p) * (64 + bits of its largest coefficient) before it runs.
+def _splits_at(b: int, c: int, t: int, charge: Charge) -> bool:
+    """Whether g(x^t) is reducible, for g = x^2 + b*x + c with D = b^2 - 4c
+    positive and no square, and t a prime or 4; at t = 4 g(x^2) must be
+    irreducible. Integers only: the p-th-root test at a prime t, the 4 clause
+    at t = 4 (proofs in _factor_squarefree). Each _pth_root call is charged
+    bits(p) * (64 + bits of its largest coefficient) before it runs.
+    """
+    def root(b: int, c: int, p: int) -> Optional[tuple[int, int, int]]:
+        charge(p.bit_length() * (64 + max(abs(b), abs(c)).bit_length()))
+        return _pth_root(b, c, p)
 
-    Capelli for a quadratic g = x^2 + b*x + c, irreducible as D is no square.
-    Let a be a root and K = Q(sqrt D), a real field. f = g(x^k) is reducible
-    iff x^k - a is reducible over K, iff a is a p-th power in K for a prime p
-    dividing k, or 4 | k and a = -4*delta^4 for a delta in K (Capelli's
-    theorem; see _capelli_descent).
-    - The p-th powers: the p test on (b, c) for each prime p | k. A square
-      already makes x^2 - a reducible, so the 4 clause below needs only
-      -4*delta^4.
-    - The signs. a = -4*delta^4 is negative, as a != 0 (c != 0), and so is its
-      conjugate a' = -4*delta'^4. So -b = a + a' < 0 and c = a*a' > 0: when
-      c < 0 or b < 0, no root is -4*delta^4.
+    if t != 4:
+        return root(b, c, t) is not None
+    if c < 0 or b < 0:
+        return False
+    eta = root(-4 * b, 16 * c, 2)
+    return eta is not None and root(-eta[1], eta[2], 2) is not None
+
+
+def _factor_squarefree(f: IntPoly, charge: Charge) -> list[IntPoly]:
+    """Irreducible factors of a primitive squarefree f, positive lc, f(0) != 0.
+
+    Write f = g(x^k), k the gcd of f's exponents, and T for the primes
+    dividing k and 4 when 4 | k, in increasing order. For k > 1, g(x^t) is
+    decided for each t in T in turn. A quadratic g = x^2 + b*x + c with
+    D = b^2 - 4c positive and no square is decided at each t by _splits_at,
+    and a g(x^t) that splits is lifted and recombined (_zassenhaus); any
+    other g(x^t) is factored by this function. The first g(x^t) that splits,
+    into h_1...h_r with r > 1, splits f, which is g(x^t) at x^(k/t), into the
+    h_i(x^(k/t)), each factored in turn. When none splits, f is irreducible,
+    and no prime is tried for it. When k is a prime or 4, g(x^k) is f itself:
+    a quadratic g is still decided by _splits_at, and f lifted whole when it
+    splits; any other f, and every f at k = 1, goes to _zassenhaus at once.
+    Each g(x^t) has f's coefficients, and a square u^2 dividing it would put
+    u(x^(k/t))^2 in f; each h_i(x^(k/t)) divides f. So both are primitive and
+    squarefree, with a positive lc and f(0) != 0. Each build is charged at
+    its length.
+
+    Capelli. A factorization g = u*v gives g(x^t) = u(x^t)*v(x^t), so when
+    every g(x^t) is irreducible, g is. Let g be irreducible of degree n with a
+    root a, and K = Q(a). For t >= 1 and r with r^t = a, g(x^t) has the root
+    r, and Q(r) holds a = r^t, so [Q(r):Q] = n*[K(r):K]: g(x^t), of degree
+    n*t, is irreducible iff x^t - a is irreducible over K. By Capelli's
+    theorem (Schinzel, Polynomials with special regard to reducibility,
+    2000), x^t - a is reducible over K iff a = e^p for an e in K and a prime
+    p dividing t, or 4 | t and a = -4*e^4 for an e in K. At a prime t = p
+    this reads: x^p - a is reducible iff a is a p-th power in K; at t = 4:
+    iff a is a square or a = -4*e^4. So x^k - a is reducible iff x^p - a is
+    for a prime p | k, or 4 | k and x^4 - a is (a square already makes
+    x^2 - a reducible), and g(x^k) is irreducible iff every g(x^t), t in T,
+    is.
+
+    The quadratic g, irreducible as D is no square, has K = Q(sqrt D), a real
+    field, and a != 0 as c != 0.
+    - A prime t = p: a is a p-th power in K iff _pth_root(b, c, p) finds
+      its p-th root.
+    - t = 4, after t = 2 found no square root of a: x^4 - a is reducible iff
+      a = -4*delta^4 for a delta in K.
+    - The signs. a = -4*delta^4 is negative, and so is its conjugate
+      a' = -4*delta'^4. So -b = a + a' < 0 and c = a*a' > 0: when c < 0 or
+      b < 0, no root is -4*delta^4.
     - Both roots negative (b > 0 < c). a = -4*delta^4 iff u = -4a is eps^4
       for eps = 2*delta in K. u is a root of x^2 - 4b*x + 16c, of
       discriminant 16D, positive and no square, so the p = 2 test on
@@ -684,77 +728,34 @@ def _trinomial_splits(b: int, c: int, k: int, charge: Charge) -> bool:
       T1^2 - 4*N1 = 16D / T1^2 (as u - u' = (eta - eta')(eta + eta')),
       positive and no square, and Q(eta) = K, as eta is irrational.
     """
-    def root(b: int, c: int, p: int) -> Optional[tuple[int, int, int]]:
-        charge(p.bit_length() * (64 + max(abs(b), abs(c)).bit_length()))
-        return next(_pth_roots(b, c, [p]), None)
-
-    if any(root(b, c, p) is not None for p in _prime_divisors(k)):
-        return True
-    if k % 4 or c < 0 or b < 0:
-        return False
-    eta = root(-4 * b, 16 * c, 2)
-    return eta is not None and root(-eta[1], eta[2], 2) is not None
-
-
-def _capelli_descent(f: IntPoly, k: int, t_values: list[int], charge: Charge) -> list[IntPoly]:
-    """Irreducible factors of a primitive squarefree f = g(x^k), positive lc,
-    f(0) != 0, for k the gcd of f's exponents and t_values the set T, in
-    increasing order: the primes dividing k, and 4 when 4 | k, k not in T.
-
-    Each g(x^t), t in T, is factored in turn. Every t is below k, so g(x^t)
-    has lower degree than f. The first that splits, g(x^t) = h_1...h_r with
-    r > 1, splits f, which is g(x^t) at x^(k/t), into the h_i(x^(k/t)), each
-    factored in turn. When none splits, f is irreducible, and no prime is
-    tried for it. Each g(x^t) has f's coefficients, and a square u^2 dividing
-    it would put u(x^(k/t))^2 in f; each h_i(x^(k/t)) divides f. So both are
-    primitive and squarefree, with a positive lc and f(0) != 0. Each build is
-    charged at its length.
-
-    Proof. A factorization g = u*v gives g(x^t) = u(x^t)*v(x^t), so when
-    every g(x^t) is irreducible, g is. Let g be irreducible of degree n with a
-    root a, and K = Q(a). For t >= 1 and b with b^t = a, g(x^t) has the root
-    b, and Q(b) holds a = b^t, so [Q(b):Q] = n*[K(b):K]: g(x^t), of degree
-    n*t, is irreducible iff x^t - a is irreducible over K. By Capelli's
-    theorem (Schinzel, Polynomials with special regard to reducibility,
-    2000), x^t - a is reducible over K iff a = c^p for a c in K and a prime p
-    dividing t, or 4 | t and a = -4*c^4 for a c in K. At a prime t = p this
-    reads: x^p - a is reducible iff a is a p-th power in K; at t = 4: iff a is
-    a square or a = -4*c^4. So x^k - a is reducible iff x^p - a is for a prime
-    p | k, or 4 | k and x^4 - a is (a square already makes x^2 - a reducible),
-    and g(x^k) is irreducible iff every g(x^t), t in T, is.
-    """
     def at_power(h: IntPoly, t: int) -> IntPoly:
         """h(x^t), charged at its length."""
         charge(h.degree * t + 1)
         return h.inflate(t)
 
+    k = gcd(*(i for i, c in enumerate(f.coeffs) if c))
+    t_values = sorted(_prime_divisors(k) + [4] * (k % 4 == 0))
     g = IntPoly(f.coeffs[::k])
+    d = g[1] ** 2 - 4 * g[0]
+    quadratic = k > 1 and g.degree == 2 and g.lc == 1 and d > 0 and not is_square(d)
+    whole = k == 1 or k in t_values  # a split lifts f itself, no g(x^t)
+    if whole and not quadratic:
+        return _zassenhaus(f, charge)
     for t in t_values:
-        parts = _factor_squarefree(at_power(g, t), charge)
+        if quadratic and not _splits_at(g[1], g[0], t, charge):
+            continue
+        if whole:
+            return _zassenhaus(f, charge)
+        parts = (_zassenhaus if quadratic else _factor_squarefree)(at_power(g, t), charge)
         if len(parts) > 1:
             return [irr for h in parts for irr in _factor_squarefree(at_power(h, k // t), charge)]
     return [f]
 
 
-def _factor_squarefree(f: IntPoly, charge: Charge) -> list[IntPoly]:
-    """Irreducible factors of a primitive squarefree f, positive lc, f(0) != 0.
-
-    For k > 1 the gcd of f's exponents, f = x^(2k) + b*x^k + c with b^2 - 4c
-    positive and no square is irreducible when _trinomial_splits says it does
-    not split. Otherwise, when k is neither a prime nor 4, _capelli_descent
-    decides f from the g(x^t), t in T: the primes dividing k, and 4 when 4 | k.
-    Every other f has its prime chosen and is lifted and recombined as the
-    module docstring says.
-    """
-    k = gcd(*(i for i, c in enumerate(f.coeffs) if c))
-    if k > 1 and f.degree == 2 * k and f.lc == 1:
-        b, c = f[k], f[0]
-        d = b * b - 4 * c
-        if d > 0 and not is_square(d) and not _trinomial_splits(b, c, k, charge):
-            return [f]
-    t_values = sorted(_prime_divisors(k) + [4] * (k % 4 == 0))
-    if k > 1 and k not in t_values:
-        return _capelli_descent(f, k, t_values, charge)
+def _zassenhaus(f: IntPoly, charge: Charge) -> list[IntPoly]:
+    """Irreducible factors of a primitive squarefree f, positive lc, f(0) != 0,
+    by the path of the module docstring: the prime chosen from distinct-degree
+    patterns, the modular factors lifted, and subsets recombined."""
     p, fp, rows, parts, count, degrees, _ = _choose_prime(f, charge)
     if degrees == 1 | 1 << f.degree:
         return [f]

@@ -23,7 +23,7 @@ from .errors import ConsistencyError, InvalidArgument, ResourceLimitError
 from .exactnum import format_rational, is_perfect_power, multiplicative_dependence
 from .ifs import DustIfsSpec, check_class, check_feasible
 from .intpoly import Factorization, IntPoly, factor, family_poly, gcd_poly, moran_poly
-from .intpoly.factor import _prime_divisors, _pth_roots
+from .intpoly.factor import _prime_divisors, _pth_root
 
 # a verdict factors only the k that split, so a sweep is cheap: obstruct-sweep
 # --nmax 20 takes 0.15-0.17 s at kmax 8 and 0.16-0.18 s at 15 as a whole process,
@@ -98,7 +98,7 @@ def split_primes(n: int, m: int, e: int) -> tuple[SplitPrime, ...]:
     """Every prime p with beta a p-th power in O_K, for an in-class (n, m)
     with m = a^e, e largest, each with the root's trace and norm. Integers
     only; the candidates are proven in `obstruction_verdict`, and each is
-    tested by `intpoly.factor._pth_roots`."""
+    tested by `intpoly.factor._pth_root`."""
     if m > 1:
         candidates = _prime_divisors(e)
     else:
@@ -107,7 +107,8 @@ def split_primes(n: int, m: int, e: int) -> tuple[SplitPrime, ...]:
             if _prime_divisors(p) == [p]:
                 candidates.append(p)
             p, fib, fib_next = p + 1, fib_next, fib + fib_next
-    return tuple(SplitPrime(*root) for root in _pth_roots(-n, m, candidates))
+    roots = (_pth_root(-n, m, p) for p in candidates)
+    return tuple(SplitPrime(*root) for root in roots if root is not None)
 
 
 def obstruction_verdict(n: int, m: int, kmax: int = DEFAULT_KMAX) -> ObstructionReport:
@@ -123,15 +124,15 @@ def obstruction_verdict(n: int, m: int, kmax: int = DEFAULT_KMAX) -> Obstruction
     Capelli. In class, n^2-4m lies strictly between (n-2)^2 and n^2 with the
     parity of n, so it is no square, and x^2-n*x+m has roots n-1 < beta < n
     and 0 < beta' < 1 in the real field K = Q(sqrt(n^2-4m)). By Capelli's
-    theorem (stated in `intpoly.factor._capelli_descent`, and read for a
-    quadratic in `_trinomial_splits`), x^(2k)-n*x^k+m splits iff beta =
+    theorem (stated, and read for a quadratic, in
+    `intpoly.factor._factor_squarefree`), x^(2k)-n*x^k+m splits iff beta =
     gamma^p with gamma in K and p a prime dividing k (beta = -4*gamma^4 with
     4 | k would make beta negative). gamma is an algebraic integer, so
     m = N(beta) = N(gamma)^p: p divides e for m = a^e, e largest, and
     N(gamma) = a^(e/p), or -a^(e/p) when p = 2. The k = 1 member never
     splits.
 
-    The p-th-root test. `intpoly.factor._pth_roots(-n, m, [p])` gives the
+    The p-th-root test. `intpoly.factor._pth_root(-n, m, p)` gives the
     trace T and norm N of a gamma in K with gamma^p = beta (or beta', which
     is the same condition) iff one exists; its docstring proves the test
     and its one candidate trace from integers alone. For p = 2 it takes

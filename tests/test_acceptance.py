@@ -6,6 +6,7 @@ test also enforces its runtime budget.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import math
 import random
@@ -32,27 +33,10 @@ from overlapkit.intpoly import (
 )
 from overlapkit.intpoly.factor import (
     MAX_FACTOR_WORK,
-    _capelli_descent,
     _choose_prime,
-    _combine,
-    _cz_power,
     _ddf,
-    _edf,
     _factor_mod_p,
-    _factor_squarefree,
-    _fits,
-    _floor_root,
-    _frob_apply,
     _frobenius,
-    _gf_mul,
-    _gf_reducer,
-    _hensel_lift_tree,
-    _hensel_step,
-    _pack,
-    _power_sum,
-    _prime_divisors,
-    _pth_roots,
-    _unpack,
 )
 from overlapkit.intpoly.poly import _add, _convolve, _divide, _gcd, _power, exact_div, gcd_poly
 from overlapkit.numlab import box_count_dimension, cover, cylinder_growth
@@ -130,8 +114,9 @@ def test_slow_family_exponents_factor_quickly():
 def test_equal_degree_split_of_degree_40_factors_is_fast():
     # modulo 19 it is two factors of degree 40, so each Cantor-Zassenhaus power
     # is 39 Frobenius steps; a 170-bit square-and-multiply instead took 1.8-2.4 s
-    # on a 2-core Xeon, past this budget. factor decides it by the Capelli
-    # descent at degree 10 at most, so the split mod 19 is run on its own too
+    # on a 2-core Xeon, past this budget. factor decides it by root tests
+    # alone (at 2 and 5, and the 4 clause), trying no prime, so the split mod
+    # 19 is run on its own too
     start = time.monotonic()
     f = parse_poly("x^80-7*x^40+4")
     fp = [c % 19 for c in f.coeffs]
@@ -315,6 +300,14 @@ def test_dimension_counts_and_box_estimate():
 
 
 def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
+    # every function of the factorizer, whatever its name
+    factor_module = importlib.import_module("overlapkit.intpoly.factor")
+    factor_functions = [
+        function
+        for function in vars(factor_module).values()
+        if inspect.isfunction(function) and function.__module__ == factor_module.__name__
+    ]
+    assert {factor, _choose_prime, _frobenius} <= set(factor_functions)
     dust_sources = [
         inspect.getsource(exactnum.multiplicative_dependence),
         inspect.getsource(obstruction._lambda_exponents),
@@ -349,30 +342,8 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(exact_div),
         inspect.getsource(gcd_poly),
         inspect.getsource(_gcd),
-        inspect.getsource(factor),
         inspect.getsource(WorkBudget),
-        inspect.getsource(_fits),
-        inspect.getsource(_pack),
-        inspect.getsource(_unpack),
-        inspect.getsource(_gf_mul),
-        inspect.getsource(_gf_reducer),
-        inspect.getsource(_combine),
-        inspect.getsource(_frobenius),
-        inspect.getsource(_frob_apply),
-        inspect.getsource(_ddf),
-        inspect.getsource(_cz_power),
-        inspect.getsource(_edf),
-        inspect.getsource(_factor_mod_p),
-        inspect.getsource(_hensel_step),
-        inspect.getsource(_hensel_lift_tree),
-        inspect.getsource(_choose_prime),
-        inspect.getsource(_factor_squarefree),
-        inspect.getsource(_prime_divisors),
-        inspect.getsource(_floor_root),
-        inspect.getsource(_power_sum),
-        inspect.getsource(_pth_roots),
-        inspect.getsource(_capelli_descent),
-    ]
+    ] + [inspect.getsource(function) for function in factor_functions]
     for source in sources:
         for token in ("float(", "mpmath", "math.", "__float__", "1e-", "0.5"):
             assert token not in source, token
@@ -386,29 +357,8 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         exact_div,
         gcd_poly,
         _gcd,
-        factor,
         WorkBudget,
-        _fits,
-        _pack,
-        _unpack,
-        _gf_mul,
-        _gf_reducer,
-        _combine,
-        _frobenius,
-        _frob_apply,
-        _ddf,
-        _cz_power,
-        _edf,
-        _factor_mod_p,
-        _hensel_step,
-        _hensel_lift_tree,
-        _choose_prime,
-        _factor_squarefree,
-        _prime_divisors,
-        _floor_root,
-        _power_sum,
-        _pth_roots,
-        _capelli_descent,
+        *factor_functions,
         numlab._numerator_levels,
         numlab._occupied_cells,
     ):
@@ -434,9 +384,9 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         f"integer factoring), the dust candidate check, "
         f"expansion, cover, integer cover kernel, box-counting cells, characteristic polynomial, "
         f"real-root, the integer list core (sum, product, division, power), exact division, "
-        f"gcd (charged or not), the squarefree kernel, "
-        f"modular factoring (Frobenius matrix, distinct- and equal-degree splits), "
-        f"Hensel lifting, recombination and the Capelli descent sources are free of "
+        f"gcd (charged or not), and the {len(factor_functions)} functions of "
+        f"intpoly.factor (the squarefree kernel, the Capelli loop, modular factoring, "
+        f"Hensel lifting, recombination) are free of "
         f"floating-point operations and {expansions} re-expansions matched the "
         f"Fraction-offset expansion"
     )

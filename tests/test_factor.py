@@ -277,8 +277,8 @@ class TestPrimeChoiceAndDegreeSets:
         assert lifted and lifted[0] >= 2
 
     def test_degree_sets_prove_irreducibility_without_lifting(self, monkeypatch):
-        # x^20+2*x^2+2 (Eisenstein at 2, exponent gcd 2, so no Capelli
-        # descent) has modular factor degrees 1,1,2,6,10 mod 5, 1,1,2,16 mod
+        # x^20+2*x^2+2 (Eisenstein at 2, exponent gcd 2, so lifted whole by
+        # the Capelli loop) has modular factor degrees 1,1,2,6,10 mod 5, 1,1,2,16 mod
         # 7, 1,1,6,6,6 mod 11 and 4,6,10 mod 13: only 0 and 20 are subset
         # sums of all four
         f = parse_poly("x^20+2*x^2+2")
@@ -331,7 +331,7 @@ class TestCapelliDescent:
     )
     def test_irreducible_family_members_never_lift_at_degree_2k(self, monkeypatch, n, m, k):
         # every prime keeps degree k a subset sum for these, so without the
-        # descent they were lifted and recombined at degree 2k
+        # Capelli loop they were lifted and recombined at degree 2k
         lift, lifted = factor_module._hensel_lift_tree, []
 
         def recorded(p, f, modular, target):
@@ -384,12 +384,12 @@ def test_prime_k_trinomials_agree_with_sympy(bck):
     _assert_matches_sympy(f)
     d = b * b - 4 * c
     if d > 0 and isqrt(d) ** 2 != d:
-        roots = list(factor_module._pth_roots(b, c, [k]))
-        assert len(roots) <= 1
-        for p, trace, norm in roots:
+        root = factor_module._pth_root(b, c, k)
+        if root is not None:
+            p, trace, norm = root
             assert (p, norm**k, power_sum(trace, norm, k)) == (k, c, -b)
         # by Capelli, a k-th root in Q(sqrt(d)) is exactly a split
-        assert bool(roots) == (not is_irreducible(f))
+        assert (root is not None) == (not is_irreducible(f))
 
 
 def forbid_primes(monkeypatch) -> None:
@@ -433,15 +433,15 @@ class TestPrimeRootTest:
     )
     def test_irreducible_members_never_try_a_prime(self, monkeypatch, n, m, k):
         # no root of x^2-n*x+m is a p-th power in its field for a prime p
-        # dividing k, so the trinomial test decides f at every k, prime or
-        # composite, and neither tries a prime nor descends. At k = 4, 12 and
+        # dividing k, so the root tests decide f at every k, prime or
+        # composite, and it neither tries a prime nor lifts. At k = 4, 12 and
         # 20 the roots are positive, so no -4*delta^4, and the 4 clause agrees
         forbid_primes(monkeypatch)
-        descents = []
-        monkeypatch.setattr(factor_module, "_capelli_descent", lambda *args: descents.append(args))
+        lifts = []
+        monkeypatch.setattr(factor_module, "_zassenhaus", lambda *args: lifts.append(args))
         f = family_poly(n, m, k)
         assert factor(f).factors == ((f, 1),)
-        assert descents == []
+        assert lifts == []
 
     def test_a_split_takes_the_generic_path(self, monkeypatch):
         # 2+sqrt(3) cubed is 26+15*sqrt(3), a root of x^2-52*x+1
@@ -450,6 +450,24 @@ class TestPrimeRootTest:
         factors = [g.to_string() for g, _ in factor(f).factors]
         assert factors == ["x^2-4*x+1", "x^4+4*x^3+15*x^2+4*x+1"]
         assert chosen == [6]
+
+    @pytest.mark.parametrize(
+        "n, m, k", [(3, 1, 6), (3, 1, 8), (7, 1, 12), (18, 1, 9), (18, 1, 12), (14, 1, 16)]
+    )
+    def test_members_that_split_below_k_run_each_root_test_once(self, monkeypatch, n, m, k):
+        # each splits at a t < k: the g(x^t) the root test found split is
+        # lifted as it is, never tested again, and each h(x^(k/t)) gets its
+        # own coefficients' tests
+        pth_root, seen = factor_module._pth_root, []
+
+        def recorded(b, c, p):
+            seen.append((b, c, p))
+            return pth_root(b, c, p)
+
+        monkeypatch.setattr(factor_module, "_pth_root", recorded)
+        f = family_poly(n, m, k)
+        assert len(factor(f).factors) > 1
+        assert seen and len(set(seen)) == len(seen)
 
     @pytest.mark.parametrize(
         "text",
@@ -517,7 +535,7 @@ squares = st.tuples(st.integers(-12, 12), st.integers(-5, 5).filter(bool)).map(
     st.sampled_from((4, 6, 8, 9, 10, 12, 15, 20)),
 )
 # delta = 1+sqrt(2): x^8+136*x^4+16 splits into two quartics, and so do its
-# inflations, through g(x^4) in the descent
+# inflations, through g(x^4) in the Capelli loop
 @example((136, 16), 4)
 @example((136, 16), 20)
 # -4a = (3+sqrt(5))^2 with 3+sqrt(5) no square: irreducible at every k
@@ -538,7 +556,9 @@ def test_k4_trinomials_and_their_inflations_agree_with_sympy(bc, k):
     if d > 0 and isqrt(d) ** 2 != d:
         # by Capelli, a p-th power for a prime p | k, or -4*delta^4 when
         # 4 | k, is exactly a split
-        assert factor_module._trinomial_splits(b, c, k, free) == (not is_irreducible(f))
+        t_values = sorted(factor_module._prime_divisors(k) + [4] * (k % 4 == 0))
+        splits = any(factor_module._splits_at(b, c, t, free) for t in t_values)
+        assert splits == (not is_irreducible(f))
 
 
 @PROPERTY
@@ -814,11 +834,11 @@ class TestFactorWorkBudget:
     def test_linear_factors_build_one_frobenius_matrix_per_prime_tried(self, monkeypatch):
         # the distinct-degree split at each prime tried builds one matrix, and
         # the equal-degree split reuses the chosen prime's for every part and
-        # piece. The family members are decided by the Capelli descent, which
-        # calls _choose_prime once for each g(x^t) and h(x^(k/t)) it factors
+        # piece. The family members are decided by the Capelli loop, which
+        # calls _choose_prime once for each g(x^t) and h(x^(k/t)) it lifts
         # whole, so the primes of every call count. x^16-14*x^8+1 splits at
         # g(x^2) = x^4-14*x^2+1, which is lifted; x^80-7*x^40+4 is decided by
-        # the trinomial test alone, at the primes 2 and 5 and the 4 clause
+        # the root tests alone, at the primes 2 and 5 and the 4 clause
         frobenius, choose_prime = factor_module._frobenius, factor_module._choose_prime
         built, tried = [], []
 
@@ -845,8 +865,8 @@ class TestFactorWorkBudget:
         assert tried == built == []
 
     def test_x512_minus_1_is_its_ten_cyclotomic_factors(self):
-        # refused past the budget at degree 512 without the Capelli descent;
-        # with it, x^2-1 splits it into x^256-1, descended in turn, and
+        # refused past the budget at degree 512 without the Capelli loop;
+        # with it, x^2-1 splits it into x^256-1, factored in turn, and
         # x^256+1, proven irreducible by x^2+1 and x^4+1
         f = parse_poly("x^512-1")
         assert len(factor(f).factors) == 10
@@ -871,8 +891,8 @@ class TestFactorWorkBudget:
         else:
             # x^32 - n*x^16 + 1 for the 1880-bit n = g^4 + g'^4, g a unit
             # of 470-bit trace t, at x+1: 12 modular factors at the chosen
-            # prime. The Capelli descent decides the unshifted polynomial at
-            # degree 8 at most; at x+1 (exponent gcd 1) it is still lifted
+            # prime. The Capelli loop lifts the unshifted polynomial only at
+            # degree 4; at x+1 (exponent gcd 1) it is lifted whole
             t = random.Random(1).getrandbits(470) | 1 << 469
             n = (t * t - 2) ** 2 - 2
             f = IntPoly()
