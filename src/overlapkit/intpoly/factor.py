@@ -605,10 +605,11 @@ def _power_sum(trace: int, norm: int, p: int, bound: int) -> Optional[int]:
     return t
 
 
-def _pth_root(b: int, c: int, p: int) -> Optional[tuple[int, int, int]]:
+def _pth_root(b: int, c: int, p: int, s: int) -> Optional[tuple[int, int, int]]:
     """(p, T, N) when a root of x^2 + b*x + c is the p-th power of a gamma in
     K = Q(sqrt D), D = b^2 - 4c > 0 and no square, p a prime, else None; T and
-    N are gamma's trace and norm (T > 0 when p = 2). Integers only.
+    N are gamma's trace and norm (T > 0 when p = 2). s is isqrt(D), taken
+    once by a caller that tries several p. Integers only.
 
     The p-th root. Let a > a' be the roots, irrational as D is no square,
     with K = Q(a) real (_factor_squarefree says why a p-th root decides
@@ -629,10 +630,9 @@ def _pth_root(b: int, c: int, p: int) -> Optional[tuple[int, int, int]]:
     An integer j is at most gamma iff j^p <= a, iff j^p <= A = floor(a), so
     floor(gamma) = floor(A^(1/p)), and likewise floor(gamma') =
     floor(A'^(1/p)) for A' = floor(a'). As a and a' are irrational,
-    A = (-b + s) // 2 and A' = (-b - s - 1) // 2 for s = isqrt(D). The
-    fractional parts of gamma and gamma' lie in (0, 1) and sum to an
-    integer, so to 1: T = floor(gamma) + floor(gamma') + 1 is the only
-    candidate.
+    A = (-b + s) // 2 and A' = (-b - s - 1) // 2. The fractional parts of
+    gamma and gamma' lie in (0, 1) and sum to an integer, so to 1:
+    T = floor(gamma) + floor(gamma') + 1 is the only candidate.
 
     The cut-off. For the true (T, N), |t_j| <= |gamma|^j + |gamma'|^j
     <= max(1, |a|) + max(1, |a'|) < |b| + s + 3 for every j <= p, as
@@ -643,7 +643,6 @@ def _pth_root(b: int, c: int, p: int) -> Optional[tuple[int, int, int]]:
     r = integer_root(abs(c), p)
     if r**p != abs(c) or (p == 2 and c < 0):
         return None
-    s = isqrt(b * b - 4 * c)
     if p == 2:
         candidates = [(isqrt(2 * norm - b), norm) for norm in (r, -r) if 2 * norm - b >= 0]
     else:
@@ -664,7 +663,7 @@ def _splits_at(b: int, c: int, t: int, charge: Charge) -> bool:
     """
     def root(b: int, c: int, p: int) -> Optional[tuple[int, int, int]]:
         charge(p.bit_length() * (64 + max(abs(b), abs(c)).bit_length()))
-        return _pth_root(b, c, p)
+        return _pth_root(b, c, p, isqrt(b * b - 4 * c))
 
     if t != 4:
         return root(b, c, t) is not None

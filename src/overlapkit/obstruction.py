@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ConsistencyError, InvalidArgument, ResourceLimitError
@@ -107,7 +107,8 @@ def split_primes(n: int, m: int, e: int) -> tuple[SplitPrime, ...]:
             if _prime_divisors(p) == [p]:
                 candidates.append(p)
             p, fib, fib_next = p + 1, fib_next, fib + fib_next
-    roots = (_pth_root(-n, m, p) for p in candidates)
+    s = isqrt(n * n - 4 * m)
+    roots = (_pth_root(-n, m, p, s) for p in candidates)
     return tuple(SplitPrime(*root) for root in roots if root is not None)
 
 
@@ -132,14 +133,15 @@ def obstruction_verdict(n: int, m: int, kmax: int = DEFAULT_KMAX) -> Obstruction
     N(gamma) = a^(e/p), or -a^(e/p) when p = 2. The k = 1 member never
     splits.
 
-    The p-th-root test. `intpoly.factor._pth_root(-n, m, p)` gives the
-    trace T and norm N of a gamma in K with gamma^p = beta (or beta', which
-    is the same condition) iff one exists; its docstring proves the test
-    and its one candidate trace from integers alone. For p = 2 it takes
-    T > 0 and for an odd p the real root, so gamma^p = beta > 1 > beta' =
-    gamma'^p makes gamma > 1 > |gamma'|, and gamma is the larger root of
-    x^2 - T*x + N. So each listed (p, T, N) certifies a split at every
-    multiple of p, and a prime missing from the list splits no k.
+    The p-th-root test. `intpoly.factor._pth_root(-n, m, p, s)`, with
+    s = isqrt(n^2-4m), gives the trace T and norm N of a gamma in K with
+    gamma^p = beta (or beta', which is the same condition) iff one exists;
+    its docstring proves the test and its one candidate trace from integers
+    alone. For p = 2 it takes T > 0 and for an odd p the real root, so
+    gamma^p = beta > 1 > beta' = gamma'^p makes gamma > 1 > |gamma'|, and
+    gamma is the larger root of x^2 - T*x + N. So each listed (p, T, N)
+    certifies a split at every multiple of p, and a prime missing from the
+    list splits no k.
 
     The Fibonacci bound. For m = 1 gamma is a unit > 1, so T >= 1 when
     N = -1 and T >= 3 when N = 1, and gamma >= (1+sqrt(5))/2 = phi. As

@@ -299,6 +299,26 @@ def test_dimension_counts_and_box_estimate():
     )
 
 
+def test_box_count_at_the_cover_ceiling_is_fast():
+    # 3^14 raw cylinders, the largest n = 3 depth the cover ceiling admits;
+    # counting every cylinder once per grid level took 6-11 s on a 2-core
+    # Xeon, the one sweep per level over merged runs 1.0-1.5 s
+    spec = generate(3, 1, F(1, 4), "OG")
+    assert spec.offsets == (0, F(3, 16), F(3, 4))
+    start = time.monotonic()
+    box = box_count_dimension(spec, 14, 13)
+    elapsed = time.monotonic() - start
+    # 2 * F(2j + 1), F the Fibonacci numbers: N_(j+1) = 3*N_j - N_(j-1)
+    assert [s.occupied for s in box.scales] == [
+        4, 10, 26, 68, 178, 466, 1220, 3194, 8362, 21892, 57314, 150050, 392836
+    ]
+    assert elapsed < 4.0
+    print(
+        f"PASS box-count ceiling: 3^14 cylinders over 13 grid levels "
+        f"[{elapsed:.2f}s < 4s]"
+    )
+
+
 def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
     # every function of the factorizer, whatever its name
     factor_module = importlib.import_module("overlapkit.intpoly.factor")
@@ -332,6 +352,7 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         inspect.getsource(numlab.cover_levels),
         inspect.getsource(numlab._numerator_levels),
         inspect.getsource(numlab._occupied_cells),
+        inspect.getsource(numlab._merge_runs),
         inspect.getsource(graphdir.verify_beta_eigen),
         inspect.getsource(roots),
         inspect.getsource(search),
@@ -361,6 +382,7 @@ def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):
         *factor_functions,
         numlab._numerator_levels,
         numlab._occupied_cells,
+        numlab._merge_runs,
     ):
         assert "Fraction" not in inspect.getsource(function), function.__name__
     # the dust check decides commensurability by divisibility, never by factoring

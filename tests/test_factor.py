@@ -384,7 +384,7 @@ def test_prime_k_trinomials_agree_with_sympy(bck):
     _assert_matches_sympy(f)
     d = b * b - 4 * c
     if d > 0 and isqrt(d) ** 2 != d:
-        root = factor_module._pth_root(b, c, k)
+        root = factor_module._pth_root(b, c, k, isqrt(d))
         if root is not None:
             p, trace, norm = root
             assert (p, norm**k, power_sum(trace, norm, k)) == (k, c, -b)
@@ -460,9 +460,9 @@ class TestPrimeRootTest:
         # own coefficients' tests
         pth_root, seen = factor_module._pth_root, []
 
-        def recorded(b, c, p):
+        def recorded(b, c, p, s):
             seen.append((b, c, p))
-            return pth_root(b, c, p)
+            return pth_root(b, c, p, s)
 
         monkeypatch.setattr(factor_module, "_pth_root", recorded)
         f = family_poly(n, m, k)

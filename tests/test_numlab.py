@@ -230,8 +230,11 @@ class TestBoxCountDimension:
 
 
 @settings(max_examples=100, deadline=None)
-@given(specs(), st.sampled_from([(3, 2), (4, 2), (4, 3), (5, 3), (5, 4)]))
+@given(specs(), st.sampled_from([(3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (6, 3), (6, 5)]))
 @example(SelfSimilarSpec(F(2, 9), (F(0), F(14, 81), F(7, 9))), (5, 4))
+# the gap 1/75 after the first map, scaled by 5^-k, joins two runs at cells
+# of 5^-(k+2) but not of 5^-(k+3); 16/75 lies on no grid of 5^-j
+@example(SelfSimilarSpec(F(1, 5), (F(0), F(16, 75), F(4, 5))), (6, 5))
 def test_box_counts_match_the_fraction_formula(spec, sizes):
     depth, grid_levels = sizes
     result = box_count_dimension(spec, depth, grid_levels)
