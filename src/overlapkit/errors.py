@@ -46,18 +46,21 @@ class ConsistencyError(OverlapKitError):
 
 class WorkBudget:
     """One call's work ceiling: charge(units, **details) adds units to `spent`
-    and, once `spent` passes `ceiling`, raises ResourceLimitError(message,
-    ceiling=ceiling, **details)."""
+    and, once `spent` passes `ceiling`, raises error(message, ceiling=ceiling,
+    **details), error a ResourceLimitError class (that class by default)."""
 
-    def __init__(self, ceiling: int, message: str):
+    def __init__(
+        self, ceiling: int, message: str, error: type[ResourceLimitError] = ResourceLimitError
+    ):
         self.ceiling = ceiling
         self.message = message
+        self.error = error
         self.spent = 0
 
     def __call__(self, units: int, **details: Any) -> None:
         self.spent += units
         if self.spent > self.ceiling:
-            raise ResourceLimitError(self.message, ceiling=self.ceiling, **details)
+            raise self.error(self.message, ceiling=self.ceiling, **details)
 
 
 class InvalidArgument(InputError):

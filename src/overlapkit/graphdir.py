@@ -38,11 +38,12 @@ if TYPE_CHECKING:
     import mpmath
 
 # build_graph refuses a closure that may need more vertices than this. A graph
-# call builds two O(V^4) Berkowitz charpolys, one for spectral_radius and one
-# for verify_beta_eigen, nearly all of its time; whole in-process calls on
-# keep-touch specs of distinct O/T words joined by G (2-core Xeon, host speed
-# swinging about 1.5x) took 0.50-0.77 s at V = 54, 0.70-1.17 s at V = 60,
-# 0.90-1.30 s at V = 64 and 1.27-1.67 s at V = 70.
+# call builds two charpolys, one for spectral_radius and one for
+# verify_beta_eigen, each on the closure's distinct rows (22 at V = 54 and at
+# V = 64). Whole in-process calls, JSON output included, on keep-touch specs
+# of distinct O/T words joined by G (2-core Xeon) took 0.08-0.12 s at V = 54,
+# 0.08-0.09 s at V = 60, 0.09 s at V = 64, 0.12-0.15 s at V = 70 and
+# 0.23-0.25 s at V = 100 (720 kB of JSON).
 MAX_VERTICES = 64
 
 

@@ -1,11 +1,11 @@
 """Exact real algebra on IntPoly: characteristic polynomials and Perron roots.
 
 Every decision is the sign of an integer: `charpoly` is Berkowitz's
-division-free algorithm, and the largest real root of a Perron polynomial is
-bracketed in the cell of bisection's dyadic grid that bisection would return.
-Newton steps from above on the polynomial itself, rounded to that grid, find
-the cell in a few rounds; the signs of one Taylor shift per point certify
-its ends.
+division-free algorithm on the matrix's distinct rows, and the largest real
+root of a Perron polynomial is bracketed in the cell of bisection's dyadic
+grid that bisection would return. Newton steps from above on the polynomial
+itself, rounded to that grid, find the cell in a few rounds; the signs of one
+Taylor shift per point certify its ends.
 """
 
 from __future__ import annotations
@@ -18,6 +18,29 @@ from .poly import IntPoly, _convolve
 
 
 def charpoly(matrix: Sequence[Sequence[int]]) -> IntPoly:
+    """det(x*I - A) of a square integer matrix, on its distinct rows.
+
+    Let R be A's r distinct rows and P the V x r 0/1 matrix that picks each
+    row of A from them, so A = P*R. By Sylvester's determinant identity
+    det(x*I - P*R) = x^(V-r) * det(x*I - R*P), exact for any square A, and
+    (R*P)[i][j] sums row i of R over the columns whose row is the j-th
+    distinct one. A `graphdir` closure repeats most of its rows.
+    """
+    size = len(matrix)
+    if size == 0 or any(len(row) != size for row in matrix):
+        raise InvalidArgument("matrix must be square and nonempty")
+    distinct: dict[tuple[int, ...], int] = {}
+    picks = [distinct.setdefault(tuple(row), len(distinct)) for row in matrix]
+    if len(distinct) == size:  # every row distinct: P = I and R*P = A
+        return _berkowitz(matrix)
+    reduced = [[0] * len(distinct) for _ in distinct]
+    for reduced_row, row in zip(reduced, distinct):
+        for j, c in zip(picks, row):
+            reduced_row[j] += c
+    return _berkowitz(reduced).shift(size - len(distinct))
+
+
+def _berkowitz(matrix: Sequence[Sequence[int]]) -> IntPoly:
     """det(x*I - A) of a square integer matrix, by Berkowitz's algorithm.
 
     Growing the trailing block B by a diagonal entry a, row R and column C
@@ -26,8 +49,6 @@ def charpoly(matrix: Sequence[Sequence[int]]) -> IntPoly:
     convolution with that column, truncated to one more coefficient.
     """
     size = len(matrix)
-    if size == 0 or any(len(row) != size for row in matrix):
-        raise InvalidArgument("matrix must be square and nonempty")
     vec = [1]
     for k in range(size - 1, -1, -1):
         row, col = matrix[k][k + 1 :], [r[k] for r in matrix[k + 1 :]]

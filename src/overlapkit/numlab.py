@@ -16,15 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DegenerateFit, InvalidArgument, NotInClass, TooDeep
+from .errors import DegenerateFit, InvalidArgument, NotInClass, TooDeep, WorkBudget
 from .exactnum import format_rational
 from .ifs import OVERLAP, SelfSimilarSpec, check_class
 
-# Raw cylinders n^depth. In-process on a 2-core Xeon: boxdim at 3^14 (lambda
-# 1/4, offsets 0, 3/16, 3/4, 13 grid levels) 1.0-1.2 s and 133 MB peak,
-# growth 0.7 s; at 2^23 (the Cantor set, 22 grid levels) boxdim 11 s and
-# growth 7.3 s, both near 1.2 GB peak, all of it the cover's numerators.
-DEFAULT_COVER_CEILING = 10**7
+# One call's cover work, in units: each level's n*N_(L-1) children, charged
+# before the level is built, and each boxdim merge pass's input runs. In-process
+# on a 2-core Xeon a unit took 0.16-0.33 us, so the costliest admitted calls
+# take up to about a second: growth on the Cantor set (n = 2) at depth 20, 2.1M
+# units, 0.39 s and 132 MB peak; boxdim on (1/4; 0, 3/16, 3/4) at depth 14
+# with 13 grid levels, 2.7M units, 0.78 s and 97 MB peak.
+MAX_COVER_WORK = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -52,28 +54,54 @@ def check_cylinders(n: int, depth: int, ceiling: int) -> None:
         )
 
 
-def _numerator_levels(spec: SelfSimilarSpec, depth: int) -> Iterator[tuple[list[int], int]]:
+def _cover_budget(depth: int) -> WorkBudget:
+    return WorkBudget(
+        MAX_COVER_WORK,
+        f"the depth-{depth} cover needs more than {MAX_COVER_WORK} units of work",
+        TooDeep,
+    )
+
+
+def _numerator_levels(
+    spec: SelfSimilarSpec, depth: int, charge: Optional[WorkBudget] = None
+) -> Iterator[tuple[list[int], int]]:
     """Sorted numerators and their shared denominator at each depth 0..depth.
 
     With lambda = a/q and B_i = d*b_i, where d is the lcm of the offsets'
     denominators, every depth-L offset (L >= 1) is N / (d*q^(L-1)) and the
     next depth's numerators are q*N + a^L*B_i. One positive denominator per
     depth makes integer dedup and order those of the offsets themselves.
+
+    Parent order. A depth-L cylinder's children span (1 - lambda)*lambda^L
+    from the first to the last, and every step between consecutive depth-L
+    offsets is an O (exactly that span), a T (lambda^(L+1) more) or a G
+    (more still), scaled from the steps of the spec (`graphdir.expand`). So
+    the children of consecutive parents never interleave: across an O the
+    last child of one parent is the first child of the next, and elsewhere
+    they keep the gap left over, a T or G one level down. Laid out parent by
+    parent, the children are already sorted, and a child equal to its left
+    neighbour is the only duplicate. Each level's n*N_(L-1) children are
+    charged before it is built, to charge or else to a budget of its own.
     """
     if depth < 0:
         raise InvalidArgument(f"depth must be >= 0, got {depth}")
-    check_cylinders(spec.n, depth, DEFAULT_COVER_CEILING)
+    charge = charge or _cover_budget(depth)
     a, q = spec.lam.numerator, spec.lam.denominator
     d = 1
     for b in spec.offsets:
         d *= (b * d).denominator  # lcm(d, denominator of b)
     scaled = [int(b * d) for b in spec.offsets]
+    n = len(scaled)
     numerators, denominator, a_power = [0], d, 1
     yield numerators, denominator  # the depth-0 offset 0
     for _ in range(depth):
-        shifts = [a_power * b for b in scaled]
-        base = [q * n for n in numerators]
-        numerators = sorted({n + s for s in shifts for n in base})
+        charge(n * len(numerators), n=n, depth=depth)
+        base = [q * parent for parent in numerators]
+        children = [0] * (n * len(base))
+        for i, b in enumerate(scaled):
+            shift = a_power * b
+            children[i::n] = [parent + shift for parent in base]
+        numerators = [c for left, c in zip([None] + children, children) if c != left]
         yield numerators, denominator
         denominator *= q
         a_power *= a
@@ -185,17 +213,21 @@ def _occupied_cells(spec: SelfSimilarSpec, depth: int, grid_levels: int) -> list
     As c_j falls with j, a gap at most c_(j+1) is at most c_j: the runs of
     level j are those of level j + 1 merged again, so one sweep per level,
     from the finest to the coarsest, works on a run list that only shrinks.
+    Each sweep is charged its input runs, to the cover's budget, before it runs.
     """
-    for numerators, denominator in _numerator_levels(spec, depth):
+    charge = _cover_budget(depth)
+    for numerators, denominator in _numerator_levels(spec, depth, charge):
         pass  # only the deepest level is needed
     a, q = spec.lam.numerator, spec.lam.denominator
     d = denominator // q ** (depth - 1)
     reach = a**depth * d
     runs: Iterable[tuple[int, int]] = ((q * n, q * n + reach) for n in numerators)
-    counts = []
+    counts, size = [], len(numerators)
     for j in range(grid_levels, 0, -1):
+        charge(size, n=spec.n, depth=depth)
         cell = a**j * d * q ** (depth - j)
         runs = list(_merge_runs(runs, cell))
+        size = len(runs)
         counts.append(sum(end // cell - start // cell + 1 for start, end in runs))
     return counts[::-1]
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import json
 import math
 import random
 import time
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import mpmath
 
-from overlapkit import exactnum, graphdir, ifs, numlab, obstruction
+from overlapkit import cli, exactnum, graphdir, ifs, numlab, obstruction
 from overlapkit.errors import ResourceLimitError, WorkBudget
 from overlapkit.exactnum import is_perfect_power, surd_to_float
 from overlapkit.graphdir import Policy, build_graph, expand, spectral_radius, verify_beta_eigen
@@ -300,7 +301,8 @@ def test_dimension_counts_and_box_estimate():
 
 
 def test_box_count_at_the_cover_ceiling_is_fast():
-    # 3^14 raw cylinders, the largest n = 3 depth the cover ceiling admits;
+    # 3^14 raw cylinders, the deepest cover of this spec that MAX_COVER_WORK
+    # admits for boxdim: 2.7M units of the cover's children and merged runs;
     # counting every cylinder once per grid level took 6-11 s on a 2-core
     # Xeon, the one sweep per level over merged runs 1.0-1.5 s
     spec = generate(3, 1, F(1, 4), "OG")
@@ -317,6 +319,54 @@ def test_box_count_at_the_cover_ceiling_is_fast():
         f"PASS box-count ceiling: 3^14 cylinders over 13 grid levels "
         f"[{elapsed:.2f}s < 4s]"
     )
+
+
+def test_costliest_admitted_covers_take_about_a_second(capsys):
+    # MAX_COVER_WORK against the costliest growth and boxdim calls it admits,
+    # timed whole in-process: on the Cantor set (n = 2; 2^20 cylinders for
+    # growth, 2^19 for boxdim, whose merge passes charge about as much again)
+    # and on the golden OG pattern (n = 3; depth 14 for both). One depth more
+    # is charged until the budget runs out and exits 2 with TooDeep. On a
+    # 2-core Xeon the admitted calls took 0.25-0.78 s and the refused ones
+    # 0.18-0.37 s; a ceiling of 10^7 raw cylinders admitted 2^23 (7-11 s).
+    cantor = ("--lambda", "1/3", "--b", "0,2/3")
+    golden = ("--lambda", "1/4", "--b", "0,3/16,3/4")
+    fibonacci = [4, 10, 26, 68, 178, 466, 1220, 3194, 8362, 21892, 57314, 150050, 392836]
+
+    def occupied(data):
+        return [scale["occupied"] for scale in data["scales"]]
+
+    cases = [
+        (cantor, "growth", 20, lambda data: data["counts"][-1] == 2**20),
+        (cantor, "boxdim", 19, lambda data: occupied(data) == [2**j for j in range(2, 20)]),
+        (golden, "growth", 14, lambda data: data["counts"][-1] == 832040),
+        (golden, "boxdim", 14, lambda data: occupied(data) == fibonacci),
+    ]
+    timings = []
+    for spec, command, depth, check in cases:
+        for refused in (False, True):
+            deep = depth + refused
+            argv = [command, *spec, "--depth", str(deep)]
+            if command == "boxdim":
+                argv += ["--grid-levels", str(deep - 1)]
+            start = time.monotonic()
+            code = cli.main(argv)
+            elapsed = time.monotonic() - start
+            out, err = capsys.readouterr()
+            if refused:
+                assert (code, out) == (2, "")
+                assert json.loads(err)["error"] == "TooDeep"
+                assert json.loads(err)["details"]["ceiling"] == numlab.MAX_COVER_WORK
+            else:
+                assert (code, err) == (0, "")
+                assert check(json.loads(out))
+            assert elapsed < 3.0, (argv, elapsed)
+            timings.append(f"{command} {deep} {'exit 2' if refused else 'ok'} {elapsed:.2f}s")
+    with capsys.disabled():
+        print(
+            f"PASS cover budget: the costliest admitted growth and boxdim calls at "
+            f"n = 2 and 3, and one depth more refused [{'; '.join(timings)}; each < 3s]"
+        )
 
 
 def test_exact_paths_never_touch_floats(sweep_specs, expand_oracle):

@@ -241,7 +241,7 @@ class TestBuildGraph:
 
     def test_many_distinct_pieces_are_refused_not_hung(self):
         # every O/T word of length 1 to 6 joined by G: 126 distinct pieces, a
-        # 129-vertex keep-touch closure whose two charpolys took about 29 s
+        # 129-vertex keep-touch closure whose two full-matrix charpolys took about 29 s
         words = ["".join(w) for size in range(1, 7) for w in itertools.product("OT", repeat=size)]
         spec = generate(768, 321, F(1, 1536), "G".join(words))
         start = time.perf_counter()

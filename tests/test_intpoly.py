@@ -16,6 +16,7 @@ from overlapkit.errors import (
     OverlapKitError,
     PolySyntaxError,
     ResourceLimitError,
+    TooDeep,
     UnsupportedExponent,
     WorkBudget,
 )
@@ -428,9 +429,13 @@ class TestParsing:
         assert budget.spent == 10
         with pytest.raises(ResourceLimitError) as info:
             budget(1, position=7)
-        assert str(info.value) == "too much"
+        assert type(info.value) is ResourceLimitError and str(info.value) == "too much"
         assert info.value.details == {"ceiling": 10, "position": 7}
         assert (budget.spent, info.value.exit_code) == (11, 2)
+        # the cover's budget names its own subclass
+        with pytest.raises(TooDeep) as info:
+            WorkBudget(0, "too deep", TooDeep)(1, depth=5)
+        assert info.value.details == {"ceiling": 0, "depth": 5}
 
     def test_deep_nesting_is_a_resource_error(self):
         for bad in ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"]:

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from overlapkit import numlab
 from overlapkit.errors import DegenerateFit, InvalidArgument, NotInClass, TooDeep
 from overlapkit.ifs import SelfSimilarSpec, generate, validate
 from overlapkit.numlab import (
+    MAX_COVER_WORK,
     CoverLevel,
     box_count_dimension,
     cover,
@@ -131,8 +133,17 @@ class TestCover:
         with pytest.raises(TooDeep) as info:
             cover(golden_spec(), 40)
         assert info.value.exit_code == 2
-        monkeypatch.setattr("overlapkit.numlab.DEFAULT_COVER_CEILING", 3**6)
-        cover(golden_spec(), 6)  # boundary is inclusive
+        assert info.value.details == {"ceiling": MAX_COVER_WORK, "n": 3, "depth": 40}
+        # depth 6 charges 3 * (1 + 3 + 8 + 21 + 55 + 144) = 696 children, and
+        # the budget is read at call time; its boundary is inclusive
+        monkeypatch.setattr(numlab, "MAX_COVER_WORK", 696)
+        assert cover(golden_spec(), 6).count == 377
+        assert cylinder_growth(golden_spec(), 6).counts[-1] == 377
+        monkeypatch.setattr(numlab, "MAX_COVER_WORK", 695)
+        for call in (cover, cover_levels, cylinder_growth):
+            with pytest.raises(TooDeep) as info:
+                call(golden_spec(), 6)
+            assert info.value.details == {"ceiling": 695, "n": 3, "depth": 6}
 
 
 @settings(max_examples=150, deadline=None)
@@ -144,6 +155,56 @@ def test_cover_matches_brute_force_on_random_specs(spec, depth):
     level = cover(spec, depth)
     assert list(level.offsets) == brute_cover(spec, depth)
     assert level.length == spec.lam**depth
+
+
+def set_and_sort_levels(spec: SelfSimilarSpec, depth: int) -> list[tuple[list[int], int]]:
+    """Each depth's numerators as the set of every parent's shifted children,
+    sorted, over d*q^(L-1) (d at depth 0)."""
+    a, q = spec.lam.numerator, spec.lam.denominator
+    d = math.lcm(*(b.denominator for b in spec.offsets))
+    scaled = [int(b * d) for b in spec.offsets]
+    numerators, denominator, a_power = [0], d, 1
+    levels = [(numerators, denominator)]
+    for _ in range(depth):
+        numerators = sorted({q * n + a_power * b for b in scaled for n in numerators})
+        levels.append((numerators, denominator))
+        denominator *= q
+        a_power *= a
+    return levels
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs(), st.integers(0, 8))
+@example(SelfSimilarSpec(F(2, 9), (F(0), F(14, 81), F(7, 9))), 8)  # O then G
+@example(SelfSimilarSpec(F(1, 2), (F(0), F(1, 4), F(1, 2))), 8)  # O only
+def test_parent_order_levels_match_the_set_and_sort(spec, depth):
+    levels = list(numlab._numerator_levels(spec, depth))
+    assert levels == set_and_sort_levels(spec, depth)
+    counts = cylinder_growth(spec, depth).counts
+    assert list(counts) == [len(cover(spec, level).offsets) for level in range(depth + 1)]
+
+
+def merge_count(spec: SelfSimilarSpec, depth: int, cell: Fraction) -> int:
+    """Runs of the brute-force cover, cylinders joined where a gap is at most cell."""
+    offsets, length = brute_cover(spec, depth), spec.lam**depth
+    return 1 + sum(b - (a + length) > cell for a, b in zip(offsets, offsets[1:]))
+
+
+def test_box_count_charges_each_pass_its_input_runs(monkeypatch):
+    # the cover charges its children, then each sweep from the finest grid to
+    # the coarsest charges the runs it reads: the depth-6 cylinders first,
+    # then the runs the sweep before it left
+    spec, depth, grid_levels = golden_spec(), 6, 5
+    runs = [len(brute_cover(spec, depth))] + [
+        merge_count(spec, depth, spec.lam**j) for j in range(grid_levels, 1, -1)
+    ]
+    units = 696 + sum(runs)
+    monkeypatch.setattr(numlab, "MAX_COVER_WORK", units)
+    box_count_dimension(spec, depth, grid_levels)
+    monkeypatch.setattr(numlab, "MAX_COVER_WORK", units - 1)
+    with pytest.raises(TooDeep) as info:
+        box_count_dimension(spec, depth, grid_levels)
+    assert info.value.details == {"ceiling": units - 1, "n": 3, "depth": depth}
 
 
 class TestCylinderGrowth:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from overlapkit.errors import InvalidArgument
 from overlapkit.graphdir import Policy, build_graph, spectral_radius, verify_beta_eigen
 from overlapkit.intpoly import IntPoly, roots
-from overlapkit.intpoly.roots import _at_or_above, charpoly, largest_root
+from overlapkit.intpoly.roots import _at_or_above, _berkowitz, charpoly, largest_root
 
 X = sp.Symbol("x")
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -94,6 +94,24 @@ def sympy_charpoly(matrix) -> list[int]:
 @given(matrices())
 def test_charpoly_matches_sympy(matrix):
     assert charpoly(matrix).coeffs == tuple(sympy_charpoly(matrix))
+
+
+@st.composite
+def repeated_rows(draw):
+    """Square integer matrices, negative entries too, whose rows are drawn
+    from at most three."""
+    size = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-5, 5), min_size=size, max_size=size)
+    pool = draw(st.lists(row, min_size=1, max_size=3))
+    return [list(draw(st.sampled_from(pool))) for _ in range(size)]
+
+
+@PROPERTY
+@given(repeated_rows())
+@example([[1, 2, 0], [1, 2, 0], [1, 2, 0]])  # one distinct row: x^2 * (x - 3)
+@example([[0, 0], [0, 0]])  # the zero matrix: x^2
+def test_charpoly_on_distinct_rows_matches_plain_berkowitz(matrix):
+    assert charpoly(matrix) == _berkowitz(matrix)
 
 
 @PROPERTY
